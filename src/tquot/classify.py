@@ -95,13 +95,17 @@ class JoinPresentation:
     fiber: str  # always the two-sphere
 
 
-def classify(spec: HamSpec, skip_validation: bool = False, annotation: Optional[str] = None) -> TopologyReport:
-    """Classify the quotient of a validated spec."""
+def _validated_strata(spec: HamSpec, skip_validation: bool) -> StratifiedPolytope:
     if not skip_validation:
         report = validate(spec)
         if not report.ok:
             raise ValidationFailure(report)
-    sp = stratify(spec)
+    return stratify(spec)
+
+
+def classify(spec: HamSpec, skip_validation: bool = False, annotation: Optional[str] = None) -> TopologyReport:
+    """Classify the quotient of a validated spec."""
+    sp = _validated_strata(spec, skip_validation)
     n = spec.half_dim
     k = sp.complexity
     short = set(sp.short_faces)
@@ -163,21 +167,14 @@ def classify_m4(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
     sphere) gives the three-disk, two of equal genus g give interval x
     genus-g surface.
     """
-    if not skip_validation:
-        report = validate(spec)
-        if not report.ok:
-            raise ValidationFailure(report)
-    sp = stratify(spec)
+    sp = _validated_strata(spec, skip_validation)
     if spec.half_dim != 2 or sp.polytope.dim != 1 or sp.complexity != 1:
         raise SpecError("the trichotomy needs half_dim 2, effective rank 1, complexity 1")
     surfaces = [c for c in spec.components if c.is_surface]
     if len(surfaces) == 0:
         return TopologyReport(Sphere(3), "four-manifold-trichotomy: finite fixed set", sp)
     if len(surfaces) == 1:
-        if surfaces[0].genus != 0:
-            raise SpecError(
-                "invalid spec: a single fixed surface in a four-manifold must be a sphere"
-            )
+        _require_sphere_cap(spec)
         return TopologyReport(Disk(3), "four-manifold-trichotomy: one fixed sphere", sp)
     if len(surfaces) == 2:
         g0, g1 = surfaces[0].genus, surfaces[1].genus

@@ -68,8 +68,12 @@ def parse_spec(data) -> HamSpec:
         raw_components = data["fixed_components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed spec file: {exc}") from exc
+    if not isinstance(raw_components, list):
+        raise SpecFileError("malformed spec file: fixed_components must be a JSON array")
     components = []
-    for raw in raw_components:
+    for idx, raw in enumerate(raw_components):
+        if not isinstance(raw, dict):
+            raise SpecFileError(f"malformed component {idx}: not a JSON object")
         try:
             kind = raw["kind"]
             moment = tuple(_fraction_from_json(x) for x in raw["moment"])
@@ -182,19 +186,23 @@ def report_to_json(spec: HamSpec, report: TopologyReport, validation=None) -> di
         "short_faces": list(sp.short_faces),
     }
     if validation is not None:
-        doc["validation"] = [
-            {"check": c.name, "passed": c.passed, "detail": c.detail}
-            for c in validation.checks
-        ]
+        doc["validation"] = _checks_json(validation)
     return doc
+
+
+def _checks_json(validation) -> list:
+    return [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in validation.checks]
+
+
+def _checks_text(validation) -> list:
+    return [f"{c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}" for c in validation.checks]
 
 
 def _render_report_text(spec, report, validation) -> str:
     sp = report.stratification
     lines = [f"spec: {spec.name}"]
     if validation is not None:
-        for c in validation.checks:
-            lines.append(f"  {c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}")
+        lines.extend("  " + line for line in _checks_text(validation))
     lines.append(f"momentum polytope: dim {sp.polytope.dim}, {len(sp.polytope.vertices)} vertices, {len(sp.polytope.facets)} facets")
     lines.append(f"complexity: {sp.complexity}")
     for f in sp.lattice.faces:
@@ -234,20 +242,9 @@ def cmd_classify(args, out=None, err=None) -> int:
         validation = validate(spec)
         if not validation.ok:
             first = validation.first_failed()
-            if args.format == "json":
-                doc = {
-                    "error": "validation-failed",
-                    "check": first,
-                    "validation": [
-                        {"check": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in validation.checks
-                    ],
-                }
-                print(json.dumps(doc, sort_keys=True, indent=2), file=out)
-            else:
-                for c in validation.checks:
-                    print(f"{c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}", file=out)
-                print(f"validation failed: {first}", file=out)
+            doc = {"error": "validation-failed", "check": first, "validation": _checks_json(validation)}
+            text = "\n".join(_checks_text(validation) + [f"validation failed: {first}"])
+            _emit(doc, text, args.format, out)
             return 1
     try:
         report = classify(spec, skip_validation=True, annotation=_annotation_for(spec))
@@ -277,8 +274,11 @@ def cmd_gallery(args, out=None, err=None) -> int:
     genus = args.genus if gallery.CATALOG[name].parametrized else None
     spec = gallery.build(name, genus=genus)
     if args.gallery_command == "show":
-        report = classify(spec, annotation=_annotation_for(spec))
-        print(_render_report_text(spec, report, validate(spec)), file=out)
+        validation = validate(spec)
+        if not validation.ok:
+            raise ValidationFailure(validation)
+        report = classify(spec, skip_validation=True, annotation=_annotation_for(spec))
+        print(_render_report_text(spec, report, validation), file=out)
         return 0
     dump_spec(spec, args.out_path)
     print(f"wrote {args.out_path}", file=out)

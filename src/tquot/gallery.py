@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from tquot.exactq import dot, vec
+from tquot.exactq import dot, matmul, vec
 from tquot.hamspace import (
     HamSpec,
     point_component,
@@ -70,14 +70,6 @@ def _apply_int(matrix, v):
     return tuple(int(dot(row, v)) for row in matrix)
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def weyl_orbit(rs: RootSystemData, lam):
     """All pairs (w(lambda), w) over the Weyl group, deduplicated by point."""
     lam = vec(lam)
@@ -90,7 +82,7 @@ def weyl_orbit(rs: RootSystemData, lam):
         for g in rs.weyl_generators:
             gp = _apply(g, point)
             if gp not in seen:
-                gw = _matmul(g, w)
+                gw = matmul(g, w)
                 seen[gp] = gw
                 frontier.append((gp, gw))
     return sorted(seen.items())

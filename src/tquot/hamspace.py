@@ -16,6 +16,7 @@ faces by that number; the complexity-zero faces form the short locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -26,7 +27,6 @@ from tquot.polytope import (
     RationalPolytope,
     cones_equal,
     convex_hull,
-    face_lattice,
     tangent_cone,
 )
 
@@ -66,6 +66,13 @@ class HamSpec:
     torus_rank: int
     half_dim: int
     components: tuple[FixedComponent, ...]
+
+    @cached_property
+    def polytope(self) -> RationalPolytope:
+        """Convex hull of the component moments, built on first use."""
+        if not self.components:
+            raise SpecError("spec has no fixed components")
+        return convex_hull([c.moment for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -112,15 +119,13 @@ class GeneralPositionReport:
 
 def moment_polytope(spec: HamSpec) -> RationalPolytope:
     """Convex hull of the component moments."""
-    if not spec.components:
-        raise SpecError("spec has no fixed components")
-    return convex_hull([c.moment for c in spec.components])
+    return spec.polytope
 
 
 def complexity(spec: HamSpec) -> int:
     """Half the manifold dimension minus the effective torus dimension,
     read off as n - dim of the momentum polytope."""
-    k = spec.half_dim - moment_polytope(spec).dim
+    k = spec.half_dim - spec.polytope.dim
     if k < 0:
         raise SpecError(
             f"inconsistent spec: momentum polytope dimension exceeds half_dim {spec.half_dim}"
@@ -128,38 +133,51 @@ def complexity(spec: HamSpec) -> int:
     return k
 
 
-def _components_at_vertices_of(spec: HamSpec, face: Face):
-    verts = set(face.vertex_coords)
-    return [c for c in spec.components if c.moment in verts]
+def _face_carriers(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FixedComponent, ...]]:
+    """Face id -> the components whose moment lies on the face.
 
-
-def _parallel_weight_count(comp: FixedComponent, face: Face) -> int:
-    count = sum(1 for w in comp.weights if lattice_membership(w, face.direction_basis))
-    if comp.is_surface:
-        count += 1  # the implicit zero weight is parallel to every face
-    return count
-
-
-def face_complexity(spec: HamSpec, face: Face) -> int:
-    """Complexity of the sub-space sitting over a face of the polytope.
-
-    Evaluated at components whose moment is a vertex of the face; every
-    face has one because vertex preimages are fixed components.  All
-    such components must agree.
+    Built from one component x facet incidence: the facets tight at each
+    moment, or None for a moment outside the polytope.  A moment inside
+    the polytope lies on a face iff it is tight on every facet that
+    contains the face.
     """
-    carriers = _components_at_vertices_of(spec, face)
-    if not carriers:
+    tight = []
+    for c in spec.components:
+        slack = [dot(conormal, c.moment) - offset for conormal, offset in poly.facets]
+        inside = all(x >= 0 for x in slack)
+        tight.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
+    return {
+        f.id: tuple(c for c, t in zip(spec.components, tight) if t is not None and f.facets <= t)
+        for f in poly.lattice.faces
+    }
+
+
+def _complexities(face: Face, comps) -> dict[int, list[list]]:
+    """Face complexity as each component sees it, mapped to the parallel
+    weights of the components that see it.
+
+    The rule: weights parallel to the face, plus one for the implicit
+    zero weight of a surface, minus dim F.
+    """
+    values: dict[int, list[list]] = {}
+    for comp in comps:
+        parallel = [w for w in comp.weights if lattice_membership(w, face.direction_basis)]
+        values.setdefault(len(parallel) + comp.is_surface - face.dim, []).append(parallel)
+    return values
+
+
+def _agreed_complexity(face: Face, over) -> int:
+    """Face complexity read at the components over the face's vertices."""
+    values = _complexities(face, [c for c in over if c.moment in face.vertex_coords])
+    if not values:
         raise SpecError(
             f"no fixed component at any vertex of face {face.vertex_set}"
         )
-    values = set()
-    for comp in carriers:
-        values.add(_parallel_weight_count(comp, face) - face.dim)
     if len(values) > 1:
         raise SpecError(
             f"invalid spec: face complexity inconsistent on face {face.vertex_set}: {sorted(values)}"
         )
-    value = values.pop()
+    value = next(iter(values))
     if value < 0:
         raise SpecError(
             f"invalid spec: negative face complexity on face {face.vertex_set}"
@@ -167,16 +185,27 @@ def face_complexity(spec: HamSpec, face: Face) -> int:
     return value
 
 
+def face_complexity(spec: HamSpec, face: Face) -> int:
+    """Complexity of the sub-space sitting over a face of spec.polytope.
+
+    Evaluated at components whose moment is a vertex of the face; every
+    face has one because vertex preimages are fixed components.  All
+    such components must agree.
+    """
+    return _agreed_complexity(face, _face_carriers(spec, spec.polytope)[face.id])
+
+
 def stratify(spec: HamSpec) -> StratifiedPolytope:
     """Complexity label for every face, grouped into the strata."""
-    poly = moment_polytope(spec)
-    lattice = face_lattice(poly)
+    poly = spec.polytope
+    lattice = poly.lattice
     k = spec.half_dim - poly.dim
     if k < 0:
         raise SpecError("inconsistent spec: polytope dimension exceeds half_dim")
+    carriers = _face_carriers(spec, poly)
     fc = {}
     for f in lattice.faces:
-        fc[f.id] = face_complexity(spec, f)
+        fc[f.id] = _agreed_complexity(f, carriers[f.id])
     if fc[lattice.top.id] != k:
         raise SpecError(
             "invalid spec: top-face complexity disagrees with the action complexity"
@@ -199,7 +228,7 @@ def general_position(spec: HamSpec) -> GeneralPositionReport:
     size up to d is linearly independent.  Surfaces therefore always
     fail.  Repetitions count: a doubled weight is a dependent pair.
     """
-    d = moment_polytope(spec).dim
+    d = spec.polytope.dim
     per = []
     for comp in spec.components:
         ok = not comp.is_surface and all(not is_zero(w) for w in comp.weights)
@@ -252,8 +281,8 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         checks.append(CheckResult("V2-vertex-coverage", False, "skipped: malformed moments"))
         return ValidationReport(tuple(checks))
 
-    poly = moment_polytope(spec) if polytope is None else polytope
-    lattice = face_lattice(poly)
+    poly = spec.polytope if polytope is None else polytope
+    lattice = poly.lattice
     d = poly.dim
     _, direction_basis = poly.affine_hull
 
@@ -277,13 +306,15 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(f"component {idx}: weights do not span the polytope directions")
     checks.append(CheckResult("V3-weight-span", not problems, "; ".join(problems)))
 
-    # V4: point components at vertices generate the tangent cone
+    # V4: the weights of a component at a vertex, isolated point or fixed
+    # surface, generate the tangent cone there (a surface's implicit zero
+    # weight adds nothing to the cone)
     problems = []
     for idx, comp in enumerate(spec.components):
-        if comp.is_surface or comp.moment not in poly.vertices:
+        if comp.moment not in poly.vertices:
             continue
         v = poly.vertices.index(comp.moment)
-        cone = tangent_cone(poly, v, lattice)
+        cone = tangent_cone(poly, v)
         if not cones_equal(comp.weights, cone):
             problems.append(
                 f"component {idx}: weight cone differs from the tangent cone at vertex {v}"
@@ -294,33 +325,26 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # parallel weights span the face directions
     problems = []
     fc: dict[int, int] = {}
+    carriers = _face_carriers(spec, poly)
     for f in lattice.faces:
-        carriers = [c for c in spec.components if _moment_in_face(c.moment, f, poly)]
-        vertex_carriers = _components_at_vertices_of(spec, f)
-        if not vertex_carriers:
+        over = carriers[f.id]
+        if not any(c.moment in f.vertex_coords for c in over):
             continue  # V2's finding
-        values = {}
-        for comp in carriers:
-            values.setdefault(_parallel_weight_count(comp, f) - f.dim, []).append(comp)
+        values = _complexities(f, over)
         if len(values) > 1:
             problems.append(
                 f"face {f.vertex_set}: components disagree on complexity {sorted(values)}"
             )
             continue
-        value = next(iter(values))
+        [(value, parallels)] = values.items()
         if value < 0:
             problems.append(f"face {f.vertex_set}: negative complexity")
             continue
         fc[f.id] = value
-        for comp in carriers:
-            parallel = [
-                w for w in comp.weights if lattice_membership(w, f.direction_basis)
-            ]
-            if rank(parallel) != f.dim:
-                problems.append(
-                    f"face {f.vertex_set}: parallel weights do not span the face directions"
-                )
-                break
+        if any(rank(parallel) != f.dim for parallel in parallels):
+            problems.append(
+                f"face {f.vertex_set}: parallel weights do not span the face directions"
+            )
     checks.append(CheckResult("V5-face-complexity", not problems, "; ".join(problems)))
 
     # V6: complexity is monotone along face containment
@@ -342,13 +366,3 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     checks.append(CheckResult("V7-surface-genus", not problems, "; ".join(problems)))
 
     return ValidationReport(tuple(checks))
-
-
-def _moment_in_face(moment: Vector, face: Face, poly: RationalPolytope) -> bool:
-    for conormal, offset in poly.facets:
-        if dot(conormal, moment) < offset:
-            return False
-    if face.supporting is None:
-        return True
-    conormal, offset = face.supporting
-    return dot(conormal, moment) == offset

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -44,6 +45,11 @@ class RationalPolytope:
     def dim(self) -> int:
         return len(self.affine_hull[1])
 
+    @cached_property
+    def lattice(self) -> "FaceLattice":
+        """The face lattice, built on first use and kept with the polytope."""
+        return face_lattice(self)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -53,6 +59,7 @@ class Face:
     vertex_coords: tuple[Vector, ...]
     direction_basis: tuple[Vector, ...]
     supporting: Optional[Facet]
+    facets: frozenset[int]  # indices of the facets containing the face
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def convex_hull(points) -> RationalPolytope:
     gram = [[dot(bi, bj) for bj in basis] for bi in basis]
     facets = []
     for (n, c), contact in supports.items():
-        coeff = _solve_square(gram, n)
+        coeff = combination_coords(n, gram)  # solves gram^T c = n; gram is symmetric
         w0 = tuple(
             sum(coeff[k] * basis[k][j] for k in range(d)) for j in range(ambient)
         )
@@ -171,23 +178,6 @@ def convex_hull(points) -> RationalPolytope:
         facets.append((w, offset))
     facets.sort()
     return RationalPolytope(ambient, vertices, tuple(facets), (base, basis))
-
-
-def _solve_square(m, rhs):
-    """Solve an invertible square rational system exactly."""
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pr = rows[col]
-        inv = Fraction(1) / pr[col]
-        rows[col] = pr = [x * inv for x in pr]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-    return [rows[i][n] for i in range(n)]
 
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
@@ -226,19 +216,22 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
 
     faces = []
     for fid, (dim, vs, coords, basis) in enumerate(described):
-        if frozenset(vs) == all_verts and dim == p.dim:
+        containing = frozenset(
+            i for i, contact in enumerate(contact_of_facet) if contact.issuperset(vs)
+        )
+        if len(vs) == nv and dim == p.dim:
             supporting = None
         else:
             total = [Fraction(0)] * p.ambient_dim
             total_off = Fraction(0)
-            for (conormal, offset), contact in zip(p.facets, contact_of_facet):
-                if contact >= frozenset(vs):
-                    total = [a + b for a, b in zip(total, conormal)]
-                    total_off += offset
+            for i in sorted(containing):
+                conormal, offset = p.facets[i]
+                total = [a + b for a, b in zip(total, conormal)]
+                total_off += offset
             conormal = primitive(total)
             lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
             supporting = (conormal, lam * total_off)
-        faces.append(Face(fid, dim, vs, coords, basis, supporting))
+        faces.append(Face(fid, dim, vs, coords, basis, supporting, containing))
 
     containment = tuple(
         (a.id, b.id)
@@ -249,16 +242,14 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     return FaceLattice(tuple(faces), containment)
 
 
-def tangent_cone(p: RationalPolytope, v: int, lattice: FaceLattice | None = None):
+def tangent_cone(p: RationalPolytope, v: int):
     """Primitive generators of the edge directions at vertex v.
 
     The cone they span is the set of directions pointing into the
     polytope at that vertex.
     """
-    if lattice is None:
-        lattice = face_lattice(p)
     gens = []
-    for f in lattice.faces:
+    for f in p.lattice.faces:
         if f.dim == 1 and v in f.vertex_set:
             other = next(i for i in f.vertex_set if i != v)
             gens.append(primitive(vsub(p.vertices[other], p.vertices[v])))

@@ -109,6 +109,28 @@ def test_cli_classify_parse_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("value", [5, None, True, {}], ids=["int", "null", "bool", "object"])
+def test_cli_components_not_array_is_parse_error(tmp_path, capsys, value):
+    doc = spec_to_json(gallery.build("cp2-s1"))
+    doc["fixed_components"] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "fixed_components must be a JSON array" in err
+
+
+def test_cli_component_not_object_is_parse_error(tmp_path, capsys):
+    doc = spec_to_json(gallery.build("cp2-s1"))
+    doc["fixed_components"][1] = None
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "component 1: not a JSON object" in err
+
+
 def test_cli_skip_validation(tmp_path, capsys):
     path = tmp_path / "gr2c4.json"
     dump_spec(gallery.build("gr2c4"), str(path))

@@ -208,6 +208,23 @@ def test_validate_flipped_weight_sign_fails_v4_only():
     assert [f.name for f in report.failed] == ["V4-vertex-cone"]
 
 
+def test_validate_negated_vertex_surface_fails_v4_only():
+    # a fixed surface at a vertex whose normal weight points out of the
+    # polytope: the weight cone no longer matches the tangent cone
+    for name in ("cp2-s1", "sigma-g-x-s2", "blowup-g"):
+        spec = gallery.build(name)
+        verts = set(spec.polytope.vertices)
+        surfaces = [
+            i for i, c in enumerate(spec.components) if c.is_surface and c.moment in verts
+        ]
+        assert surfaces, name
+        for i in surfaces:
+            c = spec.components[i]
+            negated = replace(c, weights=tuple(tuple(-x for x in w) for w in c.weights))
+            report = validate(with_component(spec, i, negated))
+            assert [f.name for f in report.failed] == ["V4-vertex-cone"], (name, i)
+
+
 def test_validate_deleted_vertex_component_fails_v2_only():
     spec = gallery.build("s2cubed")
     poly = moment_polytope(spec)

@@ -166,7 +166,7 @@ def test_tangent_cone_matches_edges():
     p = convex_hull(hypersimplex_points())
     lat = face_lattice(p)
     for v in range(len(p.vertices)):
-        gens = set(tangent_cone(p, v, lat))
+        gens = set(tangent_cone(p, v))
         edge_dirs = {
             primitive(vsub(p.vertices[next(i for i in f.vertex_set if i != v)], p.vertices[v]))
             for f in lat.faces
