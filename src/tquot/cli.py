@@ -38,8 +38,8 @@ class SpecFileError(ValueError):
     pass
 
 
-def _fraction_from_json(value) -> Fraction:
-    if isinstance(value, int):
+def _fraction_from_json(value, path: str) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         parts = value.split("/")
@@ -48,9 +48,25 @@ def _fraction_from_json(value) -> Fraction:
         if len(parts) == 2 and parts[0].lstrip("-").isdigit() and parts[1].isdigit():
             num, den = int(parts[0]), int(parts[1])
             if den <= 0:
-                raise SpecFileError(f"rational {value!r} needs a positive denominator")
+                raise SpecFileError(f"{path}: rational {value!r} needs a positive denominator")
             return Fraction(num, den)
-    raise SpecFileError(f"not a rational: {value!r}")
+    raise SpecFileError(f"{path}: not a rational: {json.dumps(value)}")
+
+
+def _integer(value, path: str) -> int:
+    """A JSON integer.  Booleans, floats and strings are refused, never
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFileError(
+            f"malformed spec file: {path} must be an integer, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFileError(f"malformed spec file: {path} must be a JSON array")
+    return value
 
 
 def _fraction_to_json(x: Fraction):
@@ -61,32 +77,49 @@ def _fraction_to_json(x: Fraction):
 
 
 def parse_spec(data) -> HamSpec:
+    """Build a spec from a decoded JSON document.
+
+    Every integer field must be a JSON integer, and a malformed value is
+    reported with its JSON path.
+    """
     try:
         name = data["name"]
-        torus_rank = int(data["torus_rank"])
-        half_dim = int(data["half_dim"])
+        torus_rank = data["torus_rank"]
+        half_dim = data["half_dim"]
         raw_components = data["fixed_components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SpecFileError(f"malformed spec file: {exc}") from exc
-    if not isinstance(raw_components, list):
-        raise SpecFileError("malformed spec file: fixed_components must be a JSON array")
+    if not isinstance(name, str):
+        raise SpecFileError(f"malformed spec file: name must be a string, got {json.dumps(name)}")
+    torus_rank = _integer(torus_rank, "torus_rank")
+    if _integer(half_dim, "half_dim") < 1:
+        raise SpecFileError(f"malformed spec file: half_dim must be at least 1, got {half_dim}")
     components = []
-    for idx, raw in enumerate(raw_components):
+    for idx, raw in enumerate(_array(raw_components, "fixed_components")):
         if not isinstance(raw, dict):
             raise SpecFileError(f"malformed component {idx}: not a JSON object")
+        at = f"fixed_components[{idx}]"
         try:
             kind = raw["kind"]
-            moment = tuple(_fraction_from_json(x) for x in raw["moment"])
-            weights = tuple(tuple(int(x) for x in w) for w in raw["weights"])
+            moment = tuple(
+                _fraction_from_json(x, f"{at}.moment[{j}]")
+                for j, x in enumerate(_array(raw["moment"], f"{at}.moment"))
+            )
+            weights = tuple(
+                tuple(
+                    _integer(x, f"{at}.weights[{i}][{j}]")
+                    for j, x in enumerate(_array(w, f"{at}.weights[{i}]"))
+                )
+                for i, w in enumerate(_array(raw["weights"], f"{at}.weights"))
+            )
             if kind == "point":
                 components.append(point_component(moment, weights))
             elif kind == "surface":
-                components.append(surface_component(int(raw["genus"]), moment, weights))
+                genus = _integer(raw["genus"], f"{at}.genus")
+                components.append(surface_component(genus, moment, weights))
             else:
                 raise SpecFileError(f"unknown component kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SpecFileError):
-                raise
+        except KeyError as exc:
             raise SpecFileError(f"malformed component: {exc}") from exc
     return HamSpec(name, torus_rank, half_dim, tuple(components))
 

@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals and integer normal forms.
 
 Vectors are tuples of Fraction, matrices are lists of rows.  Everything
-runs in arbitrary precision: Fraction for rational elimination, plain
-Python ints for the Smith normal form.  No floats anywhere.
+runs in arbitrary precision and no floats appear anywhere.
+
+Denominators are cleared at the entry of each routine that eliminates:
+`integral` scales a vector by the lcm of its denominators, and
+`clear_denominators` scales a whole family by one common lcm.  One
+fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`,
+`det`, `nullspace` (for a corank-one matrix, the cofactor normal),
+`solve_affine`, `combination_coords` and `solve_fraction_free` on plain
+Python ints.  The Smith normal form works on ints too.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -40,135 +47,149 @@ def scale(c, v) -> Vector:
     return tuple(c * Fraction(x) for x in v)
 
 
+def integral(v) -> tuple[int, ...]:
+    """v scaled by the lcm of its entries' denominators: an integer
+    vector with the same direction."""
+    factor = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (factor // x.denominator) for x in v)
+
+
+def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors scaled by one common positive integer, the lcm of all
+    their denominators, as integer vectors; and that scale."""
+    factor = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (factor // x.denominator) for x in v) for v in vectors], factor
+
+
 def primitive(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to the
     shortest integer vector with the same direction (gcd of entries 1)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    ints = integral(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for x in fr:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
 
 
-class _Echelon:
-    """Incremental row-echelon accumulator over Q.
+def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Keeps one reduced row per pivot column; lets callers test span
-    membership and extract an independent subset of a vector family.
+    Each update divides exactly by the previous pivot, so every entry
+    stays an integer (a minor of the input) and the last pivot is, up to
+    the sign of the row swaps, the leading minor on the pivot columns.
+    With reduce, the entries above the pivots are cleared too, and each
+    pivot row ends as D times its reduced row echelon form, D the last
+    pivot.  Returns the pivot columns and the number of row swaps.
     """
-
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def residual(self, v) -> list[Fraction]:
-        r = [Fraction(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            if r[p]:
-                f = r[p] / row[p]
-                r = [a - f * b for a, b in zip(r, row)]
-        return r
-
-    def add(self, v) -> bool:
-        """Reduce v against the rows; absorb it if independent.
-
-        Returns True when v increased the rank.
-        """
-        r = self.residual(v)
-        for p, x in enumerate(r):
-            if x:
-                self.rows.append(r)
-                self.pivots.append(p)
-                return True
-        return False
-
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.residual(v))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    swaps = 0
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        pr = rows[r]
+        p = pr[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], pr)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in rows[i]]
+        pivots.append(c)
+        prev = p
+    return pivots, swaps
 
 
 def rank(m) -> int:
-    """Rank of a matrix (rows of rationals), by exact elimination."""
-    ech = _Echelon()
-    for row in m:
-        ech.add(row)
-    return ech.rank
+    """Rank of a matrix (rows of rationals), by fraction-free elimination."""
+    return len(eliminate([list(integral(row)) for row in m])[0])
+
+
+def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
+    """A basis of primitive integer vectors n with m * n = 0.
+
+    One vector per non-pivot column of the fraction-free reduced form.
+    For an (ncols-1) x ncols matrix of full rank that single vector is
+    the cofactor vector (the signed maximal minors) over its content;
+    the list is longer exactly when the rows are dependent.
+    """
+    rows = [list(integral(row)) for row in m]
+    pivots, _ = eliminate(rows, reduce=True)
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        n = [0] * ncols
+        n[free] = d
+        for row, p in zip(rows, pivots):
+            n[p] = -row[free]
+        g = gcd(*n)
+        basis.append(tuple(x // g for x in n))
+    return basis
+
+
+def solve_fraction_free(columns, target):
+    """Express an integer target in linearly independent integer columns.
+
+    Returns (numerators, denominator) with target = sum of
+    numerators[i] / denominator * columns[i], or None when the columns
+    are dependent or the target lies outside their span.
+    """
+    k = len(columns)
+    rows = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    pivots, _ = eliminate(rows, reduce=True)
+    if pivots != list(range(k)):
+        return None
+    if k == 0:
+        return (), 1
+    return tuple(rows[i][k] for i in range(k)), rows[k - 1][k - 1]
 
 
 def solve_affine(points) -> tuple[Vector, tuple[Vector, ...]]:
     """Basepoint and a direction basis for the affine span of the points.
 
     The basepoint is the first point; the basis is the first maximal
-    independent subfamily of the differences, so the result is
-    deterministic in the input order.
+    independent subfamily of the differences (the pivot columns of the
+    matrix that has them as columns), so the result is deterministic in
+    the input order.
     """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("no points")
     base = pts[0]
-    ech = _Echelon()
-    basis: list[Vector] = []
-    for p in pts[1:]:
-        d = vsub(p, base)
-        if ech.add(d):
-            basis.append(d)
-    return base, tuple(basis)
-
-
-def lattice_membership(v, basis) -> bool:
-    """Is v a rational linear combination of the basis vectors?
-
-    An empty basis spans only the zero vector.
-    """
-    ech = _Echelon()
-    for b in basis:
-        ech.add(b)
-    return ech.contains(v)
+    diffs = [vsub(p, base) for p in pts[1:]]
+    pivots, _ = eliminate([list(integral(row)) for row in zip(*diffs)])
+    return base, tuple(diffs[j] for j in pivots)
 
 
 def combination_coords(target, basis):
     """Coefficients expressing target in a linearly independent basis.
 
     Returns a tuple of Fractions, or None when target is outside the
-    span.  Solved by exact Gauss-Jordan on the column system.
+    span.  One common scale clears the denominators of the system, which
+    leaves the coefficients unchanged, and the system is solved
+    fraction-free.
     """
-    k = len(basis)
-    target = vec(target)
-    if k == 0:
-        return () if is_zero(target) else None
-    n = len(target)
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [target[i]] for i in range(n)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = Fraction(1) / pr[col]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivot_of_col[col] = r
-        r += 1
-    if len(pivot_of_col) < k:
-        raise ValueError("basis is linearly dependent")
-    for i in range(r, n):
-        if rows[i][k]:
-            return None
-    return tuple(rows[pivot_of_col[c]][k] for c in range(k))
+    ints, _ = clear_denominators([*basis, target])
+    solution = solve_fraction_free(ints[:-1], ints[-1])
+    if solution is None:
+        if rank(ints[:-1]) < len(basis):
+            raise ValueError("basis is linearly dependent")
+        return None
+    numerators, denominator = solution
+    return tuple(Fraction(x, denominator) for x in numerators)
 
 
 def det(m) -> Fraction:
@@ -176,25 +197,15 @@ def det(m) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pr = rows[col]
-        result *= pr[col]
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-    return sign * result
+    rows = [list(integral(row)) for row in m]
+    pivots, swaps = eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    factor = 1
+    for row in m:
+        factor *= lcm(*(x.denominator for x in row))
+    value = rows[n - 1][n - 1] if n else 1
+    return Fraction(-value if swaps % 2 else value, factor)
 
 
 def identity_matrix(n) -> list[list[int]]:

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
-from tquot.exactq import Vector, dot, is_zero, lattice_membership, rank, vec
+from tquot.exactq import Vector, clear_denominators, is_zero, rank, vec
 from tquot.polytope import (
     Face,
     FaceLattice,
@@ -141,9 +142,17 @@ def _face_carriers(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[Fix
     the polytope lies on a face iff it is tight on every facet that
     contains the face.
     """
+    # one scale clears the denominators of the moments and the offsets
+    moments, _ = clear_denominators(
+        [c.moment for c in spec.components] + [[o for _, o in poly.facets]]
+    )
+    levels = moments.pop()
     tight = []
-    for c in spec.components:
-        slack = [dot(conormal, c.moment) - offset for conormal, offset in poly.facets]
+    for moment in moments:
+        slack = [
+            sum(map(mul, conormal, moment)) - level
+            for (conormal, _), level in zip(poly.facets, levels)
+        ]
         inside = all(x >= 0 for x in slack)
         tight.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
     return {
@@ -161,7 +170,7 @@ def _complexities(face: Face, comps) -> dict[int, list[list]]:
     """
     values: dict[int, list[list]] = {}
     for comp in comps:
-        parallel = [w for w in comp.weights if lattice_membership(w, face.direction_basis)]
+        parallel = [w for w in comp.weights if face.parallel(w)]
         values.setdefault(len(parallel) + comp.is_surface - face.dim, []).append(parallel)
     return values
 
@@ -280,11 +289,14 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     if any(len(c.moment) != spec.torus_rank for c in spec.components) or not spec.components:
         checks.append(CheckResult("V2-vertex-coverage", False, "skipped: malformed moments"))
         return ValidationReport(tuple(checks))
+    # the integer tests below need every weight in the torus rank
+    if any(len(w) != spec.torus_rank for c in spec.components for w in c.weights):
+        checks.append(CheckResult("V2-vertex-coverage", False, "skipped: malformed weights"))
+        return ValidationReport(tuple(checks))
 
     poly = spec.polytope if polytope is None else polytope
     lattice = poly.lattice
     d = poly.dim
-    _, direction_basis = poly.affine_hull
 
     # V2: every vertex of the polytope carries exactly one component
     # (vertex preimages are connected fixed components)
@@ -300,7 +312,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # V3: at every component the weights span the direction space of the polytope
     problems = []
     for idx, comp in enumerate(spec.components):
-        if not all(lattice_membership(w, direction_basis) for w in comp.weights):
+        if not all(lattice.top.parallel(w) for w in comp.weights):
             problems.append(f"component {idx}: weight outside the polytope directions")
         elif rank(comp.weights) != d:
             problems.append(f"component {idx}: weights do not span the polytope directions")

@@ -7,6 +7,14 @@ shipped specimen), so robustness wins over asymptotics.  Polytopes that
 are not full dimensional are handled in coordinates of their affine
 hull and mapped back, so momentum images of non-effective actions work
 unchanged.
+
+Denominators are cleared once per routine: `convex_hull` scales the
+affine coordinates of all points by one common integer, and
+`face_lattice` does the same for the vertices.  Candidate normals,
+sidedness, facet contacts, the face normals and the cone test of
+`in_cone` then run fraction-free on Python ints
+(`exactq.eliminate`).  Only the map from affine coordinates back to
+ambient conormals and offsets uses Fraction.
 """
 
 from __future__ import annotations
@@ -15,17 +23,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from tquot.exactq import (
     Vector,
-    _Echelon,
+    clear_denominators,
     combination_coords,
     dot,
-    is_zero,
+    integral,
+    nullspace,
     primitive,
     rank,
     solve_affine,
+    solve_fraction_free,
     vec,
     vsub,
 )
@@ -57,9 +68,16 @@ class Face:
     dim: int
     vertex_set: tuple[int, ...]
     vertex_coords: tuple[Vector, ...]
-    direction_basis: tuple[Vector, ...]
+    # integer normals cutting out the face's direction space: the
+    # primitive normals of the polytope's affine hull, then the
+    # conormals of the facets containing the face
+    normals: tuple[tuple[int, ...], ...]
     supporting: Optional[Facet]
     facets: frozenset[int]  # indices of the facets containing the face
+
+    def parallel(self, w) -> bool:
+        """Does the integer vector w lie in the direction space of the face?"""
+        return all(sum(map(mul, n, w)) == 0 for n in self.normals)
 
 
 @dataclass(frozen=True)
@@ -89,22 +107,6 @@ def _dedupe(points: list[Vector]) -> list[Vector]:
     return list(dict.fromkeys(points))
 
 
-def _nullspace_line(rows, ncols) -> Vector:
-    """One nonzero solution of rows * n = 0 for an (ncols-1)-rank system."""
-    ech = _Echelon()
-    for r in rows:
-        ech.add(r)
-    reduced = ech.rows
-    pivots = ech.pivots
-    free = next(c for c in range(ncols) if c not in pivots)
-    n = [Fraction(0)] * ncols
-    n[free] = Fraction(1)
-    # back substitution against the echelon rows, in reverse pivot order
-    for row, p in sorted(zip(reduced, pivots), key=lambda t: -t[1]):
-        n[p] = -sum(row[c] * n[c] for c in range(ncols) if c != p) / row[p]
-    return tuple(n)
-
-
 def convex_hull(points) -> RationalPolytope:
     """Convex hull of rational points, with irredundant H-representation.
 
@@ -124,32 +126,39 @@ def convex_hull(points) -> RationalPolytope:
         hull_pt = pts[0]
         return RationalPolytope(ambient, (hull_pt,), (), (base, ()))
 
-    coords = [combination_coords(vsub(p, base), basis) for p in pts]
+    # affine coordinates, scaled once to integers by a common factor
+    coords, coord_scale = clear_denominators(
+        [combination_coords(vsub(p, base), basis) for p in pts]
+    )
 
-    # candidate supporting hyperplanes from affinely independent d-subsets
-    supports: dict[tuple[tuple[int, ...], Fraction], list[int]] = {}
-    for comb in combinations(range(len(pts)), d):
+    # candidate supporting hyperplanes from affinely independent
+    # d-subsets; a dependent subset leaves more than one normal.  A
+    # candidate that is not a facet is kept as None.
+    supports: dict[tuple[tuple[int, ...], int], Optional[list[int]]] = {}
+    for comb in combinations(range(len(coords)), d):
         p0 = coords[comb[0]]
-        diffs = [vsub(coords[i], p0) for i in comb[1:]]
-        if d > 1 and rank(diffs) != d - 1:
+        normals = nullspace([[a - b for a, b in zip(coords[i], p0)] for i in comb[1:]], d)
+        if len(normals) != 1:
             continue
-        n = primitive(_nullspace_line(diffs, d)) if d > 1 else (1,)
-        c = dot(n, p0)
-        vals = [dot(n, q) for q in coords]
-        if all(x >= c for x in vals):
+        n = normals[0]
+        c = sum(map(mul, n, p0))
+        vals = [sum(map(mul, n, q)) for q in coords]
+        if min(vals) >= c:
             pass
-        elif all(x <= c for x in vals):
+        elif max(vals) <= c:
             n = tuple(-x for x in n)
             c = -c
             vals = [-x for x in vals]
         else:
             continue
-        contact = [i for i, x in enumerate(vals) if x == c]
         key = (n, c)
         if key not in supports:
+            contact = [i for i, x in enumerate(vals) if x == c]
             # keep true facets only: contact set affinely spans the hyperplane
-            if d == 1 or rank([vsub(coords[i], coords[contact[0]]) for i in contact]) == d - 1:
-                supports[key] = contact
+            q0 = coords[contact[0]]
+            spans = rank([[a - b for a, b in zip(coords[i], q0)] for i in contact]) == d - 1
+            supports[key] = contact if spans else None
+    supports = {key: contact for key, contact in supports.items() if contact is not None}
 
     # extreme points: active conormals span the full coordinate space
     active_normals: dict[int, list] = {i: [] for i in range(len(pts))}
@@ -174,7 +183,7 @@ def convex_hull(points) -> RationalPolytope:
             if b:
                 lam = Fraction(a) / b
                 break
-        offset = lam * (dot(w0, base) + c)
+        offset = lam * (dot(w0, base) + Fraction(c, coord_scale))
         facets.append((w, offset))
     facets.sort()
     return RationalPolytope(ambient, vertices, tuple(facets), (base, basis))
@@ -188,13 +197,15 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     the polytope itself is the unique maximum.
     """
     nv = len(p.vertices)
+    # the offsets ride along as one more vector, so that one scale
+    # clears the denominators of the vertices and the offsets
+    verts, _ = clear_denominators(p.vertices + (tuple(o for _, o in p.facets),))
+    levels = verts.pop()
     all_verts = frozenset(range(nv))
     sets: set[frozenset[int]] = {all_verts}
     contact_of_facet: list[frozenset[int]] = []
-    for conormal, offset in p.facets:
-        contact = frozenset(
-            i for i, v in enumerate(p.vertices) if dot(conormal, v) == offset
-        )
+    for (conormal, _), level in zip(p.facets, levels):
+        contact = frozenset(i for i, v in enumerate(verts) if sum(map(mul, conormal, v)) == level)
         contact_of_facet.append(contact)
         sets.add(contact)
     worklist = list(sets)
@@ -206,23 +217,25 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
                 sets.add(meet)
                 worklist.append(meet)
 
+    # the face's direction space is cut out of the affine hull's
+    # directions by the conormals of the facets containing it
+    hull_normals = tuple(nullspace(p.affine_hull[1], p.ambient_dim))
     described = []
     for s in sets:
         vs = tuple(sorted(s))
-        coords = tuple(p.vertices[i] for i in vs)
-        _, basis = solve_affine(coords)
-        described.append((len(basis), vs, coords, basis))
+        containing = frozenset(
+            i for i, contact in enumerate(contact_of_facet) if contact.issuperset(s)
+        )
+        normals = hull_normals + tuple(p.facets[i][0] for i in sorted(containing))
+        described.append((p.ambient_dim - rank(normals), vs, normals, containing))
     described.sort(key=lambda t: (t[0], t[1]))
 
     faces = []
-    for fid, (dim, vs, coords, basis) in enumerate(described):
-        containing = frozenset(
-            i for i, contact in enumerate(contact_of_facet) if contact.issuperset(vs)
-        )
+    for fid, (dim, vs, normals, containing) in enumerate(described):
         if len(vs) == nv and dim == p.dim:
             supporting = None
         else:
-            total = [Fraction(0)] * p.ambient_dim
+            total = [0] * p.ambient_dim
             total_off = Fraction(0)
             for i in sorted(containing):
                 conormal, offset = p.facets[i]
@@ -231,13 +244,15 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
             conormal = primitive(total)
             lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
             supporting = (conormal, lam * total_off)
-        faces.append(Face(fid, dim, vs, coords, basis, supporting, containing))
+        coords = tuple(p.vertices[i] for i in vs)
+        faces.append(Face(fid, dim, vs, coords, normals, supporting, containing))
 
+    vertex_sets = [frozenset(f.vertex_set) for f in faces]
     containment = tuple(
-        (a.id, b.id)
-        for a in faces
-        for b in faces
-        if a.id != b.id and set(a.vertex_set) < set(b.vertex_set)
+        (a, b)
+        for a, sa in enumerate(vertex_sets)
+        for b, sb in enumerate(vertex_sets)
+        if sa < sb
     )
     return FaceLattice(tuple(faces), containment)
 
@@ -271,19 +286,19 @@ def in_cone(target, generators) -> bool:
     """Exact membership of a vector in the cone spanned by generators.
 
     Caratheodory: the vector lies in the cone iff it is a nonnegative
-    combination of some linearly independent subset.
+    combination of some linearly independent subset.  Every vector is
+    first scaled by a positive integer to an integer vector, and each
+    subset is solved fraction-free.
     """
-    target = vec(target)
-    if is_zero(target):
+    target = integral(target)
+    if not any(target):
         return True
-    gens = [vec(g) for g in generators]
+    gens = [integral(g) for g in generators]
     bound = min(len(gens), len(target))
     for k in range(1, bound + 1):
         for subset in combinations(gens, k):
-            if rank(subset) != k:
-                continue
-            coeffs = combination_coords(target, subset)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            solution = solve_fraction_free(subset, target)
+            if solution is not None and all(x * solution[1] >= 0 for x in solution[0]):
                 return True
     return False
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -30,3 +31,25 @@ def with_component(spec, index, comp):
 def without_component(spec, index):
     comps = spec.components[:index] + spec.components[index + 1 :]
     return replace(spec, components=comps)
+
+
+def polytope_specimens():
+    """Every catalog specimen, the A3 regular orbit (24 points,
+    permutohedron) and Gr(2,5) (the hypersimplex Delta(2,5))."""
+    specs = [gallery.build(name) for name in gallery.names()]
+    half = Fraction(1, 2)
+    specs.append(
+        gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
+    )
+    f = Fraction(1, 5)
+    specs.append(
+        gallery.coadjoint_orbit(gallery.root_system("A", 4), (3 * f, 3 * f, -2 * f, -2 * f, -2 * f))
+    )
+    return specs
+
+
+def random_point_set(rng, dim, count):
+    return [
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+        for _ in range(count)
+    ]

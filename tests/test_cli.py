@@ -131,6 +131,81 @@ def test_cli_component_not_object_is_parse_error(tmp_path, capsys):
     assert "component 1: not a JSON object" in err
 
 
+def _put(doc, field, value):
+    """Write value into a blowup-g export, whose component 0 is a genus-1
+    surface with moment [0] and weights [[1]]."""
+    comp = doc["fixed_components"][0]
+    if field == "weight":
+        comp["weights"][0][0] = value
+    elif field == "weight-row":
+        comp["weights"][0] = value
+    elif field == "moment":
+        comp["moment"][0] = value
+    elif field == "genus":
+        comp["genus"] = value
+    else:
+        doc[field] = value
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("weight", 1.5, "fixed_components[0].weights[0][0] must be an integer, got 1.5"),
+        ("weight", True, "fixed_components[0].weights[0][0] must be an integer, got true"),
+        ("weight", "1", 'fixed_components[0].weights[0][0] must be an integer, got "1"'),
+        ("weight-row", "1", "fixed_components[0].weights[0] must be a JSON array"),
+        ("genus", 1.9, "fixed_components[0].genus must be an integer, got 1.9"),
+        ("genus", False, "fixed_components[0].genus must be an integer, got false"),
+        ("moment", True, "fixed_components[0].moment[0]: not a rational: true"),
+        ("torus_rank", 1.0, "torus_rank must be an integer, got 1.0"),
+        ("torus_rank", "1", 'torus_rank must be an integer, got "1"'),
+        ("half_dim", True, "half_dim must be an integer, got true"),
+        ("half_dim", 0, "half_dim must be at least 1, got 0"),
+        ("half_dim", -2, "half_dim must be at least 1, got -2"),
+        ("name", ["blowup-g"], 'name must be a string, got ["blowup-g"]'),
+    ],
+    ids=[
+        "weight-float",
+        "weight-bool",
+        "weight-string",
+        "weight-row-string",
+        "genus-float",
+        "genus-bool",
+        "moment-bool",
+        "torus-rank-float",
+        "torus-rank-string",
+        "half-dim-bool",
+        "half-dim-zero",
+        "half-dim-negative",
+        "name-array",
+    ],
+)
+@pytest.mark.parametrize("op", ["classify", "verify"])
+def test_cli_non_integer_is_parse_error(tmp_path, capsys, field, value, message, op):
+    doc = spec_to_json(gallery.build("blowup-g", genus=1))
+    _put(doc, field, value)
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, op, str(path), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("change", ["longer", "shorter"])
+@pytest.mark.parametrize("name", ["blowup-g", "cp2-s1", "gr2c4"])
+def test_cli_weight_of_wrong_length_fails_v1(tmp_path, capsys, name, change):
+    doc = spec_to_json(gallery.build(name))
+    weights = doc["fixed_components"][-1]["weights"]
+    weights[0] = weights[0] + [1] if change == "longer" else weights[0][:-1]
+    path = tmp_path / "length.json"
+    path.write_text(json.dumps(doc))
+    for op in ("classify", "verify"):
+        code, out, err = run(capsys, op, str(path), "--format", "json")
+        assert code == 1, err
+        assert json.loads(out)["check"] == "V1-structural"
+
+
 def test_cli_skip_validation(tmp_path, capsys):
     path = tmp_path / "gr2c4.json"
     dump_spec(gallery.build("gr2c4"), str(path))

@@ -10,10 +10,10 @@ test the incidence replaced.
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
+from conftest import polytope_specimens
 from tquot import cli, gallery, polytope
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
@@ -81,22 +81,9 @@ def _moment_in_face(moment, face, poly):
     return dot(conormal, moment) == offset
 
 
-def _oracle_specs():
-    specs = [gallery.build(name) for name in gallery.names()]
-    half = Fraction(1, 2)
-    specs.append(
-        gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
-    )
-    f = Fraction(1, 5)
-    specs.append(
-        gallery.coadjoint_orbit(gallery.root_system("A", 4), (3 * f, 3 * f, -2 * f, -2 * f, -2 * f))
-    )
-    return specs
-
-
 def test_incidence_matches_dot_product_membership():
     pairs = 0
-    for spec in _oracle_specs():
+    for spec in polytope_specimens():
         poly = spec.polytope
         carriers = _face_carriers(spec, poly)
         for face in poly.lattice.faces:

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import lattice_membership
 from tquot import exactq
 from tquot.exactq import (
     combination_coords,
     det,
     identity_matrix,
-    lattice_membership,
     matmul,
     primitive,
     rank,

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tquot.exactq import dot, lattice_membership, primitive, vec, vsub
+from conftest import random_point_set
+from oracles import lattice_membership
+from tquot.exactq import dot, primitive, vec, vsub
 from tquot.polytope import (
     cones_equal,
     convex_hull,
@@ -201,13 +203,6 @@ def test_in_cone():
     assert not in_cone((0, 1), [(1, 0)])
     assert not in_cone((-1, 0), gens)
     assert cones_equal([(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)])
-
-
-def random_point_set(rng, dim, count):
-    return [
-        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
-        for _ in range(count)
-    ]
 
 
 def test_random_hull_properties():
