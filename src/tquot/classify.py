@@ -28,6 +28,7 @@ from tquot.hamspace import (
     SpecError,
     StratifiedPolytope,
     ValidationReport,
+    malformed_vectors,
     stratify,
     validate,
 )
@@ -62,14 +63,9 @@ class SphereFiber:
 
 
 @dataclass(frozen=True)
-class SurfaceFiber:
-    genus: int
-
-
-@dataclass(frozen=True)
 class CollapsedProduct:
     short_face_ids: tuple[int, ...]
-    fiber: Union[SphereFiber, SurfaceFiber]
+    fiber: SphereFiber
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,8 @@ class JoinPresentation:
 
 
 def _validated_strata(spec: HamSpec, skip_validation: bool) -> StratifiedPolytope:
-    if not skip_validation:
+    # vectors of the wrong length are refused even when validation is skipped
+    if not skip_validation or malformed_vectors(spec):
         report = validate(spec)
         if not report.ok:
             raise ValidationFailure(report)

@@ -38,15 +38,6 @@ def vsub(a, b) -> Vector:
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
-def vadd(a, b) -> Vector:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
-def scale(c, v) -> Vector:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
-
-
 def integral(v) -> tuple[int, ...]:
     """v scaled by the lcm of its entries' denominators: an integer
     vector with the same direction."""

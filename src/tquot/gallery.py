@@ -195,7 +195,6 @@ class GalleryEntry:
     reported_quotient: str
     parametrized: bool
     builder: Callable[[Optional[int]], HamSpec]
-    expected_betti: Optional[tuple[int, ...]] = None
 
 
 def _gr2c4(_genus=None):
@@ -284,7 +283,6 @@ CATALOG: dict[str, GalleryEntry] = {
             "S^3 x I",
             False,
             _s2cubed,
-            expected_betti=(1, 0, 0, 1),
         ),
         GalleryEntry(
             "cp5-t3",

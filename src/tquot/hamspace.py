@@ -251,6 +251,17 @@ def general_position(spec: HamSpec) -> GeneralPositionReport:
     return GeneralPositionReport(tuple(per), all(per))
 
 
+def malformed_vectors(spec: HamSpec) -> Optional[str]:
+    """Why the polytope layer cannot run on the spec, or None: it needs
+    at least one moment, and every moment and weight in the torus rank
+    (the integer tests zip weights against face normals)."""
+    if not spec.components or any(len(c.moment) != spec.torus_rank for c in spec.components):
+        return "malformed moments"
+    if any(len(w) != spec.torus_rank for c in spec.components for w in c.weights):
+        return "malformed weights"
+    return None
+
+
 def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> ValidationReport:
     """Run the structural and geometric checks in order.
 
@@ -286,12 +297,9 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         if comp.is_surface and (comp.genus is None or comp.genus < 0):
             problems.append(f"component {idx}: surface needs genus >= 0")
     checks.append(CheckResult("V1-structural", not problems, "; ".join(problems)))
-    if any(len(c.moment) != spec.torus_rank for c in spec.components) or not spec.components:
-        checks.append(CheckResult("V2-vertex-coverage", False, "skipped: malformed moments"))
-        return ValidationReport(tuple(checks))
-    # the integer tests below need every weight in the torus rank
-    if any(len(w) != spec.torus_rank for c in spec.components for w in c.weights):
-        checks.append(CheckResult("V2-vertex-coverage", False, "skipped: malformed weights"))
+    malformed = malformed_vectors(spec)
+    if malformed:
+        checks.append(CheckResult("V2-vertex-coverage", False, f"skipped: {malformed}"))
         return ValidationReport(tuple(checks))
 
     poly = spec.polytope if polytope is None else polytope

@@ -96,12 +96,6 @@ class FaceLattice:
         top_id = self.top.id
         return tuple(f for f in self.faces if f.id != top_id)
 
-    def sub_ids(self, face_id: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.containment if b == face_id)
-
-    def super_ids(self, face_id: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.containment if a == face_id)
-
 
 def _dedupe(points: list[Vector]) -> list[Vector]:
     return list(dict.fromkeys(points))

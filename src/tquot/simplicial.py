@@ -14,6 +14,13 @@ subdivision of the pair makes it so (a subdivided subcomplex is always
 full), and the identification is performed there.  Skipping that step
 over-collapses: an interval with both endpoints short would flatten to
 an edge instead of suspending the fiber.
+
+The homology a verification expects comes from one rule for every
+verdict.  The polytope is contractible, so the collapsed product is
+homotopy equivalent to the join of the short locus Q with the fiber:
+the fiber itself when Q is empty, the triple suspension of Q when the
+fiber is the two-sphere (Milnor's join, Ann. Math. 63, 1956).  Only the
+small complex Q is ever put through homology for it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from tquot.classify import (
-    Disk,
     ProductPolytopeSurface,
     Sphere,
     StratificationOnly,
@@ -102,12 +108,12 @@ class HomologyProfile:
     def betti_padded(self, length: int) -> tuple[int, ...]:
         return self.betti + (0,) * (length - len(self.betti))
 
-
-def sphere_profile(m: int) -> tuple[int, ...]:
-    betti = [0] * (m + 1)
-    betti[0] += 1
-    betti[m] += 1
-    return tuple(betti)
+    def trimmed(self) -> "HomologyProfile":
+        """The same groups without trailing zero degrees (degree 0 kept)."""
+        n = len(self.betti)
+        while n > 1 and not self.betti[n - 1] and not self.torsion[n - 1]:
+            n -= 1
+        return HomologyProfile(self.betti[:n], self.torsion[:n])
 
 
 def simplex_boundary_sphere(m: int) -> OrderedComplex:
@@ -381,12 +387,32 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
     return full, sub
 
 
+def expected_homology(sub: OrderedComplex, genus: int) -> HomologyProfile:
+    """Integral homology of the polytope times a fiber with the fibers
+    over sub crushed, by the join rule.
+
+    The polytope P is contractible, so the quotient is the homotopy
+    pushout of sub <- sub x F -> F: the join sub * F.  For an empty sub
+    nothing is crushed and the quotient has the homology of the fiber,
+    the genus-g surface.  A nonempty sub comes with the two-sphere fiber
+    (genus 0), and sub * S^2 is the triple suspension of sub, so
+    H_m = H~_{m-3}(sub), torsion included, above degree 0.  Trailing
+    zero degrees are dropped.
+    """
+    if not sub.simplices:
+        return HomologyProfile((1, 2 * genus, 1), ((),) * 3).trimmed()
+    q = homology(sub)
+    return HomologyProfile(
+        (1, 0, 0, q.betti[0] - 1) + q.betti[1:], ((),) * 3 + q.torsion
+    ).trimmed()
+
+
 @dataclass(frozen=True)
 class VerificationCheck:
     name: str
     passed: bool
-    computed: Optional[HomologyProfile] = None
-    expected: Optional[tuple[int, ...]] = None
+    computed: HomologyProfile
+    expected: HomologyProfile
 
 
 @dataclass(frozen=True)
@@ -395,67 +421,36 @@ class VerificationResult:
     checks: tuple[VerificationCheck, ...]
 
 
-def _betti_match(profile: HomologyProfile, expected: tuple[int, ...]) -> bool:
-    length = max(len(profile.betti), len(expected))
-    pad = expected + (0,) * (length - len(expected))
-    return profile.betti_padded(length) == pad and all(not t for t in profile.torsion)
+def _check(name: str, computed: HomologyProfile, expected: HomologyProfile) -> VerificationCheck:
+    """Betti numbers and torsion must agree, up to trailing zero degrees."""
+    return VerificationCheck(name, computed.trimmed() == expected.trimmed(), computed, expected)
 
 
-def verify_report(
-    report: TopologyReport,
-    expected_betti: Optional[tuple[int, ...]] = None,
-    max_simplices: int = 200000,
-) -> VerificationResult:
+def verify_report(report: TopologyReport, max_simplices: int = 200000) -> VerificationResult:
     """Homology check of the classifier's claim on an explicit model.
 
     Builds the collapsed-product model of the quotient and compares its
-    integral homology with the profile the named verdict demands; for
-    sphere verdicts the independent join model is computed as well and
-    both must agree.  Homology equality is a necessary condition only,
-    and a mismatch signals a bug in the models, not a refutation.
+    integral homology, torsion included, with the profile the join rule
+    (`expected_homology`) derives from the short locus; the same rule
+    covers every verdict.  For boundary-short sphere verdicts the
+    independent join model is computed as well and both must agree.
+    Homology equality is a necessary condition only, and a mismatch
+    signals a bug in the models, not a refutation.
     """
     if isinstance(report.verdict, StratificationOnly):
         raise ValueError("nothing to verify: the verdict is stratification-only")
     sp = report.stratification
     full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
     verdict = report.verdict
-    if isinstance(verdict, ProductPolytopeSurface):
-        fiber = surface_complex(verdict.genus)
-    else:
-        fiber = simplex_boundary_sphere(3)
-    quotient = collapse_fibers(full, sub, fiber, cap=max_simplices)
-    computed = homology(quotient)
+    genus = verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
+    fiber = surface_complex(genus)
+    computed = homology(collapse_fibers(full, sub, fiber, cap=max_simplices))
+    expected = expected_homology(sub, genus)
 
-    if isinstance(verdict, Sphere):
-        expected = sphere_profile(verdict.dim)
-    elif isinstance(verdict, Disk):
-        expected = (1,)
-    elif isinstance(verdict, ProductPolytopeSurface):
-        expected = (1, 2 * verdict.genus, 1)
-    else:
-        expected = expected_betti
-
-    checks = []
-    if expected is not None:
-        checks.append(
-            VerificationCheck(
-                "quotient-homology", _betti_match(computed, expected), computed, expected
-            )
-        )
-    else:
-        checks.append(VerificationCheck("quotient-homology", True, computed, None))
-
+    checks = [_check("quotient-homology", computed, expected)]
     if isinstance(verdict, Sphere) and report.join_presentation:
-        join_model = join(sub, fiber)
-        join_h = homology(join_model)
-        checks.append(
-            VerificationCheck("join-homology", _betti_match(join_h, expected), join_h, expected)
-        )
-        length = max(len(computed.betti), len(join_h.betti))
-        agree = (
-            computed.betti_padded(length) == join_h.betti_padded(length)
-            and computed.torsion == join_h.torsion
-        )
-        checks.append(VerificationCheck("models-agree", agree, computed, join_h.betti))
+        join_h = homology(join(sub, fiber))
+        checks.append(_check("join-homology", join_h, expected))
+        checks.append(_check("models-agree", computed, join_h))
 
     return VerificationResult(all(c.passed for c in checks), tuple(checks))

@@ -169,9 +169,7 @@ def test_c4_homology_verification(gallery_specs):
     assert result.checks[0].computed.betti_padded(4) == (1, 2, 1, 0)
 
     start = time.monotonic()
-    result = verify_report(
-        classify(gallery_specs["s2cubed"]), expected_betti=(1, 0, 0, 1), max_simplices=200000
-    )
+    result = verify_report(classify(gallery_specs["s2cubed"]), max_simplices=200000)
     assert time.monotonic() - start < 60
     assert result.passed
     assert result.checks[0].computed.betti_padded(5) == (1, 0, 0, 1, 0)

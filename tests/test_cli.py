@@ -157,6 +157,10 @@ def _put(doc, field, value):
         ("genus", 1.9, "fixed_components[0].genus must be an integer, got 1.9"),
         ("genus", False, "fixed_components[0].genus must be an integer, got false"),
         ("moment", True, "fixed_components[0].moment[0]: not a rational: true"),
+        ("moment", "\u00b2", 'fixed_components[0].moment[0]: not a rational: "\\u00b2"'),
+        ("moment", "1/\u00b2", 'fixed_components[0].moment[0]: not a rational: "1/\\u00b2"'),
+        ("moment", "\u0663", 'fixed_components[0].moment[0]: not a rational: "\\u0663"'),
+        ("moment", "--3", 'fixed_components[0].moment[0]: not a rational: "--3"'),
         ("torus_rank", 1.0, "torus_rank must be an integer, got 1.0"),
         ("torus_rank", "1", 'torus_rank must be an integer, got "1"'),
         ("half_dim", True, "half_dim must be an integer, got true"),
@@ -172,6 +176,10 @@ def _put(doc, field, value):
         "genus-float",
         "genus-bool",
         "moment-bool",
+        "moment-superscript-digit",
+        "moment-superscript-denominator",
+        "moment-arabic-indic-digit",
+        "moment-double-minus",
         "torus-rank-float",
         "torus-rank-string",
         "half-dim-bool",
@@ -212,6 +220,19 @@ def test_cli_skip_validation(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(path), "--skip-validation")
     assert code == 0
     assert "Sphere(5)" in out
+
+
+@pytest.mark.parametrize("name, vector", [("s2cubed", "moment"), ("gr2c4", "weight")])
+def test_cli_skip_validation_refuses_wrong_length(tmp_path, capsys, name, vector):
+    doc = spec_to_json(gallery.build(name))
+    comp = doc["fixed_components"][0]
+    (comp["moment"] if vector == "moment" else comp["weights"][0]).append(1)
+    path = tmp_path / "length.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--skip-validation")
+    assert code == 1, err
+    assert out == ""
+    assert "validation failed: V1-structural" in err
 
 
 def test_cli_gallery_list(capsys):
@@ -290,3 +311,28 @@ def test_cli_verify_validation_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "V1-structural" in out
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_cli_verify_ignores_the_spec_name(tmp_path, capsys, name):
+    doc = spec_to_json(gallery.build(name))
+    outcomes = []
+    for label in (name, "renamed"):
+        doc["name"] = label
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+        outcomes.append((code, json.loads(out).get("verification")))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_cli_verify_renamed_s2cubed(tmp_path, capsys):
+    doc = spec_to_json(gallery.build("s2cubed"))
+    doc["name"] = "renamed"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    [check] = json.loads(out)["verification"]["checks"]
+    assert check["name"] == "quotient-homology" and check["passed"]
+    assert check["expected_betti"] == [1, 0, 0, 1]

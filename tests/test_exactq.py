@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from oracles import lattice_membership
-from tquot import exactq
 from tquot.exactq import (
     combination_coords,
     det,
@@ -224,6 +223,6 @@ def test_det_basics():
 
 def test_echelon_membership_roundtrip():
     basis = [vec((1, 2, 0)), vec((0, 1, 1))]
-    combo = exactq.vadd(exactq.scale(Fraction(3, 2), basis[0]), exactq.scale(-2, basis[1]))
+    combo = tuple(Fraction(3, 2) * a - 2 * b for a, b in zip(*basis))
     assert lattice_membership(combo, basis)
     assert combination_coords(combo, basis) == (Fraction(3, 2), Fraction(-2))

@@ -9,12 +9,12 @@ from tquot.simplicial import (
     barycentric_pair,
     boundary_subcomplex_of_polytope,
     collapse_fibers,
+    expected_homology,
     homology,
     is_full_subcomplex,
     join,
     product,
     simplex_boundary_sphere,
-    sphere_profile,
     surface_complex,
     verify_report,
 )
@@ -26,6 +26,10 @@ def interval():
 
 def no_torsion(profile):
     return all(not t for t in profile.torsion)
+
+
+def sphere_betti(m):
+    return (1,) + (0,) * (m - 1) + (1,)
 
 
 def test_from_simplices_closes_downward():
@@ -336,9 +340,48 @@ def test_verify_disk_and_products(gallery_specs):
 
 def test_verify_s2cubed_profile(gallery_specs):
     report = classify(gallery_specs["s2cubed"])
-    result = verify_report(report, expected_betti=(1, 0, 0, 1))
+    result = verify_report(report)
     assert result.passed
     assert result.checks[0].computed.betti_padded(5) == (1, 0, 0, 1, 0)
+
+
+RP2 = OrderedComplex.from_simplices(
+    [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    ]
+)
+
+
+def cone(q):
+    """The cone over q from a new last vertex; q is full in it."""
+    apex = max(q.vertices, default=-1) + 1
+    return OrderedComplex.from_simplices([s + (apex,) for s in q.maximal_simplices()] or [(apex,)])
+
+
+@pytest.mark.parametrize(
+    "q, genus",
+    [
+        (OrderedComplex.from_simplices([(0,)]), 0),
+        (OrderedComplex.from_simplices([(0,), (1,)]), 0),
+        (simplex_boundary_sphere(2), 0),
+        (RP2, 0),
+        (OrderedComplex(frozenset()), 0),
+        (OrderedComplex(frozenset()), 1),
+        (OrderedComplex(frozenset()), 2),
+    ],
+    ids=["point", "two-points", "circle", "rp2", "empty-g0", "empty-g1", "empty-g2"],
+)
+def test_expected_homology_is_the_collapsed_cone(q, genus):
+    model = collapse_fibers(cone(q), q, surface_complex(genus))
+    assert homology(model).trimmed() == expected_homology(q, genus)
+
+
+def test_expected_homology_carries_torsion():
+    assert homology(RP2).torsion == ((), (2,), ())
+    profile = expected_homology(RP2, 0)
+    assert profile.betti == (1, 0, 0, 0, 0)
+    assert profile.torsion == ((), (), (), (), (2,))
 
 
 def test_verify_toric_disk():
@@ -372,4 +415,4 @@ def test_quotient_equals_join_for_boundary_short(gallery_specs):
         result = verify_report(report)
         agree = next(c for c in result.checks if c.name == "models-agree")
         assert agree.passed
-        assert result.checks[0].computed.betti == sphere_profile(spec.half_dim + 1)
+        assert result.checks[0].computed.betti == sphere_betti(spec.half_dim + 1)
