@@ -350,7 +350,7 @@ def cmd_verify(args, out=None, err=None) -> int:
     try:
         result = verify_report(report, max_simplices=args.max_simplices)
     except SizeCapExceeded as exc:
-        msg = f"size cap exceeded: at least {exc.estimate} simplices (cap {exc.cap})"
+        msg = f"size cap exceeded: {exc.estimate} simplices (cap {exc.cap})"
         if args.format == "json":
             print(json.dumps({"skipped": msg, "estimate": exc.estimate}, sort_keys=True), file=out)
         else:

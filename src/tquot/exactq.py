@@ -9,12 +9,14 @@ Denominators are cleared at the entry of each routine that eliminates:
 fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`,
 `det`, `nullspace` (for a corank-one matrix, the cofactor normal),
 `solve_affine`, `combination_coords` and `solve_fraction_free` on plain
-Python ints.  The Smith normal form works on ints too.
+Python ints.  The Smith normal form works on ints too.  Sparse
+boundary matrices (`sparse_rank_and_factors`) are reduced by one sweep
+of unit pivots over their rows, and only what survives that sweep meets
+the dense Smith routine.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -310,11 +312,12 @@ def smith_normal_form(a):
 def sparse_rank_and_factors(entries, nrows, ncols):
     """Rank and invariant factors of a sparse integer matrix.
 
-    entries maps (row, col) -> nonzero int.  Unit pivots are eliminated
-    greedily with a Markowitz-flavoured heap, which needs no division and
-    keeps fill-in low on boundary matrices; whatever survives is handed
-    to the dense Smith routine.  Returns (rank, factors) with the full
-    divisibility chain (including leading 1s).
+    entries maps (row, col) -> nonzero int.  The rows are swept once, in
+    index order: a row with a unit entry is eliminated on the unit whose
+    column has the fewest entries, which needs no division and keeps
+    fill-in low on boundary matrices.  Whatever survives the sweep is
+    handed to the dense Smith routine.  Returns (rank, factors) with the
+    full divisibility chain (including leading 1s).
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -323,51 +326,34 @@ def sparse_rank_and_factors(entries, nrows, ncols):
             rows.setdefault(i, {})[j] = val
             cols.setdefault(j, set()).add(i)
 
-    heap: list[tuple[int, int, int]] = []
-
-    def push_if_unit(i, j, val):
-        if val in (1, -1):
-            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            heapq.heappush(heap, (cost, i, j))
-
-    for i, row in rows.items():
-        for j, val in row.items():
-            push_if_unit(i, j, val)
-
     unit_count = 0
-    while heap:
-        _, pi, pj = heapq.heappop(heap)
-        val = rows.get(pi, {}).get(pj, 0)
-        if val not in (1, -1):
+    for pi in sorted(rows):
+        prow = rows[pi]
+        units = [j for j, x in prow.items() if x in (1, -1)]
+        if not units:
             continue
-        prow = rows.pop(pi)
+        pj = min(units, key=lambda j: len(cols[j]))
+        del rows[pi]
         for j in prow:
             cols[j].discard(pi)
-            if not cols[j]:
-                del cols[j]
-        for i in list(cols.get(pj, ())):
+        val = prow.pop(pj)
+        for i in cols.pop(pj):
             row = rows[i]
-            f = row[pj] * val  # row -= f * prow  (prow[pj] = val, val*val = 1)
+            f = row.pop(pj) * val  # row -= f * prow  (prow[pj] = val, val*val = 1)
             for j, x in prow.items():
                 nv = row.get(j, 0) - f * x
                 if nv:
                     row[j] = nv
-                    cols.setdefault(j, set()).add(i)
-                    push_if_unit(i, j, nv)
-                elif j in row:
+                    cols[j].add(i)
+                else:
                     del row[j]
                     cols[j].discard(i)
-                    if not cols[j]:
-                        del cols[j]
-            if not row:
-                del rows[i]
-        cols.pop(pj, None)
         unit_count += 1
 
     factors = [1] * unit_count
     rk = unit_count
-    if rows:
-        live_rows = sorted(rows)
+    live_rows = sorted(i for i, row in rows.items() if row)
+    if live_rows:
         live_cols = sorted({j for row in rows.values() for j in row})
         col_index = {j: k for k, j in enumerate(live_cols)}
         dense = [[0] * len(live_cols) for _ in live_rows]

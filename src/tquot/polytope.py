@@ -87,14 +87,14 @@ class FaceLattice:
 
     @property
     def top(self) -> Face:
-        return max(self.faces, key=lambda f: len(f.vertex_set))
+        """The polytope, last in the (dim, vertex set) order of the faces."""
+        return self.faces[-1]
 
     def face(self, face_id: int) -> Face:
         return self.faces[face_id]
 
     def proper_faces(self) -> tuple[Face, ...]:
-        top_id = self.top.id
-        return tuple(f for f in self.faces if f.id != top_id)
+        return self.faces[:-1]
 
 
 def _dedupe(points: list[Vector]) -> list[Vector]:

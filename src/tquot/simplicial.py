@@ -13,7 +13,9 @@ a full subcomplex of the base; when it is not, one barycentric
 subdivision of the pair makes it so (a subdivided subcomplex is always
 full), and the identification is performed there.  Skipping that step
 over-collapses: an interval with both endpoints short would flatten to
-an edge instead of suspending the fiber.
+an edge instead of suspending the fiber.  The identification is
+simplicial, so it maps only the product's top simplices and closes the
+images once; a size cap is checked on face counts before any building.
 
 The homology a verification expects comes from one rule for every
 verdict.  The polytope is contractible, so the collapsed product is
@@ -25,8 +27,10 @@ small complex Q is ever put through homology for it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from tquot.classify import (
@@ -40,8 +44,12 @@ from tquot.hamspace import StratifiedPolytope
 
 
 class SizeCapExceeded(RuntimeError):
+    """The staircase product a verification model is collapsed from has
+    more simplices than the cap.  `estimate` is its exact size, counted
+    from the face numbers before anything is built."""
+
     def __init__(self, estimate: int, cap: int):
-        super().__init__(f"model needs more than {cap} simplices (at least {estimate})")
+        super().__init__(f"the product to collapse has {estimate} simplices, over the cap {cap}")
         self.estimate = estimate
         self.cap = cap
 
@@ -163,54 +171,55 @@ def surface_complex(g: int) -> OrderedComplex:
     return acc
 
 
-def _staircases(sigma: tuple, tau: tuple):
-    """Monotone lattice paths through the grid sigma x tau."""
-    last_i, last_j = len(sigma) - 1, len(tau) - 1
-    out = []
-
-    def rec(i, j, acc):
-        if i == last_i and j == last_j:
-            out.append(tuple(acc))
-            return
-        if i < last_i:
-            rec(i + 1, j, acc + [(sigma[i + 1], tau[j])])
-        if j < last_j:
-            rec(i, j + 1, acc + [(sigma[i], tau[j + 1])])
-
-    rec(0, 0, [(sigma[0], tau[0])])
-    return out
-
-
-def _product_closure(k: OrderedComplex, l: OrderedComplex, cap: Optional[int] = None):
-    """Staircase product; returns (simplices, pair label per vertex id)."""
+def _staircase(k: OrderedComplex, l: OrderedComplex):
+    """The pairs (v, w) labelling the staircase product's vertices, in
+    lexicographic order, and a generator of its top simplices: the
+    monotone paths through sigma x tau, sigma and tau maximal."""
     vk, vl = k.vertices, l.vertices
     pos_k = {v: i for i, v in enumerate(vk)}
     pos_l = {w: j for j, w in enumerate(vl)}
     width = len(vl)
 
-    def pid(v, w):
-        return pos_k[v] * width + pos_l[w]
+    def tops():
+        taus = [[pos_l[w] for w in tau] for tau in l.maximal_simplices()]
+        for sigma in k.maximal_simplices():
+            rows = [pos_k[v] * width for v in sigma]
+            for cols in taus:
+                steps = len(rows) + len(cols) - 2
+                for up in combinations(range(steps), len(rows) - 1):
+                    i, top = 0, []
+                    for s in range(steps + 1):
+                        top.append(rows[i] + cols[s - i])
+                        i += s in up
+                    yield tuple(top)
 
-    closed: set = set()
-    for sigma in k.maximal_simplices():
-        for tau in l.maximal_simplices():
-            for path in _staircases(sigma, tau):
-                top = tuple(pid(v, w) for v, w in path)
-                for size in range(1, len(top) + 1):
-                    closed.update(combinations(top, size))
-            if cap is not None and len(closed) > cap:
-                raise SizeCapExceeded(len(closed), cap)
-    labels = tuple((v, w) for v in vk for w in vl)
-    return closed, labels
+    return tuple((v, w) for v in vk for w in vl), tops()
 
 
-def product(k: OrderedComplex, l: OrderedComplex, cap: Optional[int] = None) -> OrderedComplex:
-    """Staircase triangulation of the product; vertex labels are the
-    pairs, in lexicographic order."""
+def product_size(k: OrderedComplex, l: OrderedComplex) -> int:
+    """Number of simplices of the staircase product, from face counts.
+
+    Each product simplex projects onto an i-simplex of k and a j-simplex
+    of l, and over each such pair lie D(i, j) of them, the Delannoy
+    number sum_t C(i, t) C(j, t) 2^t.
+    """
+    fk = Counter(len(s) - 1 for s in k.simplices)
+    fl = Counter(len(s) - 1 for s in l.simplices)
+    return sum(
+        a * b * comb(i, t) * comb(j, t) * 2**t
+        for i, a in fk.items()
+        for j, b in fl.items()
+        for t in range(min(i, j) + 1)
+    )
+
+
+def product(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
+    """Staircase triangulation of the product, closed down from its top
+    simplices; vertex labels are the pairs, in lexicographic order."""
     if not k.simplices or not l.simplices:
         raise ValueError("product of an empty complex")
-    closed, labels = _product_closure(k, l, cap)
-    return OrderedComplex(frozenset(closed), labels)
+    labels, tops = _staircase(k, l)
+    return OrderedComplex.from_simplices(tops, labels)
 
 
 def join(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
@@ -278,17 +287,23 @@ def collapse_fibers(
 ) -> OrderedComplex:
     """Product of base and fiber with the fibers over sub crushed.
 
-    Builds the staircase product and applies the vertex map
-    (v, w) -> v for v in sub, identity elsewhere; degenerate images are
-    dropped and duplicates merged.  When sub is not full in base, the
-    pair is barycentrically subdivided first so that the identification
-    realizes the fiberwise quotient rather than something coarser.
+    Applies the vertex map (v, w) -> v for v in sub, identity elsewhere,
+    to the top simplices of the staircase product and closes their
+    images downward once.  The map is simplicial, so this is the image
+    of the whole product, with degenerate images dropped and duplicates
+    merged.  When sub is not full in base, the pair is barycentrically
+    subdivided first so that the identification realizes the fiberwise
+    quotient rather than something coarser.  With a cap, the exact size
+    of the product (`product_size`) is checked before the product is
+    built, and SizeCapExceeded raised when it is larger.
     """
     if not sub.simplices <= base.simplices:
         raise ValueError("sub is not a subcomplex of base")
     if sub.simplices and not is_full_subcomplex(base, sub):
         base, sub = barycentric_pair(base, sub)
-    prod_simplices, pair_labels = _product_closure(base, fiber, cap)
+    if cap is not None and (size := product_size(base, fiber)) > cap:
+        raise SizeCapExceeded(size, cap)
+    pair_labels, tops = _staircase(base, fiber)
     subv = set(sub.vertices)
     classes = []
     for v, w in pair_labels:
@@ -296,11 +311,8 @@ def collapse_fibers(
     distinct = sorted(set(classes))
     class_id = {c: i for i, c in enumerate(distinct)}
     vmap = [class_id[c] for c in classes]
-    out = set()
-    for s in prod_simplices:
-        image = tuple(sorted({vmap[v] for v in s}))
-        out.add(image)
-    return OrderedComplex(frozenset(out), tuple(distinct))
+    images = (tuple(sorted({vmap[v] for v in top})) for top in tops)
+    return OrderedComplex.from_simplices(images, tuple(distinct))
 
 
 def homology(k: OrderedComplex) -> HomologyProfile:

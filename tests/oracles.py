@@ -4,16 +4,21 @@ These are the routines as they were before the polytope layer and the
 exact linear algebra moved to fraction-free integer arithmetic: rank,
 determinant, affine span and coordinates by rational elimination, the
 brute-force hull on top of them, the span-membership parallel test and
-the Caratheodory cone test with a rational subset solve.  Tests compare
-the integer code against them; nothing in the package imports this
-module.
+the Caratheodory cone test with a rational subset solve.  Below them are
+the verification model as it was built before it went through top
+simplices and a row sweep: the staircase product closed downward in
+full, the fiber collapse that maps every face of that closure, and the
+unit-pivot elimination driven by a Markowitz heap.  Tests compare the
+package code against them; nothing in the package imports this module.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from tquot.exactq import dot, is_zero, primitive, vec, vsub
+from tquot.exactq import dot, is_zero, primitive, smith_normal_form, vec, vsub
 from tquot.polytope import RationalPolytope
+from tquot.simplicial import OrderedComplex, barycentric_pair, is_full_subcomplex
 
 
 class Echelon:
@@ -190,3 +195,122 @@ def fraction_in_cone(target, generators) -> bool:
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def _staircases(sigma: tuple, tau: tuple):
+    """Monotone lattice paths through the grid sigma x tau."""
+    last_i, last_j = len(sigma) - 1, len(tau) - 1
+    out = []
+
+    def rec(i, j, acc):
+        if i == last_i and j == last_j:
+            out.append(tuple(acc))
+            return
+        if i < last_i:
+            rec(i + 1, j, acc + [(sigma[i + 1], tau[j])])
+        if j < last_j:
+            rec(i, j + 1, acc + [(sigma[i], tau[j + 1])])
+
+    rec(0, 0, [(sigma[0], tau[0])])
+    return out
+
+
+def staircase_closure(k: OrderedComplex, l: OrderedComplex):
+    """Staircase product closed downward face by face; returns
+    (simplices, pair label per vertex id)."""
+    vk, vl = k.vertices, l.vertices
+    pos_k = {v: i for i, v in enumerate(vk)}
+    pos_l = {w: j for j, w in enumerate(vl)}
+    width = len(vl)
+    closed: set = set()
+    for sigma in k.maximal_simplices():
+        for tau in l.maximal_simplices():
+            for path in _staircases(sigma, tau):
+                top = tuple(pos_k[v] * width + pos_l[w] for v, w in path)
+                for size in range(1, len(top) + 1):
+                    closed.update(combinations(top, size))
+    labels = tuple((v, w) for v in vk for w in vl)
+    return closed, labels
+
+
+def close_then_map_collapse(base, sub, fiber) -> OrderedComplex:
+    """Fiber collapse that maps every simplex of the closed product."""
+    if sub.simplices and not is_full_subcomplex(base, sub):
+        base, sub = barycentric_pair(base, sub)
+    prod_simplices, pair_labels = staircase_closure(base, fiber)
+    subv = set(sub.vertices)
+    classes = [("c", v) if v in subv else ("p", v, w) for v, w in pair_labels]
+    distinct = sorted(set(classes))
+    class_id = {c: i for i, c in enumerate(distinct)}
+    vmap = [class_id[c] for c in classes]
+    out = {tuple(sorted({vmap[v] for v in s})) for s in prod_simplices}
+    return OrderedComplex(frozenset(out), tuple(distinct))
+
+
+def heap_rank_and_factors(entries, nrows, ncols):
+    """Rank and invariant factors of a sparse integer matrix, unit pivots
+    taken greedily from a Markowitz heap, the rest by dense Smith form."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (i, j), val in entries.items():
+        if val:
+            rows.setdefault(i, {})[j] = val
+            cols.setdefault(j, set()).add(i)
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push_if_unit(i, j, val):
+        if val in (1, -1):
+            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+            heapq.heappush(heap, (cost, i, j))
+
+    for i, row in rows.items():
+        for j, val in row.items():
+            push_if_unit(i, j, val)
+
+    unit_count = 0
+    while heap:
+        _, pi, pj = heapq.heappop(heap)
+        val = rows.get(pi, {}).get(pj, 0)
+        if val not in (1, -1):
+            continue
+        prow = rows.pop(pi)
+        for j in prow:
+            cols[j].discard(pi)
+            if not cols[j]:
+                del cols[j]
+        for i in list(cols.get(pj, ())):
+            row = rows[i]
+            f = row[pj] * val
+            for j, x in prow.items():
+                nv = row.get(j, 0) - f * x
+                if nv:
+                    row[j] = nv
+                    cols.setdefault(j, set()).add(i)
+                    push_if_unit(i, j, nv)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+                    if not cols[j]:
+                        del cols[j]
+            if not row:
+                del rows[i]
+        cols.pop(pj, None)
+        unit_count += 1
+
+    factors = [1] * unit_count
+    rk = unit_count
+    if rows:
+        live_rows = sorted(rows)
+        live_cols = sorted({j for row in rows.values() for j in row})
+        col_index = {j: k for k, j in enumerate(live_cols)}
+        dense = [[0] * len(live_cols) for _ in live_rows]
+        for k, i in enumerate(live_rows):
+            for j, x in rows[i].items():
+                dense[k][col_index[j]] = x
+        _, diag, _ = smith_normal_form(dense)
+        for k in range(min(len(dense), len(dense[0]))):
+            if diag[k][k]:
+                factors.append(diag[k][k])
+                rk += 1
+    return rk, factors
