@@ -42,12 +42,62 @@ class SpecFileError(ValueError):
 # ASCII digits only: str.isdigit and int() also take other Unicode digits
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
+# Digits allowed in a JSON integer and in the numerator or denominator of
+# a rational string: the smallest limit on int/str conversion that an
+# interpreter can be configured with, so none refuses an accepted spec.
+MAX_DIGITS = 640
+# every digit becomes 0, so a run of MAX_DIGITS + 1 zeros is a long number
+_DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
+
+
+class _LongInteger:
+    """A JSON integer with more than MAX_DIGITS digits, left unconverted
+    so that _decode can name its path."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+
+def _json_integer(text: str):
+    digits = len(text.lstrip("-"))
+    return int(text) if digits <= MAX_DIGITS else _LongInteger(digits)
+
+
+def _decode(text: str):
+    """json.loads, refusing an integer of more than MAX_DIGITS digits
+    with its JSON path.  Only a text with that many digits in a row pays
+    for the path search."""
+    if "0" * (MAX_DIGITS + 1) not in text.translate(_DIGITS_TO_ZERO):
+        return json.loads(text)
+    data = json.loads(text, parse_int=_json_integer)
+    stack = [("", data)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _LongInteger):
+            raise SpecFileError(
+                f"malformed spec file: {path or 'the document'} is an integer of"
+                f" {value.digits} digits, more than {MAX_DIGITS}"
+            )
+        if isinstance(value, dict):
+            items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(items))
+    return data
+
 
 def _fraction_from_json(value, path: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match:
+        if len(value) > MAX_DIGITS and max(map(len, value.lstrip("-").split("/"))) > MAX_DIGITS:
+            raise SpecFileError(
+                f"{path}: rational with more than {MAX_DIGITS} digits"
+                " in its numerator or denominator"
+            )
         num, den = int(match.group(1)), int(match.group(2) or 1)
         if den == 0:
             raise SpecFileError(f"{path}: rational {value!r} needs a positive denominator")
@@ -129,8 +179,8 @@ def parse_spec(data) -> HamSpec:
 def load_spec(path: str) -> HamSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = _decode(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_spec(data)
 
@@ -231,6 +281,10 @@ def _checks_json(validation) -> list:
 
 def _checks_text(validation) -> list:
     return [f"{c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}" for c in validation.checks]
+
+
+def _torsion_json(profile) -> list:
+    return [list(t) for t in profile.torsion]
 
 
 def _render_report_text(spec, report, validation) -> str:
@@ -364,18 +418,26 @@ def cmd_verify(args, out=None, err=None) -> int:
                 "name": c.name,
                 "passed": c.passed,
                 "computed_betti": list(c.computed.betti),
-                "computed_torsion": [list(t) for t in c.computed.torsion],
+                "computed_torsion": _torsion_json(c.computed),
                 "expected_betti": list(c.expected.betti),
+                "expected_torsion": _torsion_json(c.expected),
             }
             for c in result.checks
         ],
     }
     lines = [_render_report_text(spec, report, validation), "verification:"]
     for c in result.checks:
-        lines.append(
+        line = (
             f"  {c.name}: {'pass' if c.passed else 'FAIL'} computed betti {list(c.computed.betti)}"
             f" expected {list(c.expected.betti)}"
         )
+        # so that a torsion-only mismatch never fails beside equal Betti numbers
+        if any(c.computed.torsion) or any(c.expected.torsion):
+            line += (
+                f" computed torsion {_torsion_json(c.computed)}"
+                f" expected torsion {_torsion_json(c.expected)}"
+            )
+        lines.append(line)
     _emit(doc, "\n".join(lines), args.format, out)
     return 0 if result.passed else 1
 
@@ -406,7 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a classification by homology")
     p_verify.add_argument("path")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--max-simplices", type=int, default=200000)
+    p_verify.add_argument(
+        "--max-simplices",
+        type=int,
+        default=200000,
+        help="skip (exit 4) when the staircase product the model is collapsed from"
+        " has more simplices; this bounds the product before the collapse, not the"
+        " smaller model homology runs on (gr2c4: product 39550, model 9756)",
+    )
 
     return parser
 

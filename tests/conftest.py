@@ -4,6 +4,16 @@ from fractions import Fraction
 import pytest
 
 from tquot import gallery
+from tquot.simplicial import OrderedComplex
+
+
+# the six-vertex real projective plane: H_1 = Z/2
+RP2 = OrderedComplex.from_simplices(
+    [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    ]
+)
 
 
 @pytest.fixture(scope="session")

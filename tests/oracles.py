@@ -8,17 +8,32 @@ the Caratheodory cone test with a rational subset solve.  Below them are
 the verification model as it was built before it went through top
 simplices and a row sweep: the staircase product closed downward in
 full, the fiber collapse that maps every face of that closure, and the
-unit-pivot elimination driven by a Markowitz heap.  Tests compare the
-package code against them; nothing in the package imports this module.
+unit-pivot elimination driven by a Markowitz heap.  Last comes integral
+homology by full elimination of every boundary matrix, as it was before
+coreduction ran first.  Tests compare the package code against them;
+nothing in the package imports this module.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from tquot.exactq import dot, is_zero, primitive, smith_normal_form, vec, vsub
+from tquot.exactq import (
+    dot,
+    is_zero,
+    primitive,
+    smith_normal_form,
+    sparse_rank_and_factors,
+    vec,
+    vsub,
+)
 from tquot.polytope import RationalPolytope
-from tquot.simplicial import OrderedComplex, barycentric_pair, is_full_subcomplex
+from tquot.simplicial import (
+    HomologyProfile,
+    OrderedComplex,
+    barycentric_pair,
+    is_full_subcomplex,
+)
 
 
 class Echelon:
@@ -314,3 +329,41 @@ def heap_rank_and_factors(entries, nrows, ncols):
                 factors.append(diag[k][k])
                 rk += 1
     return rk, factors
+
+
+def full_elimination_homology(k: OrderedComplex) -> HomologyProfile:
+    """Integral homology from every boundary matrix of k, reduced in full
+    by `sparse_rank_and_factors`; torsion in degree d is read from the
+    invariant factors one degree up."""
+    if not k.simplices:
+        return HomologyProfile((), ())
+    by_dim: dict[int, list[tuple]] = {}
+    for s in k.simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    dim = max(by_dim)
+    for d in by_dim:
+        by_dim[d].sort()
+    index = {d: {s: i for i, s in enumerate(by_dim[d])} for d in by_dim}
+
+    ranks = {0: 0}
+    factors = {}
+    for d in range(1, dim + 1):
+        entries = {}
+        rows = index[d - 1]
+        for col, s in enumerate(by_dim[d]):
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                entries[(rows[face], col)] = -1 if i % 2 else 1
+        rk, inv = sparse_rank_and_factors(entries, len(by_dim[d - 1]), len(by_dim[d]))
+        ranks[d] = rk
+        factors[d] = inv
+    ranks[dim + 1] = 0
+    factors[dim + 1] = []
+
+    betti = tuple(
+        len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(dim + 1)
+    )
+    torsion = tuple(
+        tuple(x for x in factors[d + 1] if x > 1) for d in range(dim + 1)
+    )
+    return HomologyProfile(betti, torsion)

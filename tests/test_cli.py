@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tquot import gallery
+from conftest import RP2
+from tquot import cli, gallery
 from tquot.cli import (
     SpecFileError,
     dump_spec,
@@ -10,6 +11,12 @@ from tquot.cli import (
     main,
     parse_spec,
     spec_to_json,
+)
+from tquot.simplicial import (
+    HomologyProfile,
+    VerificationCheck,
+    VerificationResult,
+    expected_homology,
 )
 
 
@@ -336,3 +343,98 @@ def test_cli_verify_renamed_s2cubed(tmp_path, capsys):
     [check] = json.loads(out)["verification"]["checks"]
     assert check["name"] == "quotient-homology" and check["passed"]
     assert check["expected_betti"] == [1, 0, 0, 1]
+
+
+def _bytes_case(case):
+    """A spec file (bytes) that is malformed beyond the reach of
+    parse_spec's field checks, and the message it must give."""
+    doc = spec_to_json(gallery.build("blowup-g", genus=1))
+    if case == "deep-nesting":
+        doc["fixed_components"] = "@"
+        text = json.dumps(doc).replace('"@"', "[" * 100000 + "]" * 100000)
+        return text.encode(), "maximum recursion depth exceeded"
+    if case == "byte-ff":
+        return json.dumps(doc).encode() + b"\xff", "can't decode byte 0xff"
+    if case == "long-integer":
+        doc["fixed_components"][0]["weights"][0][0] = "@"
+        text = json.dumps(doc).replace('"@"', "-" + "7" * 5000)
+        message = "fixed_components[0].weights[0][0] is an integer of 5000 digits, more than 640"
+        return text.encode(), message
+    doc["fixed_components"][0]["moment"][0] = "1/" + "3" * 5000
+    message = "fixed_components[0].moment[0]: rational with more than 640 digits"
+    return json.dumps(doc).encode(), message
+
+
+@pytest.mark.parametrize("case", ["deep-nesting", "byte-ff", "long-integer", "long-rational"])
+@pytest.mark.parametrize("op", ["classify", "verify"])
+def test_cli_unreadable_spec_is_parse_error(tmp_path, capsys, case, op):
+    data, message = _bytes_case(case)
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, op, str(path), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("digits", [640, 641])
+@pytest.mark.parametrize("where", ["rational", "integer", "integer-beside-long-string"])
+def test_cli_digit_limit_is_inclusive(tmp_path, capsys, where, digits):
+    doc = spec_to_json(gallery.build("cp2-s1"))
+    if where == "rational":
+        assert doc["fixed_components"][0]["moment"] == [0]
+        doc["fixed_components"][0]["moment"] = ["0/" + "3" * digits]  # still zero
+    else:
+        doc["note"] = -int("7" * digits)  # an unknown key, still a JSON integer
+    if where == "integer-beside-long-string":
+        doc["remark"] = "9" * 700  # a long run of digits, but in a string
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == (0 if digits == 640 else 2)
+    assert ("more than 640" in err) == (digits == 641)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_verify_shows_torsion(tmp_path, capsys, monkeypatch, fmt):
+    # RP^2 gives torsion Z/2 in degree 4 of the expected profile; a
+    # computed profile without it differs in torsion only
+    expected = expected_homology(RP2, 0)
+    untwisted = HomologyProfile(expected.betti, ((),) * len(expected.betti))
+    result = VerificationResult(
+        False,
+        (
+            VerificationCheck("quotient-homology", False, untwisted, expected),
+            VerificationCheck("join-homology", True, expected, expected),
+        ),
+    )
+    monkeypatch.setattr(cli, "verify_report", lambda report, max_simplices: result)
+    path = tmp_path / "gr2c4.json"
+    dump_spec(gallery.build("gr2c4"), str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        checks = json.loads(out)["verification"]["checks"]
+        assert checks[0]["computed_betti"] == checks[0]["expected_betti"] == [1, 0, 0, 0, 0]
+        assert checks[0]["computed_torsion"] == [[]] * 5
+        assert [c["expected_torsion"] for c in checks] == [[[], [], [], [], [2]]] * 2
+    else:
+        assert (
+            "quotient-homology: FAIL computed betti [1, 0, 0, 0, 0] expected [1, 0, 0, 0, 0]"
+            " computed torsion [[], [], [], [], []] expected torsion [[], [], [], [], [2]]"
+        ) in out
+        assert (
+            "join-homology: pass computed betti [1, 0, 0, 0, 0] expected [1, 0, 0, 0, 0]"
+            " computed torsion [[], [], [], [], [2]] expected torsion [[], [], [], [], [2]]"
+        ) in out
+
+
+def test_cli_verify_without_torsion_prints_none(tmp_path, capsys):
+    path = tmp_path / "gr2c4.json"
+    dump_spec(gallery.build("gr2c4"), str(path))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "torsion" not in out
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    checks = json.loads(out)["verification"]["checks"]
+    assert [c["expected_torsion"] for c in checks] == [[[]] * 6] * 3

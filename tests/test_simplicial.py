@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import RP2
 from tquot import gallery
 from tquot.classify import classify
 from tquot.simplicial import (
@@ -343,14 +344,6 @@ def test_verify_s2cubed_profile(gallery_specs):
     result = verify_report(report)
     assert result.passed
     assert result.checks[0].computed.betti_padded(5) == (1, 0, 0, 1, 0)
-
-
-RP2 = OrderedComplex.from_simplices(
-    [
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
-    ]
-)
 
 
 def cone(q):
