@@ -46,8 +46,6 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # a rational string: the smallest limit on int/str conversion that an
 # interpreter can be configured with, so none refuses an accepted spec.
 MAX_DIGITS = 640
-# every digit becomes 0, so a run of MAX_DIGITS + 1 zeros is a long number
-_DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 
 
 class _LongInteger:
@@ -58,18 +56,22 @@ class _LongInteger:
         self.digits = digits
 
 
-def _json_integer(text: str):
-    digits = len(text.lstrip("-"))
-    return int(text) if digits <= MAX_DIGITS else _LongInteger(digits)
-
-
 def _decode(text: str):
     """json.loads, refusing an integer of more than MAX_DIGITS digits
-    with its JSON path.  Only a text with that many digits in a row pays
-    for the path search."""
-    if "0" * (MAX_DIGITS + 1) not in text.translate(_DIGITS_TO_ZERO):
-        return json.loads(text)
-    data = json.loads(text, parse_int=_json_integer)
+    with its JSON path.  The tree is searched for that path only when
+    the decoder met such an integer."""
+    long_integers = []
+
+    def integer(literal: str):
+        digits = len(literal.lstrip("-"))
+        if digits <= MAX_DIGITS:
+            return int(literal)
+        long_integers.append(digits)
+        return _LongInteger(digits)
+
+    data = json.loads(text, parse_int=integer)
+    if not long_integers:
+        return data
     stack = [("", data)]
     while stack:
         path, value = stack.pop()

@@ -378,7 +378,7 @@ def homology(k: OrderedComplex) -> HomologyProfile:
     """
     if not k.simplices:
         return HomologyProfile((), ())
-    cells = sorted(k.simplices)  # a face sorts before its cofaces
+    cells = sorted(k.simplices)  # cell 0 is the smallest vertex, the seed
     faces, live = _coreduce(cells)
     dim = max(map(len, cells)) - 1
     survivors: list[list[int]] = [[] for _ in range(dim + 1)]
