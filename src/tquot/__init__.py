@@ -7,7 +7,7 @@ complexity-one theory applies, and verifies the verdicts at desk scale
 through exact integral homology of simplicial models.
 """
 
-from tquot.classify import TopologyReport, classify, classify_m4, join_presentation
+from tquot.classify import TopologyReport, classify, classify_m4
 from tquot.hamspace import (
     FixedComponent,
     HamSpec,
@@ -15,7 +15,6 @@ from tquot.hamspace import (
     StratifiedPolytope,
     complexity,
     general_position,
-    moment_polytope,
     point_component,
     stratify,
     surface_component,
@@ -42,8 +41,6 @@ __all__ = [
     "face_lattice",
     "general_position",
     "homology",
-    "join_presentation",
-    "moment_polytope",
     "point_component",
     "stratify",
     "surface_component",

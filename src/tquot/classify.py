@@ -16,6 +16,11 @@ The decision tree for a validated spec:
   four-manifold special case of a single short endpoint, which is a
   three-disk.
 * complexity >= 2: stratification only.
+
+`classify` is the one caller of `validate`: it validates the spec
+(unless told to skip), stratifies it, decides the verdict, and keeps
+the validation report on the TopologyReport, so the CLI renders the
+checks that ran instead of running them again.
 """
 
 from __future__ import annotations
@@ -81,70 +86,58 @@ class TopologyReport:
     verdict: Verdict
     provenance: str
     stratification: StratifiedPolytope
-    join_presentation: bool = False
-    annotation: Optional[str] = None
+    validation: Optional[ValidationReport] = None  # None when skipped
+
+    @property
+    def join_presentation(self) -> bool:
+        """Whether the verdict is a sphere presented as the join of the
+        polytope boundary with a two-sphere: every proper face is short."""
+        return self.provenance == "boundary-short-sphere"
 
 
-@dataclass(frozen=True)
-class JoinPresentation:
-    boundary_face_ids: tuple[int, ...]
-    fiber: str  # always the two-sphere
-
-
-def _validated_strata(spec: HamSpec, skip_validation: bool) -> StratifiedPolytope:
+def _report(spec: HamSpec, skip_validation: bool, decide) -> TopologyReport:
+    """Validate (unless skipped), stratify, and let decide(spec, strata)
+    name the verdict and its provenance."""
+    validation = None
     # vectors of the wrong length are refused even when validation is skipped
     if not skip_validation or malformed_vectors(spec):
-        report = validate(spec)
-        if not report.ok:
-            raise ValidationFailure(report)
-    return stratify(spec)
+        validation = validate(spec)
+        if not validation.ok:
+            raise ValidationFailure(validation)
+    sp = stratify(spec)
+    return TopologyReport(*decide(spec, sp), sp, validation)
 
 
-def classify(spec: HamSpec, skip_validation: bool = False, annotation: Optional[str] = None) -> TopologyReport:
+def classify(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
     """Classify the quotient of a validated spec."""
-    sp = _validated_strata(spec, skip_validation)
+    return _report(spec, skip_validation, _decide)
+
+
+def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
     n = spec.half_dim
     k = sp.complexity
     short = set(sp.short_faces)
     proper = {f.id for f in sp.lattice.proper_faces()}
 
     if k == 0:
-        return TopologyReport(Disk(n), "toric-disk", sp, annotation=annotation)
+        return Disk(n), "toric-disk"
     if k >= 2:
-        return TopologyReport(
-            StratificationOnly(), "stratification-only", sp, annotation=annotation
-        )
-
+        return StratificationOnly(), "stratification-only"
     if proper and short >= proper:
-        return TopologyReport(
-            Sphere(n + 1),
-            "boundary-short-sphere",
-            sp,
-            join_presentation=True,
-            annotation=annotation,
-        )
+        return Sphere(n + 1), "boundary-short-sphere"
     if not short:
         genera = sorted({c.genus for c in spec.components if c.is_surface})
         if not genera:
             raise SpecError("invalid spec: nothing short yet no fixed surface in sight")
-        return TopologyReport(
-            ProductPolytopeSurface(genera[0]), "no-short-product", sp, annotation=annotation
-        )
+        return ProductPolytopeSurface(genera[0]), "no-short-product"
 
     # partial collapse
     if n == 2 and sp.polytope.dim == 1 and len(short) == 1:
         only = sp.lattice.face(next(iter(short)))
         if only.dim == 0:
             _require_sphere_cap(spec)
-            return TopologyReport(
-                Disk(3), "four-manifold-endpoint-disk", sp, annotation=annotation
-            )
-    return TopologyReport(
-        CollapsedProduct(tuple(sorted(short)), SphereFiber()),
-        "partial-collapse",
-        sp,
-        annotation=annotation,
-    )
+            return Disk(3), "four-manifold-endpoint-disk"
+    return CollapsedProduct(tuple(sorted(short)), SphereFiber()), "partial-collapse"
 
 
 def _require_sphere_cap(spec: HamSpec) -> None:
@@ -164,30 +157,21 @@ def classify_m4(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
     sphere) gives the three-disk, two of equal genus g give interval x
     genus-g surface.
     """
-    sp = _validated_strata(spec, skip_validation)
+    return _report(spec, skip_validation, _decide_m4)
+
+
+def _decide_m4(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
     if spec.half_dim != 2 or sp.polytope.dim != 1 or sp.complexity != 1:
         raise SpecError("the trichotomy needs half_dim 2, effective rank 1, complexity 1")
     surfaces = [c for c in spec.components if c.is_surface]
     if len(surfaces) == 0:
-        return TopologyReport(Sphere(3), "four-manifold-trichotomy: finite fixed set", sp)
+        return Sphere(3), "four-manifold-trichotomy: finite fixed set"
     if len(surfaces) == 1:
         _require_sphere_cap(spec)
-        return TopologyReport(Disk(3), "four-manifold-trichotomy: one fixed sphere", sp)
+        return Disk(3), "four-manifold-trichotomy: one fixed sphere"
     if len(surfaces) == 2:
         g0, g1 = surfaces[0].genus, surfaces[1].genus
         if g0 != g1:
             raise SpecError("invalid spec: the two fixed surfaces must share a genus")
-        return TopologyReport(
-            ProductPolytopeSurface(g0), "four-manifold-trichotomy: two fixed surfaces", sp
-        )
+        return ProductPolytopeSurface(g0), "four-manifold-trichotomy: two fixed surfaces"
     raise SpecError("invalid spec: more than two fixed surfaces in a four-manifold")
-
-
-def join_presentation(report: TopologyReport) -> JoinPresentation:
-    """The sphere verdict as a join: polytope boundary times a collapsing
-    two-sphere.  Only available when every proper face is short."""
-    if not (isinstance(report.verdict, Sphere) and report.join_presentation):
-        raise ValueError("join presentation requires a boundary-short sphere verdict")
-    sp = report.stratification
-    boundary = tuple(sorted(f.id for f in sp.lattice.proper_faces()))
-    return JoinPresentation(boundary, "S2")

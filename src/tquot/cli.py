@@ -4,6 +4,12 @@ Spec files are JSON with exact rationals ("p/q" strings, bare integers
 allowed); reports render as text or JSON with stable ordering.  Exit
 codes: 0 success, 1 validation or verification failure, 2 parse error
 or unknown name, 3 internal error, 4 verification skipped.
+
+Each command calls `classify` once and renders the report it returns.
+Errors reach `main`, which maps them to exit codes and renders a
+validation failure the same way for every command: the failed check,
+then every check.  `classify --skip-validation` refuses a malformed
+spec on stderr only.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from tquot.hamspace import (
     SpecError,
     point_component,
     surface_component,
-    validate,
+    validate,  # not called here (classify validates); perfbench/selftest.py looks the name up here
 )
 from tquot.simplicial import SizeCapExceeded, verify_report
 
@@ -90,6 +96,22 @@ def _decode(text: str):
     return data
 
 
+# Characters of an offending value that a parse error shows
+SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """value as JSON, cut to SHOWN_CHARS characters and "…" when longer.
+    Encoded lazily, so a deeply nested value is encoded only as far as
+    it is shown."""
+    text = ""
+    for chunk in json.JSONEncoder().iterencode(value):
+        text += chunk
+        if len(text) > SHOWN_CHARS:
+            return text[:SHOWN_CHARS] + "…"
+    return text
+
+
 def _fraction_from_json(value, path: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
@@ -104,7 +126,7 @@ def _fraction_from_json(value, path: str) -> Fraction:
         if den == 0:
             raise SpecFileError(f"{path}: rational {value!r} needs a positive denominator")
         return Fraction(num, den)
-    raise SpecFileError(f"{path}: not a rational: {json.dumps(value)}")
+    raise SpecFileError(f"{path}: not a rational: {_shown(value)}")
 
 
 def _integer(value, path: str) -> int:
@@ -112,7 +134,7 @@ def _integer(value, path: str) -> int:
     coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecFileError(
-            f"malformed spec file: {path} must be an integer, got {json.dumps(value)}"
+            f"malformed spec file: {path} must be an integer, got {_shown(value)}"
         )
     return value
 
@@ -144,7 +166,7 @@ def parse_spec(data) -> HamSpec:
     except (KeyError, TypeError) as exc:
         raise SpecFileError(f"malformed spec file: {exc}") from exc
     if not isinstance(name, str):
-        raise SpecFileError(f"malformed spec file: name must be a string, got {json.dumps(name)}")
+        raise SpecFileError(f"malformed spec file: name must be a string, got {_shown(name)}")
     torus_rank = _integer(torus_rank, "torus_rank")
     if _integer(half_dim, "half_dim") < 1:
         raise SpecFileError(f"malformed spec file: half_dim must be at least 1, got {half_dim}")
@@ -212,37 +234,23 @@ def dump_spec(spec: HamSpec, path: str) -> None:
         fh.write(text)
 
 
-def _verdict_to_json(verdict) -> dict:
+def _verdict(verdict) -> tuple[dict, str]:
+    """The verdict as JSON and as text."""
     if isinstance(verdict, Sphere):
-        return {"type": "sphere", "dim": verdict.dim}
+        return {"type": "sphere", "dim": verdict.dim}, f"Sphere({verdict.dim})"
     if isinstance(verdict, Disk):
-        return {"type": "disk", "dim": verdict.dim}
+        return {"type": "disk", "dim": verdict.dim}, f"Disk({verdict.dim})"
     if isinstance(verdict, ProductPolytopeSurface):
-        return {"type": "product-polytope-surface", "genus": verdict.genus}
+        text = f"ProductPolytopeSurface(genus={verdict.genus})"
+        return {"type": "product-polytope-surface", "genus": verdict.genus}, text
     if isinstance(verdict, CollapsedProduct):
-        return {
-            "type": "collapsed-product",
-            "short_face_ids": list(verdict.short_face_ids),
-            "fiber": "S2",
-        }
-    if isinstance(verdict, StratificationOnly):
-        return {"type": "stratification-only"}
-    raise ValueError(f"unknown verdict {verdict!r}")
+        ids = list(verdict.short_face_ids)
+        text = f"CollapsedProduct(short_faces={ids}, fiber=S2)"
+        return {"type": "collapsed-product", "short_face_ids": ids, "fiber": "S2"}, text
+    return {"type": "stratification-only"}, "StratificationOnly"
 
 
-def verdict_text(verdict) -> str:
-    if isinstance(verdict, Sphere):
-        return f"Sphere({verdict.dim})"
-    if isinstance(verdict, Disk):
-        return f"Disk({verdict.dim})"
-    if isinstance(verdict, ProductPolytopeSurface):
-        return f"ProductPolytopeSurface(genus={verdict.genus})"
-    if isinstance(verdict, CollapsedProduct):
-        return f"CollapsedProduct(short_faces={list(verdict.short_face_ids)}, fiber=S2)"
-    return "StratificationOnly"
-
-
-def report_to_json(spec: HamSpec, report: TopologyReport, validation=None) -> dict:
+def report_to_json(spec: HamSpec, report: TopologyReport) -> dict:
     sp = report.stratification
     faces = [
         {
@@ -255,10 +263,10 @@ def report_to_json(spec: HamSpec, report: TopologyReport, validation=None) -> di
     ]
     doc = {
         "name": spec.name,
-        "verdict": _verdict_to_json(report.verdict),
+        "verdict": _verdict(report.verdict)[0],
         "provenance": report.provenance,
         "join_presentation": report.join_presentation,
-        "annotation": report.annotation,
+        "annotation": _annotation_for(spec),
         "complexity": sp.complexity,
         "polytope": {
             "ambient_dim": sp.polytope.ambient_dim,
@@ -272,8 +280,8 @@ def report_to_json(spec: HamSpec, report: TopologyReport, validation=None) -> di
         "faces": faces,
         "short_faces": list(sp.short_faces),
     }
-    if validation is not None:
-        doc["validation"] = _checks_json(validation)
+    if report.validation is not None:
+        doc["validation"] = _checks_json(report.validation)
     return doc
 
 
@@ -289,11 +297,11 @@ def _torsion_json(profile) -> list:
     return [list(t) for t in profile.torsion]
 
 
-def _render_report_text(spec, report, validation) -> str:
+def _render_report_text(spec, report) -> str:
     sp = report.stratification
     lines = [f"spec: {spec.name}"]
-    if validation is not None:
-        lines.extend("  " + line for line in _checks_text(validation))
+    if report.validation is not None:
+        lines.extend("  " + line for line in _checks_text(report.validation))
     lines.append(f"momentum polytope: dim {sp.polytope.dim}, {len(sp.polytope.vertices)} vertices, {len(sp.polytope.facets)} facets")
     lines.append(f"complexity: {sp.complexity}")
     for f in sp.lattice.faces:
@@ -301,18 +309,28 @@ def _render_report_text(spec, report, validation) -> str:
             f"  face {f.id} dim {f.dim} vertices {list(f.vertex_set)} complexity {sp.face_complexity[f.id]}"
         )
     lines.append(f"short faces: {list(sp.short_faces)}")
-    lines.append(f"verdict: {verdict_text(report.verdict)}")
+    lines.append(f"verdict: {_verdict(report.verdict)[1]}")
     lines.append(f"provenance: {report.provenance}")
-    if report.annotation:
-        lines.append(f"reported identification: {report.annotation}")
+    annotation = _annotation_for(spec)
+    if annotation:
+        lines.append(f"reported identification: {annotation}")
     return "\n".join(lines)
 
 
-def _emit(doc, text: str, fmt: str, out) -> None:
+def _render_failure(validation, fmt: str) -> None:
+    """The report of a spec that validation rejects: the first failed
+    check, then every check."""
+    first = validation.first_failed()
+    doc = {"error": "validation-failed", "check": first, "validation": _checks_json(validation)}
+    text = "\n".join(_checks_text(validation) + [f"validation failed: {first}"])
+    _emit(doc, text, fmt)
+
+
+def _emit(doc, text: str, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(text, file=out)
+        print(text)
 
 
 def _annotation_for(spec: HamSpec):
@@ -320,99 +338,47 @@ def _annotation_for(spec: HamSpec):
     return entry.reported_quotient if entry else None
 
 
-def cmd_classify(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec = load_spec(args.path)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    validation = None
-    if not args.skip_validation:
-        validation = validate(spec)
-        if not validation.ok:
-            first = validation.first_failed()
-            doc = {"error": "validation-failed", "check": first, "validation": _checks_json(validation)}
-            text = "\n".join(_checks_text(validation) + [f"validation failed: {first}"])
-            _emit(doc, text, args.format, out)
-            return 1
-    try:
-        report = classify(spec, skip_validation=True, annotation=_annotation_for(spec))
-    except SpecError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    _emit(report_to_json(spec, report, validation), _render_report_text(spec, report, validation), args.format, out)
+def cmd_classify(args) -> int:
+    spec = load_spec(args.path)
+    report = classify(spec, args.skip_validation)
+    _emit(report_to_json(spec, report), _render_report_text(spec, report), args.format)
     return 0
 
 
-def cmd_gallery(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_gallery(args) -> int:
     if args.gallery_command == "list":
         for name in gallery.names():
             entry = gallery.CATALOG[name]
             genus = " (takes --genus)" if entry.parametrized else ""
-            print(
-                f"{name:14s} row ({entry.row}): {entry.summary}; quotient {entry.reported_quotient}{genus}",
-                file=out,
-            )
+            print(f"{name:14s} row ({entry.row}): {entry.summary}; quotient {entry.reported_quotient}{genus}")
         return 0
-    name = args.name
-    if name not in gallery.CATALOG:
-        print(f"error: unknown gallery name {name!r}", file=err)
-        return 2
-    genus = args.genus if gallery.CATALOG[name].parametrized else None
-    spec = gallery.build(name, genus=genus)
+    entry = gallery.CATALOG.get(args.name)
+    # an unknown name raises GalleryError, which main reports
+    spec = gallery.build(args.name, genus=args.genus if entry and entry.parametrized else None)
     if args.gallery_command == "show":
-        validation = validate(spec)
-        if not validation.ok:
-            raise ValidationFailure(validation)
-        report = classify(spec, skip_validation=True, annotation=_annotation_for(spec))
-        print(_render_report_text(spec, report, validation), file=out)
+        print(_render_report_text(spec, classify(spec)))
         return 0
     dump_spec(spec, args.out_path)
-    print(f"wrote {args.out_path}", file=out)
+    print(f"wrote {args.out_path}")
     return 0
 
 
-def cmd_verify(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        spec = load_spec(args.path)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    validation = validate(spec)
-    if not validation.ok:
-        first = validation.first_failed()
-        if args.format == "json":
-            print(
-                json.dumps({"error": "validation-failed", "check": first}, sort_keys=True),
-                file=out,
-            )
-        else:
-            print(f"validation failed: {first}", file=out)
-        return 1
-    report = classify(spec, skip_validation=True, annotation=_annotation_for(spec))
+def cmd_verify(args) -> int:
+    spec = load_spec(args.path)
+    report = classify(spec)
+    skipped = None
     if isinstance(report.verdict, StratificationOnly):
-        msg = f"StratificationOnly: complexity {report.stratification.complexity}"
-        if args.format == "json":
-            print(json.dumps({"skipped": msg}, sort_keys=True), file=out)
-        else:
-            print(f"skipped: {msg}", file=out)
+        skipped = {"skipped": f"StratificationOnly: complexity {report.stratification.complexity}"}
+    else:
+        try:
+            result = verify_report(report, max_simplices=args.max_simplices)
+        except SizeCapExceeded as exc:
+            msg = f"size cap exceeded: {exc.estimate} simplices (cap {exc.cap})"
+            skipped = {"skipped": msg, "estimate": exc.estimate}
+    if skipped:
+        print(json.dumps(skipped, sort_keys=True) if args.format == "json" else f"skipped: {skipped['skipped']}")
         return 4
-    try:
-        result = verify_report(report, max_simplices=args.max_simplices)
-    except SizeCapExceeded as exc:
-        msg = f"size cap exceeded: {exc.estimate} simplices (cap {exc.cap})"
-        if args.format == "json":
-            print(json.dumps({"skipped": msg, "estimate": exc.estimate}, sort_keys=True), file=out)
-        else:
-            print(f"skipped: {msg}", file=out)
-        return 4
-    doc = report_to_json(spec, report, validation)
+    doc = report_to_json(spec, report)
     doc["verification"] = {
         "passed": result.passed,
         "checks": [
@@ -427,7 +393,7 @@ def cmd_verify(args, out=None, err=None) -> int:
             for c in result.checks
         ],
     }
-    lines = [_render_report_text(spec, report, validation), "verification:"]
+    lines = [_render_report_text(spec, report), "verification:"]
     for c in result.checks:
         line = (
             f"  {c.name}: {'pass' if c.passed else 'FAIL'} computed betti {list(c.computed.betti)}"
@@ -440,7 +406,7 @@ def cmd_verify(args, out=None, err=None) -> int:
                 f" expected torsion {_torsion_json(c.expected)}"
             )
         lines.append(line)
-    _emit(doc, "\n".join(lines), args.format, out)
+    _emit(doc, "\n".join(lines), args.format)
     return 0 if result.passed else 1
 
 
@@ -484,20 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"classify": cmd_classify, "gallery": cmd_gallery, "verify": cmd_verify}[args.command]
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "gallery":
-            return cmd_gallery(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return 3
+        return command(args)
     except ValidationFailure as exc:
-        print(f"validation failed: {exc.report.first_failed()}", file=sys.stderr)
+        if getattr(args, "skip_validation", False):
+            print(f"validation failed: {exc.report.first_failed()}", file=sys.stderr)
+        else:
+            _render_failure(exc.report, getattr(args, "format", "text"))
         return 1
-    except (SpecError, gallery.GalleryError) as exc:
+    except (SpecFileError, SpecError, gallery.GalleryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, gallery.GalleryError) else 3
+        return 3 if isinstance(exc, SpecError) else 2
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -11,6 +11,11 @@ dimension, and each face F gets its own complexity: the number of
 weights at a vertex component of F parallel to F (plus one for the
 implicit zero of a surface) minus dim F.  Stratification groups the
 faces by that number; the complexity-zero faces form the short locus.
+
+The polytope and one reading of the face complexity per face and
+component on it (`read_faces`) are cached on the spec, so validation
+(check V5 reads every component on a face) and stratification (only
+those at the face's vertices) share one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import Optional
 
 from tquot.exactq import Vector, clear_denominators, is_zero, rank, vec
 from tquot.polytope import (
-    Face,
     FaceLattice,
     RationalPolytope,
     cones_equal,
@@ -75,6 +79,22 @@ class HamSpec:
             raise SpecError("spec has no fixed components")
         return convex_hull([c.moment for c in self.components])
 
+    @cached_property
+    def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
+        """read_faces over self.polytope, built on first use."""
+        return read_faces(self, self.polytope)
+
+
+@dataclass(frozen=True)
+class FaceReading:
+    """A component on a face: the face complexity it reads, its weights
+    parallel to the face, and whether its moment is a vertex of the face."""
+
+    component: FixedComponent
+    complexity: int
+    parallel: tuple[tuple[int, ...], ...]
+    at_vertex: bool
+
 
 @dataclass(frozen=True)
 class StratifiedPolytope:
@@ -118,11 +138,6 @@ class GeneralPositionReport:
     overall: bool
 
 
-def moment_polytope(spec: HamSpec) -> RationalPolytope:
-    """Convex hull of the component moments."""
-    return spec.polytope
-
-
 def complexity(spec: HamSpec) -> int:
     """Half the manifold dimension minus the effective torus dimension,
     read off as n - dim of the momentum polytope."""
@@ -134,10 +149,12 @@ def complexity(spec: HamSpec) -> int:
     return k
 
 
-def _face_carriers(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FixedComponent, ...]]:
-    """Face id -> the components whose moment lies on the face.
+def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:
+    """Face id -> a reading for each component whose moment lies on the face.
 
-    Built from one component x facet incidence: the facets tight at each
+    The rule: weights parallel to the face, plus one for the implicit
+    zero weight of a surface, minus dim F.  The components on a face
+    come from one component x facet incidence: the facets tight at each
     moment, or None for a moment outside the polytope.  A moment inside
     the polytope lies on a face iff it is tight on every facet that
     contains the face.
@@ -155,77 +172,58 @@ def _face_carriers(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[Fix
         ]
         inside = all(x >= 0 for x in slack)
         tight.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
-    return {
-        f.id: tuple(c for c, t in zip(spec.components, tight) if t is not None and f.facets <= t)
-        for f in poly.lattice.faces
-    }
+    readings = {}
+    for f in poly.lattice.faces:
+        row = []
+        for comp, t in zip(spec.components, tight):
+            if t is not None and f.facets <= t:
+                parallel = tuple(w for w in comp.weights if f.parallel(w))
+                k = len(parallel) + comp.is_surface - f.dim
+                row.append(FaceReading(comp, k, parallel, comp.moment in f.vertex_coords))
+        readings[f.id] = tuple(row)
+    return readings
 
 
-def _complexities(face: Face, comps) -> dict[int, list[list]]:
-    """Face complexity as each component sees it, mapped to the parallel
-    weights of the components that see it.
-
-    The rule: weights parallel to the face, plus one for the implicit
-    zero weight of a surface, minus dim F.
-    """
-    values: dict[int, list[list]] = {}
-    for comp in comps:
-        parallel = [w for w in comp.weights if face.parallel(w)]
-        values.setdefault(len(parallel) + comp.is_surface - face.dim, []).append(parallel)
+def _by_complexity(readings) -> dict[int, list[tuple]]:
+    """Each complexity read mapped to the parallel weights of its readers."""
+    values: dict[int, list[tuple]] = {}
+    for r in readings:
+        values.setdefault(r.complexity, []).append(r.parallel)
     return values
 
 
-def _agreed_complexity(face: Face, over) -> int:
-    """Face complexity read at the components over the face's vertices."""
-    values = _complexities(face, [c for c in over if c.moment in face.vertex_coords])
-    if not values:
-        raise SpecError(
-            f"no fixed component at any vertex of face {face.vertex_set}"
-        )
-    if len(values) > 1:
-        raise SpecError(
-            f"invalid spec: face complexity inconsistent on face {face.vertex_set}: {sorted(values)}"
-        )
-    value = next(iter(values))
-    if value < 0:
-        raise SpecError(
-            f"invalid spec: negative face complexity on face {face.vertex_set}"
-        )
-    return value
-
-
-def face_complexity(spec: HamSpec, face: Face) -> int:
-    """Complexity of the sub-space sitting over a face of spec.polytope.
-
-    Evaluated at components whose moment is a vertex of the face; every
-    face has one because vertex preimages are fixed components.  All
-    such components must agree.
-    """
-    return _agreed_complexity(face, _face_carriers(spec, spec.polytope)[face.id])
-
-
 def stratify(spec: HamSpec) -> StratifiedPolytope:
-    """Complexity label for every face, grouped into the strata."""
+    """Complexity label for every face, grouped into the strata.
+
+    A face's complexity is read at the components whose moment is a
+    vertex of the face; every face has one because vertex preimages are
+    fixed components.  All such components must agree.
+    """
     poly = spec.polytope
     lattice = poly.lattice
     k = spec.half_dim - poly.dim
     if k < 0:
         raise SpecError("inconsistent spec: polytope dimension exceeds half_dim")
-    carriers = _face_carriers(spec, poly)
+    readings = spec.face_readings
     fc = {}
     for f in lattice.faces:
-        fc[f.id] = _agreed_complexity(f, carriers[f.id])
+        values = _by_complexity(r for r in readings[f.id] if r.at_vertex)
+        if not values:
+            raise SpecError(f"no fixed component at any vertex of face {f.vertex_set}")
+        if len(values) > 1:
+            raise SpecError(
+                f"invalid spec: face complexity inconsistent on face {f.vertex_set}: {sorted(values)}"
+            )
+        [fc[f.id]] = values
+        if fc[f.id] < 0:
+            raise SpecError(f"invalid spec: negative face complexity on face {f.vertex_set}")
     if fc[lattice.top.id] != k:
-        raise SpecError(
-            "invalid spec: top-face complexity disagrees with the action complexity"
-        )
-    delta_k: dict[int, tuple[int, ...]] = {}
+        raise SpecError("invalid spec: top-face complexity disagrees with the action complexity")
+    delta_k: dict = {}
     for fid, val in sorted(fc.items()):
-        delta_k.setdefault(val, [])
-        delta_k[val].append(fid)
+        delta_k.setdefault(val, []).append(fid)
     delta_k = {key: tuple(ids) for key, ids in delta_k.items()}
-    short = delta_k.get(0, ())
-    return StratifiedPolytope(poly, lattice, fc, delta_k, short, k)
+    return StratifiedPolytope(poly, lattice, fc, delta_k, delta_k.get(0, ()), k)
 
 
 def general_position(spec: HamSpec) -> GeneralPositionReport:
@@ -345,12 +343,12 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # parallel weights span the face directions
     problems = []
     fc: dict[int, int] = {}
-    carriers = _face_carriers(spec, poly)
+    readings = spec.face_readings if polytope is None else read_faces(spec, poly)
     for f in lattice.faces:
-        over = carriers[f.id]
-        if not any(c.moment in f.vertex_coords for c in over):
+        over = readings[f.id]
+        if not any(r.at_vertex for r in over):
             continue  # V2's finding
-        values = _complexities(f, over)
+        values = _by_complexity(over)
         if len(values) > 1:
             problems.append(
                 f"face {f.vertex_set}: components disagree on complexity {sorted(values)}"

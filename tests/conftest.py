@@ -1,10 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
 from tquot import gallery
 from tquot.simplicial import OrderedComplex
+
+# the hull of the component moments, cached on the spec
+moment_polytope = attrgetter("polytope")
 
 
 # the six-vertex real projective plane: H_1 = Z/2

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 
-from conftest import component_at, with_component, without_component
+from conftest import component_at, moment_polytope, with_component, without_component
 from tquot import gallery
 from tquot.classify import (
     CollapsedProduct,
@@ -31,7 +31,6 @@ from tquot.exactq import (
 )
 from tquot.hamspace import (
     general_position,
-    moment_polytope,
     stratify,
     validate,
 )

@@ -15,7 +15,6 @@ from tquot.classify import (
     ValidationFailure,
     classify,
     classify_m4,
-    join_presentation,
 )
 from tquot.hamspace import (
     HamSpec,
@@ -97,19 +96,13 @@ def test_classify_refuses_invalid():
     assert exc.value.report.first_failed() == "V1-structural"
 
 
-def test_join_presentation_gr2c4():
-    report = classify(gallery.build("gr2c4"))
+def test_report_keeps_its_validation_and_join_presentation(gallery_specs):
+    report = classify(gallery_specs["gr2c4"])
+    assert report.validation.ok and len(report.validation.checks) == 7
     assert report.join_presentation
-    jp = join_presentation(report)
-    sp = report.stratification
-    assert set(jp.boundary_face_ids) == {f.id for f in sp.lattice.proper_faces()}
-    assert jp.fiber == "S2"
-
-
-def test_join_presentation_requires_sphere():
-    report = classify(gallery.build("s2cubed"))
-    with pytest.raises(ValueError):
-        join_presentation(report)
+    skipped = classify(gallery_specs["s2cubed"], skip_validation=True)
+    assert skipped.validation is None
+    assert not skipped.join_presentation
 
 
 def test_m4_trichotomy(gallery_specs):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,35 @@ def test_cli_non_integer_is_parse_error(tmp_path, capsys, field, value, message,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def _long_value_case(case):
+    """A blowup-g export (text) with one long malformed value, and the
+    JSON path its parse error must name."""
+    doc = spec_to_json(gallery.build("blowup-g", genus=1))
+    if case == "deep-moment":
+        _put(doc, "moment", "@")
+        return json.dumps(doc).replace('"@"', "[" * 900 + "]" * 900), "fixed_components[0].moment[0]"
+    if case == "long-weight":
+        _put(doc, "weight", "x" * 5000)
+        return json.dumps(doc), "fixed_components[0].weights[0][0]"
+    _put(doc, "name", "@")
+    return json.dumps(doc).replace('"@"', "[" * 300 + '"blowup-g"' + "]" * 300), "name"
+
+
+@pytest.mark.parametrize("case", ["deep-moment", "long-weight", "nested-name"])
+@pytest.mark.parametrize("op", ["classify", "verify"])
+def test_cli_long_value_in_parse_error_is_cut(tmp_path, capsys, case, op):
+    text, where = _long_value_case(case)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, op, str(path), "--format", "json")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert f"{where} must be" in line or f"{where}: not a rational" in line
+    assert line.endswith("…")
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("change", ["longer", "shorter"])
@@ -438,3 +471,30 @@ def test_cli_verify_without_torsion_prints_none(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
     checks = json.loads(out)["verification"]["checks"]
     assert [c["expected_torsion"] for c in checks] == [[[]] * 6] * 3
+
+
+def _python_m_tquot(*argv):
+    """Run `python -m tquot` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "tquot", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_m_tquot_matches_in_process(tmp_path, capsys):
+    path = tmp_path / "gr2c4.json"
+    dump_spec(gallery.build("gr2c4"), str(path))
+    argv = ("classify", str(path), "--format", "json")
+    proc = _python_m_tquot(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0
+
+
+def test_python_m_tquot_malformed_file_is_parse_error(tmp_path):
+    path = tmp_path / "junk.json"
+    path.write_text("{not json")
+    proc = _python_m_tquot("classify", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cannot read spec file" in proc.stderr

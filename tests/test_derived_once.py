@@ -1,8 +1,9 @@
 """Each derived fact is computed once per command.
 
-The hull and the face lattice are cached on the spec and on the
-polytope; the components over each face come from one component x facet
-incidence.  The counting test wraps the builders in every tquot
+The hull, the face lattice and the per-face complexity readings are
+cached on the spec and on the polytope, and classify is the one caller
+of validate; the components over each face come from one component x
+facet incidence.  The counting tests wrap the builders in every tquot
 namespace that holds them; the oracle keeps the dot-product membership
 test the incidence replaced.
 """
@@ -14,21 +15,20 @@ from collections import Counter
 import pytest
 
 from conftest import polytope_specimens
-from tquot import cli, gallery, polytope
+from tquot import cli, gallery, hamspace, polytope
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
-from tquot.hamspace import _face_carriers
+from tquot.hamspace import read_faces
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Count convex_hull and face_lattice calls, wherever they are looked up."""
+def _counter(monkeypatch, module, fnames):
+    """Count calls to module's functions fnames, wherever they are looked up."""
     counts = Counter()
     namespaces = [
         mod for name, mod in sorted(sys.modules.items()) if name == "tquot" or name.startswith("tquot.")
     ]
-    for fname in ("convex_hull", "face_lattice"):
-        original = getattr(polytope, fname)
+    for fname in fnames:
+        original = getattr(module, fname)
 
         def counted(*args, _original=original, _name=fname, **kwargs):
             counts[_name] += 1
@@ -39,6 +39,16 @@ def builds(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(ns, attr, counted)
     return counts
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    return _counter(monkeypatch, polytope, ("convex_hull", "face_lattice"))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    return _counter(monkeypatch, hamspace, ("validate", "read_faces"))
 
 
 def _main(capsys, *argv):
@@ -57,6 +67,25 @@ def test_one_hull_and_one_lattice_per_command(tmp_path, capsys, builds, argv):
     dump_spec(gallery.build("s2cubed"), str(path))
     assert _main(capsys, *(a.format(path=path) for a in argv)) == 0
     assert builds == {"convex_hull": 1, "face_lattice": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "{path}"), ("verify", "{path}"), ("gallery", "show", "s2cubed")],
+    ids=["classify", "verify", "gallery-show"],
+)
+def test_one_validation_and_one_face_pass_per_command(tmp_path, capsys, passes, argv):
+    path = tmp_path / "s2cubed.json"
+    dump_spec(gallery.build("s2cubed"), str(path))
+    assert _main(capsys, *(a.format(path=path) for a in argv)) == 0
+    assert passes == {"validate": 1, "read_faces": 1}
+
+
+def test_skip_validation_runs_no_validation(tmp_path, capsys, passes):
+    path = tmp_path / "s2cubed.json"
+    dump_spec(gallery.build("s2cubed"), str(path))
+    assert _main(capsys, "classify", str(path), "--skip-validation") == 0
+    assert passes == {"read_faces": 1}
 
 
 def test_no_hull_for_spec_failing_v1(tmp_path, capsys, builds):
@@ -85,9 +114,10 @@ def test_incidence_matches_dot_product_membership():
     pairs = 0
     for spec in polytope_specimens():
         poly = spec.polytope
-        carriers = _face_carriers(spec, poly)
+        readings = read_faces(spec, poly)
         for face in poly.lattice.faces:
+            carriers = tuple(r.component for r in readings[face.id])
             expected = tuple(c for c in spec.components if _moment_in_face(c.moment, face, poly))
-            assert carriers[face.id] == expected, (spec.name, face.vertex_set)
+            assert carriers == expected, (spec.name, face.vertex_set)
             pairs += len(spec.components)
     assert pairs == 3153

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import moment_polytope
 from tquot import gallery
 from tquot.exactq import dot, vec
 from tquot.gallery import (
@@ -14,7 +15,7 @@ from tquot.gallery import (
     surface_times_sphere,
     weyl_orbit,
 )
-from tquot.hamspace import moment_polytope, stratify, validate
+from tquot.hamspace import stratify, validate
 
 
 def test_root_system_a3():

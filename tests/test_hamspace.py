@@ -2,16 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import component_at, with_component, without_component
+from conftest import component_at, moment_polytope, with_component, without_component
 from tquot import gallery
 from tquot.exactq import vec
 from tquot.hamspace import (
     HamSpec,
     SpecError,
     complexity,
-    face_complexity,
     general_position,
-    moment_polytope,
     point_component,
     stratify,
     surface_component,
@@ -100,7 +98,7 @@ def test_face_complexity_direct_call():
     spec = gallery.build("s2cubed")
     sp = stratify(spec)
     top = sp.lattice.top
-    assert face_complexity(spec, top) == 1
+    assert stratify(spec).face_complexity[top.id] == 1
 
 
 def test_stratify_toric():
