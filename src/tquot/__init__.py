@@ -7,13 +7,12 @@ complexity-one theory applies, and verifies the verdicts at desk scale
 through exact integral homology of simplicial models.
 """
 
-from tquot.classify import TopologyReport, classify, classify_m4
+from tquot.classify import TopologyReport, classify
 from tquot.hamspace import (
     FixedComponent,
     HamSpec,
     SpecError,
     StratifiedPolytope,
-    complexity,
     general_position,
     point_component,
     stratify,
@@ -35,8 +34,6 @@ __all__ = [
     "StratifiedPolytope",
     "TopologyReport",
     "classify",
-    "classify_m4",
-    "complexity",
     "convex_hull",
     "face_lattice",
     "general_position",

@@ -95,9 +95,9 @@ class TopologyReport:
         return self.provenance == "boundary-short-sphere"
 
 
-def _report(spec: HamSpec, skip_validation: bool, decide) -> TopologyReport:
-    """Validate (unless skipped), stratify, and let decide(spec, strata)
-    name the verdict and its provenance."""
+def classify(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
+    """Validate the spec (unless skipped), stratify it, and decide the
+    verdict on its quotient and the provenance of that verdict."""
     validation = None
     # vectors of the wrong length are refused even when validation is skipped
     if not skip_validation or malformed_vectors(spec):
@@ -105,12 +105,7 @@ def _report(spec: HamSpec, skip_validation: bool, decide) -> TopologyReport:
         if not validation.ok:
             raise ValidationFailure(validation)
     sp = stratify(spec)
-    return TopologyReport(*decide(spec, sp), sp, validation)
-
-
-def classify(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
-    """Classify the quotient of a validated spec."""
-    return _report(spec, skip_validation, _decide)
+    return TopologyReport(*_decide(spec, sp), sp, validation)
 
 
 def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
@@ -135,43 +130,10 @@ def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
     if n == 2 and sp.polytope.dim == 1 and len(short) == 1:
         only = sp.lattice.face(next(iter(short)))
         if only.dim == 0:
-            _require_sphere_cap(spec)
+            # a compact four-manifold with one fixed surface forces genus zero
+            if any(c.genus != 0 for c in spec.components if c.is_surface):
+                raise SpecError(
+                    "invalid spec: a single fixed surface in a four-manifold must be a sphere"
+                )
             return Disk(3), "four-manifold-endpoint-disk"
     return CollapsedProduct(tuple(sorted(short)), SphereFiber()), "partial-collapse"
-
-
-def _require_sphere_cap(spec: HamSpec) -> None:
-    # a compact four-manifold with one fixed surface forces genus zero
-    surfaces = [c for c in spec.components if c.is_surface]
-    if any(c.genus != 0 for c in surfaces):
-        raise SpecError(
-            "invalid spec: a single fixed surface in a four-manifold must be a sphere"
-        )
-
-
-def classify_m4(spec: HamSpec, skip_validation: bool = False) -> TopologyReport:
-    """Trichotomy for circle actions on compact four-manifolds.
-
-    Requires half_dim 2, effective rank 1, complexity 1.  Counts the
-    fixed surfaces: none gives the three-sphere, one (necessarily a
-    sphere) gives the three-disk, two of equal genus g give interval x
-    genus-g surface.
-    """
-    return _report(spec, skip_validation, _decide_m4)
-
-
-def _decide_m4(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
-    if spec.half_dim != 2 or sp.polytope.dim != 1 or sp.complexity != 1:
-        raise SpecError("the trichotomy needs half_dim 2, effective rank 1, complexity 1")
-    surfaces = [c for c in spec.components if c.is_surface]
-    if len(surfaces) == 0:
-        return Sphere(3), "four-manifold-trichotomy: finite fixed set"
-    if len(surfaces) == 1:
-        _require_sphere_cap(spec)
-        return Disk(3), "four-manifold-trichotomy: one fixed sphere"
-    if len(surfaces) == 2:
-        g0, g1 = surfaces[0].genus, surfaces[1].genus
-        if g0 != g1:
-            raise SpecError("invalid spec: the two fixed surfaces must share a genus")
-        return ProductPolytopeSurface(g0), "four-manifold-trichotomy: two fixed surfaces"
-    raise SpecError("invalid spec: more than two fixed surfaces in a four-manifold")

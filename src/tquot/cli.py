@@ -124,7 +124,7 @@ def _fraction_from_json(value, path: str) -> Fraction:
             )
         num, den = int(match.group(1)), int(match.group(2) or 1)
         if den == 0:
-            raise SpecFileError(f"{path}: rational {value!r} needs a positive denominator")
+            raise SpecFileError(f"{path}: rational needs a positive denominator: {_shown(value)}")
         return Fraction(num, den)
     raise SpecFileError(f"{path}: not a rational: {_shown(value)}")
 
@@ -194,7 +194,7 @@ def parse_spec(data) -> HamSpec:
                 genus = _integer(raw["genus"], f"{at}.genus")
                 components.append(surface_component(genus, moment, weights))
             else:
-                raise SpecFileError(f"unknown component kind {kind!r}")
+                raise SpecFileError(f"{at}.kind: unknown component kind {_shown(kind)}")
         except KeyError as exc:
             raise SpecFileError(f"malformed component: {exc}") from exc
     return HamSpec(name, torus_rank, half_dim, tuple(components))

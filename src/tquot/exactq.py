@@ -7,15 +7,15 @@ Denominators are cleared at the entry of each routine that eliminates:
 `integral` scales a vector by the lcm of its denominators, and
 `clear_denominators` scales a whole family by one common lcm.  One
 fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`,
-`det`, `nullspace` (for a corank-one matrix, the cofactor normal),
-`solve_affine`, `combination_coords` and `solve_fraction_free` on plain
-Python ints.  The Smith normal form works on ints too.  Sparse
-boundary matrices (`sparse_rank_and_factors`) are reduced by one sweep
-of unit pivots over their rows, and only what survives that sweep meets
-the dense Smith routine.  Homology coreduces a complex before it builds
-any matrix, so the sweep sees only the boundary among the cells that
-coreduction leaves: nothing for the sphere models of gr2c4 or CP^4,
-a few hundred cells for the genus-g product models.
+`nullspace` (for a corank-one matrix, the cofactor normal),
+`solve_affine` and `solve_fraction_free` on plain Python ints.  The
+Smith normal form works on ints too.  Sparse boundary matrices
+(`sparse_rank_and_factors`) are reduced by one sweep of unit pivots
+over their rows, and only what survives that sweep meets the dense
+Smith routine.  Homology coreduces a complex before it builds any
+matrix, so the sweep sees only the boundary among the cells that
+coreduction leaves: nothing for the sphere models of gr2c4 or CP^4, a
+few hundred cells for the genus-g product models.
 """
 
 from __future__ import annotations
@@ -168,40 +168,6 @@ def solve_affine(points) -> tuple[Vector, tuple[Vector, ...]]:
     diffs = [vsub(p, base) for p in pts[1:]]
     pivots, _ = eliminate([list(integral(row)) for row in zip(*diffs)])
     return base, tuple(diffs[j] for j in pivots)
-
-
-def combination_coords(target, basis):
-    """Coefficients expressing target in a linearly independent basis.
-
-    Returns a tuple of Fractions, or None when target is outside the
-    span.  One common scale clears the denominators of the system, which
-    leaves the coefficients unchanged, and the system is solved
-    fraction-free.
-    """
-    ints, _ = clear_denominators([*basis, target])
-    solution = solve_fraction_free(ints[:-1], ints[-1])
-    if solution is None:
-        if rank(ints[:-1]) < len(basis):
-            raise ValueError("basis is linearly dependent")
-        return None
-    numerators, denominator = solution
-    return tuple(Fraction(x, denominator) for x in numerators)
-
-
-def det(m) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(integral(row)) for row in m]
-    pivots, swaps = eliminate(rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    factor = 1
-    for row in m:
-        factor *= lcm(*(x.denominator for x in row))
-    value = rows[n - 1][n - 1] if n else 1
-    return Fraction(-value if swaps % 2 else value, factor)
 
 
 def identity_matrix(n) -> list[list[int]]:

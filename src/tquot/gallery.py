@@ -109,10 +109,19 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     return HamSpec(name, ambient, len(active), tuple(components))
 
 
+def _integer_vectors(vectors, what: str) -> list[tuple[int, ...]]:
+    """The vectors as tuples of ints.  Any other entry, a bool, a float
+    or a Fraction included, is refused, never coerced."""
+    vectors = [tuple(v) for v in vectors]
+    if any(isinstance(x, bool) or not isinstance(x, int) for v in vectors for x in v):
+        raise GalleryError(f"{what} must be integer vectors, got {vectors!r}")
+    return vectors
+
+
 def sphere_product(factor_weights, torus_rank: int, name: str = "sphere-product") -> HamSpec:
     """Product of rotating two-spheres; the momentum map adds the
     weighted heights.  Fixed points are the pole combinations."""
-    factors = [tuple(int(x) for x in w) for w in factor_weights]
+    factors = _integer_vectors(factor_weights, "factor weights")
     for w in factors:
         if len(w) != torus_rank:
             raise GalleryError("factor weight length differs from the torus rank")
@@ -161,7 +170,7 @@ def projective_space(coord_weights, name: str = "projective-space") -> HamSpec:
     larger is outside the data model.  The weight of coordinate j seen
     from the fixed locus at weight w is w_j - w.
     """
-    ws = [tuple(int(x) for x in w) for w in coord_weights]
+    ws = _integer_vectors(coord_weights, "coordinate weights")
     if len(ws) < 2:
         raise GalleryError("projective space needs at least two coordinates")
     r = len(ws[0])

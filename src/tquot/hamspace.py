@@ -55,14 +55,23 @@ class FixedComponent:
         return self.kind == SURFACE
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints.  Anything else, a bool, a float or
+    a Fraction included, is refused, never coerced."""
+    values = tuple(values)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
+        raise SpecError(f"{what} must be integers, got {values!r}")
+    return values
+
+
 def point_component(moment, weights) -> FixedComponent:
-    return FixedComponent(POINT, vec(moment), tuple(tuple(int(x) for x in w) for w in weights))
+    return FixedComponent(POINT, vec(moment), tuple(_integers(w, "weights") for w in weights))
 
 
 def surface_component(genus, moment, weights) -> FixedComponent:
-    return FixedComponent(
-        SURFACE, vec(moment), tuple(tuple(int(x) for x in w) for w in weights), genus=int(genus)
-    )
+    weights = tuple(_integers(w, "weights") for w in weights)
+    [genus] = _integers((genus,), "a genus")
+    return FixedComponent(SURFACE, vec(moment), weights, genus=genus)
 
 
 @dataclass(frozen=True)
@@ -136,17 +145,6 @@ class ValidationReport:
 class GeneralPositionReport:
     per_component: tuple[bool, ...]
     overall: bool
-
-
-def complexity(spec: HamSpec) -> int:
-    """Half the manifold dimension minus the effective torus dimension,
-    read off as n - dim of the momentum polytope."""
-    k = spec.half_dim - spec.polytope.dim
-    if k < 0:
-        raise SpecError(
-            f"inconsistent spec: momentum polytope dimension exceeds half_dim {spec.half_dim}"
-        )
-    return k
 
 
 def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:

@@ -3,18 +3,20 @@
 Hulls are built by brute-force enumeration of candidate supporting
 hyperplanes over affinely independent vertex subsets, with exact
 sidedness tests.  Ambient dimension stays small (at most 4 in every
-shipped specimen), so robustness wins over asymptotics.  Polytopes that
-are not full dimensional are handled in coordinates of their affine
-hull and mapped back, so momentum images of non-effective actions work
-unchanged.
+shipped specimen), so robustness wins over asymptotics.  A polytope
+that is not full dimensional is enumerated in the pivot coordinates of
+its direction space, a projection that is injective on its affine hull,
+so momentum images of non-effective actions work unchanged.
 
-Denominators are cleared once per routine: `convex_hull` scales the
-affine coordinates of all points by one common integer, and
-`face_lattice` does the same for the vertices.  Candidate normals,
-sidedness, facet contacts, the face normals and the cone test of
-`in_cone` then run fraction-free on Python ints
-(`exactq.eliminate`).  Only the map from affine coordinates back to
-ambient conormals and offsets uses Fraction.
+Denominators are cleared once per routine: `convex_hull` scales all
+points by one common integer, and `face_lattice` does the same for the
+vertices.  From there the hull runs on integer points: candidate
+normals, sidedness and facet contacts in the projected coordinates,
+then each facet's ambient conormal as the primitive integer vector
+normal to its contacts inside the affine hull.  The face normals and
+the cone test of `in_cone` run fraction-free too (`exactq.eliminate`).
+Only the offsets and the affine hull's basepoint and basis are
+Fractions.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Optional
 from tquot.exactq import (
     Vector,
     clear_denominators,
-    combination_coords,
-    dot,
+    eliminate,
     integral,
     nullspace,
     primitive,
@@ -97,10 +98,6 @@ class FaceLattice:
         return self.faces[:-1]
 
 
-def _dedupe(points: list[Vector]) -> list[Vector]:
-    return list(dict.fromkeys(points))
-
-
 def convex_hull(points) -> RationalPolytope:
     """Convex hull of rational points, with irredundant H-representation.
 
@@ -108,7 +105,7 @@ def convex_hull(points) -> RationalPolytope:
     conormals are primitive integer vectors inside the direction space
     of the affine hull, signed so the polytope lies on the >= side.
     """
-    pts = _dedupe([vec(p) for p in points])
+    pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
         raise ValueError("no points")
     ambient = len(pts[0])
@@ -117,13 +114,16 @@ def convex_hull(points) -> RationalPolytope:
     base, basis = solve_affine(pts)
     d = len(basis)
     if d == 0:
-        hull_pt = pts[0]
-        return RationalPolytope(ambient, (hull_pt,), (), (base, ()))
+        return RationalPolytope(ambient, (pts[0],), (), (base, ()))
 
-    # affine coordinates, scaled once to integers by a common factor
-    coords, coord_scale = clear_denominators(
-        [combination_coords(vsub(p, base), basis) for p in pts]
-    )
+    # the points scaled once to integers by a common factor; the normals
+    # of their affine hull; and the points projected onto the pivot
+    # coordinates of its directions, which is injective on the hull
+    ints, scale = clear_denominators(pts)
+    diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
+    hull_normals = nullspace(diffs, ambient)
+    pivots, _ = eliminate(diffs)
+    coords = [tuple(q[j] for j in pivots) for q in ints]
 
     # candidate supporting hyperplanes from affinely independent
     # d-subsets; a dependent subset leaves more than one normal.  A
@@ -137,14 +137,10 @@ def convex_hull(points) -> RationalPolytope:
         n = normals[0]
         c = sum(map(mul, n, p0))
         vals = [sum(map(mul, n, q)) for q in coords]
-        if min(vals) >= c:
-            pass
-        elif max(vals) <= c:
-            n = tuple(-x for x in n)
-            c = -c
-            vals = [-x for x in vals]
-        else:
-            continue
+        if min(vals) < c:
+            if max(vals) > c:
+                continue
+            n, c, vals = tuple(-x for x in n), -c, [-x for x in vals]
         key = (n, c)
         if key not in supports:
             contact = [i for i, x in enumerate(vals) if x == c]
@@ -163,22 +159,18 @@ def convex_hull(points) -> RationalPolytope:
     vertex_idx.sort(key=lambda i: pts[i])
     vertices = tuple(pts[i] for i in vertex_idx)
 
-    # Gram matrix of the direction basis, for mapping conormals back
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
+    # the ambient conormal of a facet is normal to its contacts and lies
+    # in the affine hull's directions; a point off the facet signs it
     facets = []
-    for (n, c), contact in supports.items():
-        coeff = combination_coords(n, gram)  # solves gram^T c = n; gram is symmetric
-        w0 = tuple(
-            sum(coeff[k] * basis[k][j] for k in range(d)) for j in range(ambient)
-        )
-        w = primitive(w0)
-        lam = None
-        for a, b in zip(w, w0):
-            if b:
-                lam = Fraction(a) / b
-                break
-        offset = lam * (dot(w0, base) + Fraction(c, coord_scale))
-        facets.append((w, offset))
+    for contact in supports.values():
+        q0 = ints[contact[0]]
+        rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
+        [w] = nullspace(rows + hull_normals, ambient)
+        level = sum(map(mul, w, q0))
+        off = next(i for i in range(len(ints)) if i not in contact)
+        if sum(map(mul, w, ints[off])) < level:
+            w, level = tuple(-x for x in w), -level
+        facets.append((w, Fraction(level, scale)))
     facets.sort()
     return RationalPolytope(ambient, vertices, tuple(facets), (base, basis))
 
@@ -263,17 +255,6 @@ def tangent_cone(p: RationalPolytope, v: int):
             other = next(i for i in f.vertex_set if i != v)
             gens.append(primitive(vsub(p.vertices[other], p.vertices[v])))
     return tuple(sorted(gens))
-
-
-def relative_interior_point(f: Face) -> Vector:
-    """Barycenter of the face's vertices, always relatively interior."""
-    k = len(f.vertex_coords)
-    if k == 0:
-        raise ValueError("empty face")
-    n = len(f.vertex_coords[0])
-    return tuple(
-        sum((c[j] for c in f.vertex_coords), Fraction(0)) / k for j in range(n)
-    )
 
 
 def in_cone(target, generators) -> bool:

@@ -8,16 +8,25 @@ the Caratheodory cone test with a rational subset solve.  Below them are
 the verification model as it was built before it went through top
 simplices and a row sweep: the staircase product closed downward in
 full, the fiber collapse that maps every face of that closure, and the
-unit-pivot elimination driven by a Markowitz heap.  Last comes integral
+unit-pivot elimination driven by a Markowitz heap.  Then comes integral
 homology by full elimination of every boundary matrix, as it was before
-coreduction ran first.  Tests compare the package code against them;
-nothing in the package imports this module.
+coreduction ran first.  Last is the trichotomy for circle actions on
+four-manifolds, an independent decision for the cases it covers.  Tests
+compare the package code against them; nothing in the package imports
+this module.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations
 
+from tquot.classify import (
+    Disk,
+    ProductPolytopeSurface,
+    Sphere,
+    TopologyReport,
+    ValidationFailure,
+)
 from tquot.exactq import (
     dot,
     is_zero,
@@ -27,6 +36,7 @@ from tquot.exactq import (
     vec,
     vsub,
 )
+from tquot.hamspace import SpecError, stratify, validate
 from tquot.polytope import RationalPolytope
 from tquot.simplicial import (
     HomologyProfile,
@@ -367,3 +377,25 @@ def full_elimination_homology(k: OrderedComplex) -> HomologyProfile:
         tuple(x for x in factors[d + 1] if x > 1) for d in range(dim + 1)
     )
     return HomologyProfile(betti, torsion)
+
+
+def classify_m4(spec) -> TopologyReport:
+    """The trichotomy for circle actions on compact four-manifolds (half
+    dim 2, complexity 1), by the fixed surfaces: none gives S^3, one
+    sphere gives D^3, two of genus g give interval x genus-g surface."""
+    validation = validate(spec)
+    if not validation.ok:
+        raise ValidationFailure(validation)
+    sp = stratify(spec)
+    if spec.half_dim != 2 or sp.polytope.dim != 1 or sp.complexity != 1:
+        raise SpecError("the trichotomy needs half_dim 2, effective rank 1, complexity 1")
+    genera = [c.genus for c in spec.components if c.is_surface]
+    if not genera:
+        verdict = Sphere(3)
+    elif genera == [0]:
+        verdict = Disk(3)
+    elif len(genera) == 2 and genera[0] == genera[1]:
+        verdict = ProductPolytopeSurface(genera[0])
+    else:
+        raise SpecError(f"invalid spec: fixed surfaces of genera {genera} in a four-manifold")
+    return TopologyReport(verdict, "four-manifold-trichotomy", sp, validation)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import wraps
 
 from conftest import component_at, moment_polytope, with_component, without_component
+from oracles import classify_m4
+from oracles import fraction_det as det
 from tquot import gallery
 from tquot.classify import (
     CollapsedProduct,
@@ -20,10 +22,8 @@ from tquot.classify import (
     SphereFiber,
     StratificationOnly,
     classify,
-    classify_m4,
 )
 from tquot.exactq import (
-    det,
     dot,
     matmul,
     smith_normal_form,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import classify_m4
 from tquot import gallery
 from tquot.classify import (
     CollapsedProduct,
@@ -14,7 +15,6 @@ from tquot.classify import (
     StratificationOnly,
     ValidationFailure,
     classify,
-    classify_m4,
 )
 from tquot.hamspace import (
     HamSpec,

@@ -213,29 +213,39 @@ def test_cli_non_integer_is_parse_error(tmp_path, capsys, field, value, message,
 
 def _long_value_case(case):
     """A blowup-g export (text) with one long malformed value, and the
-    JSON path its parse error must name."""
+    message its parse error must show before the cut value."""
     doc = spec_to_json(gallery.build("blowup-g", genus=1))
     if case == "deep-moment":
         _put(doc, "moment", "@")
-        return json.dumps(doc).replace('"@"', "[" * 900 + "]" * 900), "fixed_components[0].moment[0]"
+        text = json.dumps(doc).replace('"@"', "[" * 900 + "]" * 900)
+        return text, "fixed_components[0].moment[0]: not a rational: "
     if case == "long-weight":
         _put(doc, "weight", "x" * 5000)
-        return json.dumps(doc), "fixed_components[0].weights[0][0]"
+        return json.dumps(doc), "fixed_components[0].weights[0][0] must be an integer, got "
+    if case == "long-kind":
+        doc["fixed_components"][1]["kind"] = "x" * 5000
+        return json.dumps(doc), "fixed_components[1].kind: unknown component kind "
+    if case == "zero-denominator":
+        _put(doc, "moment", "1/" + "0" * 640)
+        return json.dumps(doc), "fixed_components[0].moment[0]: rational needs a positive denominator: "
     _put(doc, "name", "@")
-    return json.dumps(doc).replace('"@"', "[" * 300 + '"blowup-g"' + "]" * 300), "name"
+    text = json.dumps(doc).replace('"@"', "[" * 300 + '"blowup-g"' + "]" * 300)
+    return text, "name must be a string, got "
 
 
-@pytest.mark.parametrize("case", ["deep-moment", "long-weight", "nested-name"])
+@pytest.mark.parametrize(
+    "case", ["deep-moment", "long-weight", "nested-name", "long-kind", "zero-denominator"]
+)
 @pytest.mark.parametrize("op", ["classify", "verify"])
 def test_cli_long_value_in_parse_error_is_cut(tmp_path, capsys, case, op):
-    text, where = _long_value_case(case)
+    text, message = _long_value_case(case)
     path = tmp_path / "long.json"
     path.write_text(text)
     code, out, err = run(capsys, op, str(path), "--format", "json")
     assert code == 2
     assert out == ""
     [line] = err.splitlines()
-    assert f"{where} must be" in line or f"{where}: not a rational" in line
+    assert message in line
     assert line.endswith("…")
     assert len(line) < 200
 

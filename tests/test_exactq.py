@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import lattice_membership
+from oracles import fraction_coords, lattice_membership
+from oracles import fraction_det as det
 from tquot.exactq import (
-    combination_coords,
-    det,
     identity_matrix,
     matmul,
     primitive,
@@ -125,12 +124,6 @@ def test_lattice_membership_empty_basis():
     assert not lattice_membership((1, 0), [])
 
 
-def test_combination_coords():
-    coords = combination_coords((3, 5), [(1, 0), (1, 1)])
-    assert coords == (Fraction(-2), Fraction(5))
-    assert combination_coords((1, 0, 1), [(1, 0, 0), (0, 1, 0)]) is None
-
-
 def test_primitive():
     assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
     assert primitive((4, 6)) == (2, 3)
@@ -215,14 +208,8 @@ def test_sparse_rank_and_factors_matches_dense():
         assert sorted(factors) == diag
 
 
-def test_det_basics():
-    assert det([[2, 0], [0, 3]]) == 6
-    assert det([[1, 2], [2, 4]]) == 0
-    assert det([]) == 1
-
-
 def test_echelon_membership_roundtrip():
     basis = [vec((1, 2, 0)), vec((0, 1, 1))]
     combo = tuple(Fraction(3, 2) * a - 2 * b for a, b in zip(*basis))
     assert lattice_membership(combo, basis)
-    assert combination_coords(combo, basis) == (Fraction(3, 2), Fraction(-2))
+    assert fraction_coords(combo, basis) == (Fraction(3, 2), Fraction(-2))

@@ -90,6 +90,18 @@ def test_sphere_product_rejects_zero_weight():
         sphere_product([(0, 0)], 2)
 
 
+@pytest.mark.parametrize("weight", [Fraction(1, 2), 1.0, True])
+def test_sphere_product_refuses_non_integer_weights(weight):
+    with pytest.raises(GalleryError, match="integer"):
+        sphere_product([(weight,)], 1)
+
+
+@pytest.mark.parametrize("weight", [1.9, Fraction(2), False])
+def test_projective_space_refuses_non_integer_weights(weight):
+    with pytest.raises(GalleryError, match="integer"):
+        projective_space([(weight,), (0,), (0,)])
+
+
 def test_surface_times_sphere():
     spec = surface_times_sphere(2)
     assert spec.half_dim == 2

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,6 @@ from tquot.exactq import vec
 from tquot.hamspace import (
     HamSpec,
     SpecError,
-    complexity,
     general_position,
     point_component,
     stratify,
@@ -47,16 +47,36 @@ def test_moment_polytope_gr2c4_is_hypersimplex():
 
 
 def test_complexity_values():
-    assert complexity(gallery.build("gr2c4")) == 1
-    assert complexity(toric_cp1()) == 0
-    assert complexity(gallery.build("cp5-t3")) == 2
+    assert stratify(gallery.build("gr2c4")).complexity == 1
+    assert stratify(toric_cp1()).complexity == 0
+    assert stratify(gallery.build("cp5-t3")).complexity == 2
 
 
 def test_complexity_inconsistent():
     # claims half_dim 0 but the momentum image is an interval
     spec = HamSpec("bad", 1, 0, (point_component((0,), ()), point_component((1,), ())))
     with pytest.raises(SpecError):
-        complexity(spec)
+        stratify(spec)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.0, True])
+def test_component_builders_refuse_non_integer_weights(entry):
+    with pytest.raises(SpecError, match="integers"):
+        point_component((0,), ((entry,), (-1,)))
+    with pytest.raises(SpecError, match="integers"):
+        surface_component(0, (0,), ((entry,),))
+
+
+@pytest.mark.parametrize("genus", [1.7, Fraction(1), True, None])
+def test_surface_component_refuses_non_integer_genus(genus):
+    with pytest.raises(SpecError, match="integers"):
+        surface_component(genus, (0,), ((1,),))
+
+
+def test_component_builders_keep_integers():
+    assert point_component((0,), ((2,), (-1,))).weights == ((2,), (-1,))
+    surface = surface_component(3, (Fraction(1, 2),), ((1,),))
+    assert (surface.genus, surface.moment, surface.weights) == (3, (Fraction(1, 2),), ((1,),))
 
 
 def faces_by(sp, dim=None):

@@ -10,7 +10,6 @@ from tquot.polytope import (
     convex_hull,
     face_lattice,
     in_cone,
-    relative_interior_point,
     tangent_cone,
 )
 
@@ -175,25 +174,6 @@ def test_tangent_cone_matches_edges():
             if f.dim == 1 and v in f.vertex_set
         }
         assert gens == edge_dirs
-
-
-def test_relative_interior_point():
-    p = convex_hull([(0,), (1,)])
-    lat = face_lattice(p)
-    top = lat.top
-    assert relative_interior_point(top) == (Fraction(1, 2),)
-    vert = next(f for f in lat.faces if f.dim == 0)
-    assert relative_interior_point(vert) == vert.vertex_coords[0]
-
-
-def test_relative_interior_hypersimplex_facet():
-    lat = face_lattice(convex_hull(hypersimplex_points()))
-    facet = next(f for f in lat.faces if f.dim == 2)
-    b = relative_interior_point(facet)
-    expected = tuple(
-        sum(c[j] for c in facet.vertex_coords) / Fraction(3) for j in range(4)
-    )
-    assert b == expected
 
 
 def test_in_cone():
