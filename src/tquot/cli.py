@@ -2,8 +2,9 @@
 
 Spec files are JSON with exact rationals ("p/q" strings, bare integers
 allowed); reports render as text or JSON with stable ordering.  Exit
-codes: 0 success, 1 validation or verification failure, 2 parse error
-or unknown name, 3 internal error, 4 verification skipped.
+codes: 0 success, 1 validation or verification failure or an invalid
+spec, 2 parse error, unknown name or unwritable export, 3 internal
+error, 4 verification skipped.
 
 Each command calls `classify` once and renders the report it returns.
 Errors reach `main`, which maps them to exit codes and renders a
@@ -38,7 +39,7 @@ from tquot.hamspace import (
     surface_component,
     validate,  # not called here (classify validates); perfbench/selftest.py looks the name up here
 )
-from tquot.simplicial import SizeCapExceeded, verify_report
+from tquot.simplicial import MAX_SIMPLICES, SizeCapExceeded, verify_report
 
 
 class SpecFileError(ValueError):
@@ -196,7 +197,7 @@ def parse_spec(data) -> HamSpec:
             else:
                 raise SpecFileError(f"{at}.kind: unknown component kind {_shown(kind)}")
         except KeyError as exc:
-            raise SpecFileError(f"malformed component: {exc}") from exc
+            raise SpecFileError(f"malformed spec file: {at}.{exc.args[0]} is missing") from exc
     return HamSpec(name, torus_rank, half_dim, tuple(components))
 
 
@@ -358,7 +359,10 @@ def cmd_gallery(args) -> int:
     if args.gallery_command == "show":
         print(_render_report_text(spec, classify(spec)))
         return 0
-    dump_spec(spec, args.out_path)
+    try:
+        dump_spec(spec, args.out_path)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {args.out_path}: {exc}") from exc
     print(f"wrote {args.out_path}")
     return 0
 
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-simplices",
         type=int,
-        default=200000,
+        default=MAX_SIMPLICES,
         help="skip (exit 4) when the staircase product the model is collapsed from"
         " has more simplices; this bounds the product before the collapse, not the"
         " smaller model homology runs on (gr2c4: product 39550, model 9756)",
@@ -461,7 +465,7 @@ def main(argv=None) -> int:
         return 1
     except (SpecFileError, SpecError, gallery.GalleryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SpecError) else 2
+        return 1 if isinstance(exc, SpecError) else 2
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and integer normal forms.
 
 Vectors are tuples of Fraction, matrices are lists of rows.  Everything
-runs in arbitrary precision and no floats appear anywhere.
+runs in arbitrary precision and no floats appear anywhere.  Of the
+polytope layer, only the vertices and the facet offsets stay Fractions;
+the affine hull is described by its integer normals alone.
 
 Denominators are cleared at the entry of each routine that eliminates:
 `integral` scales a vector by the lcm of its denominators, and
 `clear_denominators` scales a whole family by one common lcm.  One
 fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`,
-`nullspace` (for a corank-one matrix, the cofactor normal),
-`solve_affine` and `solve_fraction_free` on plain Python ints.  The
-Smith normal form works on ints too.  Sparse boundary matrices
+`nullspace` (for a corank-one matrix, the cofactor normal) and
+`solve_fraction_free` on plain Python ints.  The Smith normal form
+works on ints too.  Sparse boundary matrices
 (`sparse_rank_and_factors`) are reduced by one sweep of unit pivots
 over their rows, and only what survives that sweep meets the dense
 Smith routine.  Homology coreduces a complex before it builds any
@@ -151,23 +153,6 @@ def solve_fraction_free(columns, target):
     if k == 0:
         return (), 1
     return tuple(rows[i][k] for i in range(k)), rows[k - 1][k - 1]
-
-
-def solve_affine(points) -> tuple[Vector, tuple[Vector, ...]]:
-    """Basepoint and a direction basis for the affine span of the points.
-
-    The basepoint is the first point; the basis is the first maximal
-    independent subfamily of the differences (the pivot columns of the
-    matrix that has them as columns), so the result is deterministic in
-    the input order.
-    """
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise ValueError("no points")
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    pivots, _ = eliminate([list(integral(row)) for row in zip(*diffs)])
-    return base, tuple(diffs[j] for j in pivots)
 
 
 def identity_matrix(n) -> list[list[int]]:

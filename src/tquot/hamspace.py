@@ -23,15 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
 from typing import Optional
 
-from tquot.exactq import Vector, clear_denominators, is_zero, rank, vec
+from tquot.exactq import Vector, is_zero, rank, vec
 from tquot.polytope import (
     FaceLattice,
     RationalPolytope,
     cones_equal,
     convex_hull,
+    facet_incidence,
     tangent_cone,
 )
 
@@ -152,24 +152,12 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
 
     The rule: weights parallel to the face, plus one for the implicit
     zero weight of a surface, minus dim F.  The components on a face
-    come from one component x facet incidence: the facets tight at each
-    moment, or None for a moment outside the polytope.  A moment inside
-    the polytope lies on a face iff it is tight on every facet that
-    contains the face.
+    come from one component x facet incidence (`facet_incidence`): the
+    facets tight at each moment, or None for a moment outside the
+    polytope.  A moment inside the polytope lies on a face iff it is
+    tight on every facet that contains the face.
     """
-    # one scale clears the denominators of the moments and the offsets
-    moments, _ = clear_denominators(
-        [c.moment for c in spec.components] + [[o for _, o in poly.facets]]
-    )
-    levels = moments.pop()
-    tight = []
-    for moment in moments:
-        slack = [
-            sum(map(mul, conormal, moment)) - level
-            for (conormal, _), level in zip(poly.facets, levels)
-        ]
-        inside = all(x >= 0 for x in slack)
-        tight.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
     readings = {}
     for f in poly.lattice.faces:
         row = []

@@ -9,14 +9,14 @@ its direction space, a projection that is injective on its affine hull,
 so momentum images of non-effective actions work unchanged.
 
 Denominators are cleared once per routine: `convex_hull` scales all
-points by one common integer, and `face_lattice` does the same for the
-vertices.  From there the hull runs on integer points: candidate
-normals, sidedness and facet contacts in the projected coordinates,
-then each facet's ambient conormal as the primitive integer vector
-normal to its contacts inside the affine hull.  The face normals and
-the cone test of `in_cone` run fraction-free too (`exactq.eliminate`).
-Only the offsets and the affine hull's basepoint and basis are
-Fractions.
+points by one common integer, and `facet_incidence` scales its points
+and the facet offsets by another.  From there the hull runs on integer
+points: the primitive normals of the affine hull, candidate normals,
+sidedness and facet contacts in the projected coordinates, then each
+facet's ambient conormal as the primitive integer vector normal to its
+contacts and to the hull normals.  The face normals and the cone test
+of `in_cone` run fraction-free too (`exactq.eliminate`).  Only the
+vertices and the facet offsets are Fractions.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from tquot.exactq import (
     nullspace,
     primitive,
     rank,
-    solve_affine,
     solve_fraction_free,
     vec,
     vsub,
@@ -51,11 +50,13 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple[Vector, ...]
     facets: tuple[Facet, ...]
-    affine_hull: tuple[Vector, tuple[Vector, ...]]
+    # primitive integer normals of the affine hull, one per dimension
+    # it lacks: the hull is cut out by <n, x> = <n, v> at any vertex v
+    normals: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.affine_hull[1])
+        return self.ambient_dim - len(self.normals)
 
     @cached_property
     def lattice(self) -> "FaceLattice":
@@ -111,24 +112,22 @@ def convex_hull(points) -> RationalPolytope:
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed length")
-    base, basis = solve_affine(pts)
-    d = len(basis)
-    if d == 0:
-        return RationalPolytope(ambient, (pts[0],), (), (base, ()))
-
     # the points scaled once to integers by a common factor; the normals
     # of their affine hull; and the points projected onto the pivot
     # coordinates of its directions, which is injective on the hull
     ints, scale = clear_denominators(pts)
     diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
-    hull_normals = nullspace(diffs, ambient)
+    hull_normals = tuple(nullspace(diffs, ambient))
     pivots, _ = eliminate(diffs)
+    d = len(pivots)
+    if d == 0:
+        return RationalPolytope(ambient, (pts[0],), (), hull_normals)
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
-    # candidate supporting hyperplanes from affinely independent
-    # d-subsets; a dependent subset leaves more than one normal.  A
-    # candidate that is not a facet is kept as None.
-    supports: dict[tuple[tuple[int, ...], int], Optional[list[int]]] = {}
+    # supporting hyperplanes from affinely independent d-subsets; a
+    # dependent subset leaves more than one normal.  Each one is a facet:
+    # it supports the hull and contains d affinely independent points.
+    supports: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for comb in combinations(range(len(coords)), d):
         p0 = coords[comb[0]]
         normals = nullspace([[a - b for a, b in zip(coords[i], p0)] for i in comb[1:]], d)
@@ -141,14 +140,8 @@ def convex_hull(points) -> RationalPolytope:
             if max(vals) > c:
                 continue
             n, c, vals = tuple(-x for x in n), -c, [-x for x in vals]
-        key = (n, c)
-        if key not in supports:
-            contact = [i for i, x in enumerate(vals) if x == c]
-            # keep true facets only: contact set affinely spans the hyperplane
-            q0 = coords[contact[0]]
-            spans = rank([[a - b for a, b in zip(coords[i], q0)] for i in contact]) == d - 1
-            supports[key] = contact if spans else None
-    supports = {key: contact for key, contact in supports.items() if contact is not None}
+        if (n, c) not in supports:
+            supports[n, c] = [i for i, x in enumerate(vals) if x == c]
 
     # extreme points: active conormals span the full coordinate space
     active_normals: dict[int, list] = {i: [] for i in range(len(pts))}
@@ -165,14 +158,32 @@ def convex_hull(points) -> RationalPolytope:
     for contact in supports.values():
         q0 = ints[contact[0]]
         rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
-        [w] = nullspace(rows + hull_normals, ambient)
+        [w] = nullspace([*rows, *hull_normals], ambient)
         level = sum(map(mul, w, q0))
         off = next(i for i in range(len(ints)) if i not in contact)
         if sum(map(mul, w, ints[off])) < level:
             w, level = tuple(-x for x in w), -level
         facets.append((w, Fraction(level, scale)))
     facets.sort()
-    return RationalPolytope(ambient, vertices, tuple(facets), (base, basis))
+    return RationalPolytope(ambient, vertices, tuple(facets), hull_normals)
+
+
+def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]]]:
+    """For each point, the indices of the facets it lies on, or None
+    when the point is outside the polytope.
+
+    The offsets ride along as one more vector, so that one scale clears
+    the denominators of the points and the offsets and every slack is
+    an integer.
+    """
+    ints, _ = clear_denominators([*points, [o for _, o in p.facets]])
+    levels = ints.pop()
+    incidence = []
+    for q in ints:
+        slack = [sum(map(mul, c, q)) - level for (c, _), level in zip(p.facets, levels)]
+        inside = all(x >= 0 for x in slack)
+        incidence.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
+    return incidence
 
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
@@ -183,17 +194,10 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     the polytope itself is the unique maximum.
     """
     nv = len(p.vertices)
-    # the offsets ride along as one more vector, so that one scale
-    # clears the denominators of the vertices and the offsets
-    verts, _ = clear_denominators(p.vertices + (tuple(o for _, o in p.facets),))
-    levels = verts.pop()
-    all_verts = frozenset(range(nv))
-    sets: set[frozenset[int]] = {all_verts}
-    contact_of_facet: list[frozenset[int]] = []
-    for (conormal, _), level in zip(p.facets, levels):
-        contact = frozenset(i for i, v in enumerate(verts) if sum(map(mul, conormal, v)) == level)
-        contact_of_facet.append(contact)
-        sets.add(contact)
+    incidence = facet_incidence(p, p.vertices)
+    sets: set[frozenset[int]] = {frozenset(range(nv))}
+    for i in range(len(p.facets)):
+        sets.add(frozenset(v for v, on in enumerate(incidence) if i in on))
     worklist = list(sets)
     while worklist:
         s = worklist.pop()
@@ -204,15 +208,13 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
                 worklist.append(meet)
 
     # the face's direction space is cut out of the affine hull's
-    # directions by the conormals of the facets containing it
-    hull_normals = tuple(nullspace(p.affine_hull[1], p.ambient_dim))
+    # directions by the conormals of the facets containing it: the
+    # facets its vertices all lie on
     described = []
     for s in sets:
         vs = tuple(sorted(s))
-        containing = frozenset(
-            i for i, contact in enumerate(contact_of_facet) if contact.issuperset(s)
-        )
-        normals = hull_normals + tuple(p.facets[i][0] for i in sorted(containing))
+        containing = frozenset.intersection(*(incidence[v] for v in vs))
+        normals = p.normals + tuple(p.facets[i][0] for i in sorted(containing))
         described.append((p.ambient_dim - rank(normals), vs, normals, containing))
     described.sort(key=lambda t: (t[0], t[1]))
 
@@ -221,12 +223,8 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
         if len(vs) == nv and dim == p.dim:
             supporting = None
         else:
-            total = [0] * p.ambient_dim
-            total_off = Fraction(0)
-            for i in sorted(containing):
-                conormal, offset = p.facets[i]
-                total = [a + b for a, b in zip(total, conormal)]
-                total_off += offset
+            total = [sum(column) for column in zip(*(p.facets[i][0] for i in containing))]
+            total_off = sum(p.facets[i][1] for i in containing)
             conormal = primitive(total)
             lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
             supporting = (conormal, lam * total_off)

@@ -37,7 +37,7 @@ that leaves through the dense Smith normal form.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
@@ -50,6 +50,10 @@ from tquot.classify import (
 )
 from tquot.exactq import sparse_rank_and_factors
 from tquot.hamspace import StratifiedPolytope
+
+
+# default cap of `verify_report` and `tquot verify --max-simplices`
+MAX_SIMPLICES = 200000
 
 
 class SizeCapExceeded(RuntimeError):
@@ -66,10 +70,9 @@ class SizeCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class OrderedComplex:
     simplices: frozenset
-    labels: Optional[tuple] = field(default=None, compare=False)
 
     @staticmethod
-    def from_simplices(simplices: Iterable[tuple], labels=None) -> "OrderedComplex":
+    def from_simplices(simplices: Iterable[tuple]) -> "OrderedComplex":
         """Close the given simplices downward and validate them."""
         closed = set()
         for s in simplices:
@@ -78,15 +81,11 @@ class OrderedComplex:
                 raise ValueError(f"simplex {s} is not strictly increasing")
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
-        return OrderedComplex(frozenset(closed), labels)
+        return OrderedComplex(frozenset(closed))
 
     @property
     def vertices(self) -> tuple:
         return tuple(sorted({v for s in self.simplices for v in s}))
-
-    @property
-    def dim(self) -> int:
-        return max((len(s) for s in self.simplices), default=0) - 1
 
     @property
     def simplex_count(self) -> int:
@@ -224,11 +223,11 @@ def product_size(k: OrderedComplex, l: OrderedComplex) -> int:
 
 def product(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
     """Staircase triangulation of the product, closed down from its top
-    simplices; vertex labels are the pairs, in lexicographic order."""
+    simplices; vertex i is the i-th pair (v, w) in lexicographic order."""
     if not k.simplices or not l.simplices:
         raise ValueError("product of an empty complex")
-    labels, tops = _staircase(k, l)
-    return OrderedComplex.from_simplices(tops, labels)
+    _, tops = _staircase(k, l)
+    return OrderedComplex.from_simplices(tops)
 
 
 def join(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
@@ -243,8 +242,7 @@ def join(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
     for s in ks:
         for t in ls:
             out.add(s + t)
-    labels = tuple(("left", v) for v in vk) + tuple(("right", w) for w in vl)
-    return OrderedComplex(frozenset(out), labels)
+    return OrderedComplex(frozenset(out))
 
 
 def is_full_subcomplex(base: OrderedComplex, sub: OrderedComplex) -> bool:
@@ -284,8 +282,7 @@ def barycentric_pair(base: OrderedComplex, sub: OrderedComplex):
         for chain in all_chains
         if all(x in sub_set for x in chain)
     )
-    labels = tuple(order)
-    return OrderedComplex(sd_base, labels), OrderedComplex(sd_sub, labels)
+    return OrderedComplex(sd_base), OrderedComplex(sd_sub)
 
 
 def collapse_fibers(
@@ -321,7 +318,7 @@ def collapse_fibers(
     class_id = {c: i for i, c in enumerate(distinct)}
     vmap = [class_id[c] for c in classes]
     images = (tuple(sorted({vmap[v] for v in top})) for top in tops)
-    return OrderedComplex.from_simplices(images, tuple(distinct))
+    return OrderedComplex.from_simplices(images)
 
 
 def _coreduce(cells: list) -> tuple[list, list]:
@@ -491,7 +488,7 @@ def _check(name: str, computed: HomologyProfile, expected: HomologyProfile) -> V
     return VerificationCheck(name, computed.trimmed() == expected.trimmed(), computed, expected)
 
 
-def verify_report(report: TopologyReport, max_simplices: int = 200000) -> VerificationResult:
+def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) -> VerificationResult:
     """Homology check of the classifier's claim on an explicit model.
 
     Builds the collapsed-product model of the quotient and compares its

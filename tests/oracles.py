@@ -17,6 +17,7 @@ this module.
 """
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,7 +38,6 @@ from tquot.exactq import (
     vsub,
 )
 from tquot.hamspace import SpecError, stratify, validate
-from tquot.polytope import RationalPolytope
 from tquot.simplicial import (
     HomologyProfile,
     OrderedComplex,
@@ -160,14 +160,19 @@ def _nullspace_line(rows, ncols):
     return tuple(n)
 
 
-def brute_force_hull(points) -> RationalPolytope:
+# the oracle's hull: vertices and facets as convex_hull gives them, and
+# a Fraction basis of the affine hull's directions
+OracleHull = namedtuple("OracleHull", "ambient_dim vertices facets basis")
+
+
+def brute_force_hull(points) -> OracleHull:
     """Convex hull by C(N, d) enumeration over Fraction affine coordinates."""
     pts = list(dict.fromkeys(vec(p) for p in points))
     ambient = len(pts[0])
     base, basis = fraction_solve_affine(pts)
     d = len(basis)
     if d == 0:
-        return RationalPolytope(ambient, (pts[0],), (), (base, ()))
+        return OracleHull(ambient, (pts[0],), (), ())
     coords = [fraction_coords(vsub(p, base), basis) for p in pts]
     supports = {}
     for comb in combinations(range(len(pts)), d):
@@ -203,7 +208,7 @@ def brute_force_hull(points) -> RationalPolytope:
         lam = next(Fraction(a) / b for a, b in zip(w, w0) if b)
         facets.append((w, lam * (dot(w0, base) + c)))
     facets.sort()
-    return RationalPolytope(ambient, vertices, tuple(facets), (base, basis))
+    return OracleHull(ambient, vertices, tuple(facets), basis)
 
 
 def fraction_in_cone(target, generators) -> bool:
@@ -269,7 +274,7 @@ def close_then_map_collapse(base, sub, fiber) -> OrderedComplex:
     class_id = {c: i for i, c in enumerate(distinct)}
     vmap = [class_id[c] for c in classes]
     out = {tuple(sorted({vmap[v] for v in s})) for s in prod_simplices}
-    return OrderedComplex(frozenset(out), tuple(distinct))
+    return OrderedComplex(frozenset(out))
 
 
 def heap_rank_and_factors(entries, nrows, ncols):

@@ -285,6 +285,69 @@ def test_cli_skip_validation_refuses_wrong_length(tmp_path, capsys, name, vector
     assert "validation failed: V1-structural" in err
 
 
+# passes V1-V7, but a single fixed surface in a four-manifold must be a sphere
+GENUS_ONE_FOUR_MANIFOLD = {
+    "name": "fm",
+    "torus_rank": 1,
+    "half_dim": 2,
+    "fixed_components": [
+        {"kind": "point", "moment": [0], "weights": [[1], [1]]},
+        {"kind": "surface", "genus": 1, "moment": [1], "weights": [[-1]]},
+    ],
+}
+
+# blowup-g at genus 0 with the normal weight of a surface removed:
+# V1 refuses it, and unvalidated stratification finds it inconsistent
+SURFACE_WITHOUT_WEIGHT = {
+    "name": "blowup-g",
+    "torus_rank": 1,
+    "half_dim": 2,
+    "fixed_components": [
+        {"kind": "surface", "genus": 0, "moment": [0], "weights": []},
+        {"kind": "surface", "genus": 0, "moment": [1], "weights": [[-1]]},
+        {"kind": "point", "moment": ["1/2"], "weights": [[1], [-1]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (GENUS_ONE_FOUR_MANIFOLD, ["classify"], "a single fixed surface in a four-manifold"),
+        (GENUS_ONE_FOUR_MANIFOLD, ["verify"], "a single fixed surface in a four-manifold"),
+        (SURFACE_WITHOUT_WEIGHT, ["classify", "--skip-validation"], "face complexity inconsistent"),
+    ],
+    ids=["classify", "verify", "skip-validation"],
+)
+def test_cli_invalid_spec_exits_1(tmp_path, capsys, doc, argv, message):
+    """Data that no action can have is bad input, not an internal error."""
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid spec: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_cli_missing_component_key_names_its_path(tmp_path, capsys):
+    doc = spec_to_json(gallery.build("cp2-s1"))
+    del doc["fixed_components"][1]["moment"]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 2
+    assert err == "error: malformed spec file: fixed_components[1].moment is missing\n"
+
+
+def test_cli_export_to_unwritable_path(tmp_path, capsys):
+    out_path = tmp_path / "no-such-directory" / "x.json"
+    code, out, err = run(capsys, "gallery", "export", "gr2c4", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_cli_gallery_list(capsys):
     code, out, _ = run(capsys, "gallery", "list")
     assert code == 0

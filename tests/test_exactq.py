@@ -11,7 +11,6 @@ from tquot.exactq import (
     primitive,
     rank,
     smith_normal_form,
-    solve_affine,
     sparse_rank_and_factors,
     vec,
 )
@@ -57,40 +56,6 @@ def test_rank_transpose_invariance():
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         mt = [[m[i][j] for i in range(nr)] for j in range(nc)]
         assert rank(m) == rank(mt)
-
-
-def test_solve_affine_plane():
-    base, basis = solve_affine([(0, 0), (1, 0), (0, 1)])
-    assert base == vec((0, 0))
-    assert len(basis) == 2
-
-
-def test_solve_affine_collinear():
-    base, basis = solve_affine([(1, 1), (2, 2), (3, 3)])
-    assert base == vec((1, 1))
-    assert basis == (vec((1, 1)),)
-
-
-def test_solve_affine_hypersimplex_points():
-    pts = [tuple(1 if k in (i, j) else 0 for k in range(4)) for i in range(4) for j in range(i + 1, 4)]
-    assert len(pts) == 6
-    _, basis = solve_affine(pts)
-    assert len(basis) == 3
-    # oracle: rank of all differences agrees
-    diffs = [vdiff(p, pts[0]) for p in pts[1:]]
-    assert rank(diffs) == 3
-
-
-def test_solve_affine_empty():
-    with pytest.raises(ValueError):
-        solve_affine([])
-
-
-def test_solve_affine_points_in_span():
-    pts = [(0, 0, 0), (1, 2, 3), (2, 4, 6), (1, 0, 0)]
-    base, basis = solve_affine(pts)
-    for p in pts:
-        assert lattice_membership(vdiff(p, base), basis)
 
 
 def test_lattice_membership_axis():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from conftest import random_point_set
-from oracles import lattice_membership
+from oracles import fraction_solve_affine, lattice_membership
 from tquot.exactq import dot, primitive, vec, vsub
 from tquot.polytope import (
     cones_equal,
@@ -43,6 +45,30 @@ def test_hull_single_point():
     assert p.facets == ()
 
 
+def test_hull_empty_input_raises():
+    with pytest.raises(ValueError):
+        convex_hull([])
+
+
+def test_hull_collinear_points():
+    p = convex_hull([(1, 1), (2, 2), (3, 3)])
+    assert p.dim == 1
+    assert p.vertices == (vec((1, 1)), vec((3, 3)))
+    assert p.normals in (((1, -1),), ((-1, 1),))
+    assert p.facets == (((-1, -1), -6), ((1, 1), 2))
+
+
+def test_hull_points_in_a_plane():
+    pts = [(0, 0, 0), (1, 2, 3), (2, 4, 6), (1, 0, 0)]
+    p = convex_hull(pts)
+    assert p.dim == 2
+    [n] = p.normals
+    assert primitive(n) in (n, tuple(-x for x in n))
+    for q in pts:
+        assert dot(n, vsub(q, pts[0])) == 0
+    assert set(p.vertices) == {vec((0, 0, 0)), vec((2, 4, 6)), vec((1, 0, 0))}
+
+
 def test_hull_hypersimplex():
     p = convex_hull(hypersimplex_points())
     assert p.dim == 3
@@ -75,7 +101,7 @@ def test_hull_idempotence():
 
 def test_facet_conormals_primitive_and_in_direction_space():
     p = convex_hull(hypersimplex_points())
-    _, basis = p.affine_hull
+    _, basis = fraction_solve_affine(hypersimplex_points())
     for conormal, _ in p.facets:
         assert primitive(conormal) == conormal or primitive(conormal) == tuple(
             -x for x in conormal

@@ -109,9 +109,11 @@ def test_product_projections_are_simplicial():
     k = OrderedComplex.from_simplices([(0, 1, 2)])
     l = interval()
     p = product(k, l)
+    # the product's vertices number the pairs in lexicographic order
+    pairs = [(v, w) for v in k.vertices for w in l.vertices]
     for s in p.simplices:
-        left = tuple(sorted({p.labels[v][0] for v in s}))
-        right = tuple(sorted({p.labels[v][1] for v in s}))
+        left = tuple(sorted({pairs[v][0] for v in s}))
+        right = tuple(sorted({pairs[v][1] for v in s}))
         assert left in k.simplices
         assert right in l.simplices
 

@@ -74,7 +74,6 @@ def test_collapse_matches_close_then_map(name):
     model = collapse_fibers(base, sub, fiber)
     reference = close_then_map_collapse(base, sub, fiber)
     assert model.simplices == reference.simplices
-    assert model.labels == reference.labels
 
 
 def test_collapse_covers_both_branches():
