@@ -164,7 +164,9 @@ def parse_spec(data) -> HamSpec:
         torus_rank = data["torus_rank"]
         half_dim = data["half_dim"]
         raw_components = data["fixed_components"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise SpecFileError(f"malformed spec file: {exc.args[0]} is missing") from exc
+    except TypeError as exc:
         raise SpecFileError(f"malformed spec file: {exc}") from exc
     if not isinstance(name, str):
         raise SpecFileError(f"malformed spec file: name must be a string, got {_shown(name)}")

@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
-from tquot.exactq import Vector, is_zero, rank, vec
+from tquot.exactq import Vector, eliminate, is_zero, rank, vec
 from tquot.polytope import (
     FaceLattice,
     RationalPolytope,
-    cones_equal,
+    _facets,
     convex_hull,
     facet_incidence,
     tangent_cone,
@@ -246,6 +247,46 @@ def malformed_vectors(spec: HamSpec) -> Optional[str]:
     return None
 
 
+def _parens(v) -> str:
+    return f"({', '.join(map(str, v))})"
+
+
+def _tangent_cone_witness(poly: RationalPolytope, v: int, weights) -> Optional[str]:
+    """Why the weights do not generate the tangent cone of poly at
+    vertex v, or None when they do.
+
+    The weights lie in the cone iff each is normal to the hull normals
+    and meets the conormal of every facet at v with >= 0.  The cone lies
+    in theirs iff the weights span the polytope's directions and every
+    edge direction at v satisfies the inequalities of the weight cone:
+    the facets through 0 of the hull of 0 and the weights, in the pivot
+    coordinates of their span.
+    """
+    # the dim-0 faces come first in the lattice, in vertex order
+    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    for w in weights:
+        for n in poly.normals:
+            if sum(map(mul, n, w)):
+                return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
+        for n in at_v:
+            if sum(map(mul, n, w)) < 0:
+                return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
+    edges = tangent_cone(poly, v)
+    pivots, _ = eliminate([list(w) for w in weights])
+    if len(pivots) < poly.dim:
+        e = next(e for e in edges if rank([*weights, e]) > len(pivots))
+        return f"edge direction {_parens(e)} is outside the span of the weights"
+    if not edges:  # a point: its tangent cone is 0
+        return None
+    points = dict.fromkeys([(0,) * len(pivots), *(tuple(w[j] for j in pivots) for w in weights)])
+    cone = [n for n, c in _facets(list(points), len(pivots)) if c == 0]
+    for e in edges:
+        projected = [e[j] for j in pivots]
+        if any(sum(map(mul, n, projected)) < 0 for n in cone):
+            return f"edge direction {_parens(e)} is not in the weight cone"
+    return None
+
+
 def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> ValidationReport:
     """Run the structural and geometric checks in order.
 
@@ -290,9 +331,16 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     lattice = poly.lattice
     d = poly.dim
 
-    # V2: every vertex of the polytope carries exactly one component
-    # (vertex preimages are connected fixed components)
+    # V2: every moment lies in the polytope, and every vertex of the
+    # polytope carries exactly one component (vertex preimages are
+    # connected fixed components)
     problems = []
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    for idx, (comp, t) in enumerate(zip(spec.components, tight)):
+        if t is None:
+            problems.append(
+                f"component {idx}: moment {_parens(comp.moment)} lies outside the polytope"
+            )
     for v in poly.vertices:
         carriers = sum(1 for c in spec.components if c.moment == v)
         if carriers == 0:
@@ -318,11 +366,9 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         if comp.moment not in poly.vertices:
             continue
         v = poly.vertices.index(comp.moment)
-        cone = tangent_cone(poly, v)
-        if not cones_equal(comp.weights, cone):
-            problems.append(
-                f"component {idx}: weight cone differs from the tangent cone at vertex {v}"
-            )
+        witness = _tangent_cone_witness(poly, v, comp.weights)
+        if witness:
+            problems.append(f"component {idx} at vertex {v}: {witness}")
     checks.append(CheckResult("V4-vertex-cone", not problems, "; ".join(problems)))
 
     # V5: all components over a face agree on its complexity, and the

@@ -1,21 +1,22 @@
 """Exact rational convex polytopes.
 
-Hulls are built by brute-force enumeration of candidate supporting
-hyperplanes over affinely independent vertex subsets, with exact
-sidedness tests.  Ambient dimension stays small (at most 4 in every
-shipped specimen), so robustness wins over asymptotics.  A polytope
-that is not full dimensional is enumerated in the pivot coordinates of
-its direction space, a projection that is injective on its affine hull,
-so momentum images of non-effective actions work unchanged.
+A hull is built by the incremental double description method (Fukuda &
+Prodon 1996) on integer points: facets are updated point by point, and
+two facets combine into a new one only when they meet in a ridge, so
+the work follows the facets the hull actually has, not the C(N, d)
+d-subsets of the points.  A polytope that is not full dimensional is
+built in the pivot coordinates of its direction space, a projection
+that is injective on its affine hull, so momentum images of
+non-effective actions work unchanged.
 
 Denominators are cleared once per routine: `convex_hull` scales all
-points by one common integer, and `facet_incidence` scales its points
-and the facet offsets by another.  From there the hull runs on integer
-points: the primitive normals of the affine hull, candidate normals,
-sidedness and facet contacts in the projected coordinates, then each
-facet's ambient conormal as the primitive integer vector normal to its
-contacts and to the hull normals.  The face normals and the cone test
-of `in_cone` run fraction-free too (`exactq.eliminate`).  Only the
+points by one common integer, and `facet_incidence` scales its points,
+the facet offsets and a vertex by another.  From there the hull runs on
+integer points: the primitive normals of the affine hull, the facets
+and their contacts in the projected coordinates, then each facet's
+ambient conormal as the primitive integer vector normal to its contacts
+and to the hull normals.  The face normals and the Caratheodory cone
+test `in_cone` run fraction-free too (`exactq.eliminate`).  Only the
 vertices and the facet offsets are Fractions.
 """
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import Optional
 
@@ -124,28 +126,15 @@ def convex_hull(points) -> RationalPolytope:
         return RationalPolytope(ambient, (pts[0],), (), hull_normals)
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
-    # supporting hyperplanes from affinely independent d-subsets; a
-    # dependent subset leaves more than one normal.  Each one is a facet:
-    # it supports the hull and contains d affinely independent points.
-    supports: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for comb in combinations(range(len(coords)), d):
-        p0 = coords[comb[0]]
-        normals = nullspace([[a - b for a, b in zip(coords[i], p0)] for i in comb[1:]], d)
-        if len(normals) != 1:
-            continue
-        n = normals[0]
-        c = sum(map(mul, n, p0))
-        vals = [sum(map(mul, n, q)) for q in coords]
-        if min(vals) < c:
-            if max(vals) > c:
-                continue
-            n, c, vals = tuple(-x for x in n), -c, [-x for x in vals]
-        if (n, c) not in supports:
-            supports[n, c] = [i for i, x in enumerate(vals) if x == c]
+    # each facet with its contacts among all the points
+    supports = [
+        (n, [i for i, q in enumerate(coords) if sum(map(mul, n, q)) == c])
+        for n, c in _facets(coords, d)
+    ]
 
     # extreme points: active conormals span the full coordinate space
     active_normals: dict[int, list] = {i: [] for i in range(len(pts))}
-    for (n, _), contact in supports.items():
+    for n, contact in supports:
         for i in contact:
             active_normals[i].append(n)
     vertex_idx = [i for i in range(len(pts)) if rank(active_normals[i]) == d]
@@ -155,7 +144,7 @@ def convex_hull(points) -> RationalPolytope:
     # the ambient conormal of a facet is normal to its contacts and lies
     # in the affine hull's directions; a point off the facet signs it
     facets = []
-    for contact in supports.values():
+    for _, contact in supports:
         q0 = ints[contact[0]]
         rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
         [w] = nullspace([*rows, *hull_normals], ambient)
@@ -168,20 +157,82 @@ def convex_hull(points) -> RationalPolytope:
     return RationalPolytope(ambient, vertices, tuple(facets), hull_normals)
 
 
+def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """The facets (n, c), <n, x> >= c with n primitive, of the hull of
+    distinct integer points that affinely span R^d, d >= 1.
+
+    The incremental double description method (Fukuda & Prodon, "Double
+    description method revisited", 1996): start from the simplex on d+1
+    affinely independent points, the first ones one Bareiss pass finds,
+    and insert the other points one at a time.  Each facet keeps its
+    contacts among the points inserted so far as a bitmask.  A facet
+    with slack 0 at the new point gains it as a contact; one with
+    negative slack is dropped.  A dropped facet f and a facet g with
+    positive slack that meet in a ridge give the new facet
+    s_g h_f - s_f h_g through that ridge and the point.  They meet in a
+    ridge iff they share at least d-1 contacts and no third facet holds
+    all of them (the combinatorial adjacency test).
+    """
+    p0 = coords[0]
+    pivots, _ = eliminate([[q[j] - p0[j] for q in coords] for j in range(d)])
+    simplex = [0, *pivots]
+    facets = []  # (normal, offset, contacts)
+    for i in simplex:
+        rest = [j for j in simplex if j != i]
+        q = coords[rest[0]]
+        [n] = nullspace([[a - b for a, b in zip(coords[j], q)] for j in rest[1:]], d)
+        c = sum(map(mul, n, q))
+        if sum(map(mul, n, coords[i])) < c:
+            n, c = tuple(-x for x in n), -c
+        facets.append((n, c, sum(1 << j for j in rest)))
+
+    for k, p in enumerate(coords):
+        if k in simplex:
+            continue
+        bit = 1 << k
+        slacks = [sum(map(mul, n, p)) - c for n, c, _ in facets]
+        new = []
+        for f, sf in zip(facets, slacks):
+            if sf >= 0:
+                continue
+            for g, sg in zip(facets, slacks):
+                if sg <= 0:
+                    continue
+                ridge = f[2] & g[2]
+                if ridge.bit_count() < d - 1 or any(
+                    h is not f and h is not g and h[2] & ridge == ridge for h in facets
+                ):
+                    continue
+                n = [sg * a - sf * b for a, b in zip(f[0], g[0])]
+                content = gcd(*n)
+                c = (sg * f[1] - sf * g[1]) // content
+                new.append((tuple(x // content for x in n), c, ridge | bit))
+        facets = [
+            (n, c, contacts | bit if s == 0 else contacts)
+            for (n, c, contacts), s in zip(facets, slacks)
+            if s >= 0
+        ] + new
+    return [(n, c) for n, c, _ in facets]
+
+
 def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]]]:
     """For each point, the indices of the facets it lies on, or None
-    when the point is outside the polytope.
+    when the point is outside the polytope: off its affine hull, or
+    beneath one of its facets.
 
-    The offsets ride along as one more vector, so that one scale clears
-    the denominators of the points and the offsets and every slack is
-    an integer.
+    The offsets and a vertex ride along as two more vectors, so that
+    one scale clears the denominators of the points, the offsets and
+    the vertex, and every slack is an integer.
     """
-    ints, _ = clear_denominators([*points, [o for _, o in p.facets]])
-    levels = ints.pop()
+    ints, _ = clear_denominators([*points, [o for _, o in p.facets], p.vertices[0]])
+    *ints, levels, base = ints
+    hull = [sum(map(mul, n, base)) for n in p.normals]
     incidence = []
     for q in ints:
         slack = [sum(map(mul, c, q)) - level for (c, _), level in zip(p.facets, levels)]
-        inside = all(x >= 0 for x in slack)
+        inside = all(x >= 0 for x in slack) and all(
+            sum(map(mul, n, q)) == h for n, h in zip(p.normals, hull)
+        )
         incidence.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
     return incidence
 
@@ -274,9 +325,3 @@ def in_cone(target, generators) -> bool:
             if solution is not None and all(x * solution[1] >= 0 for x in solution[0]):
                 return True
     return False
-
-
-def cones_equal(gens_a, gens_b) -> bool:
-    return all(in_cone(g, gens_b) for g in gens_a) and all(
-        in_cone(g, gens_a) for g in gens_b
-    )

@@ -3,8 +3,10 @@
 These are the routines as they were before the polytope layer and the
 exact linear algebra moved to fraction-free integer arithmetic: rank,
 determinant, affine span and coordinates by rational elimination, the
-brute-force hull on top of them, the span-membership parallel test and
-the Caratheodory cone test with a rational subset solve.  Below them are
+C(N, d) brute-force hull on top of them, the span-membership parallel
+test, the Caratheodory cone test with a rational subset solve, and the
+cone equality by the integer Caratheodory test `in_cone`, which decided
+the vertex-cone check V4 before it read facet inequalities.  Below them are
 the verification model as it was built before it went through top
 simplices and a row sweep: the staircase product closed downward in
 full, the fiber collapse that maps every face of that closure, and the
@@ -38,6 +40,7 @@ from tquot.exactq import (
     vsub,
 )
 from tquot.hamspace import SpecError, stratify, validate
+from tquot.polytope import in_cone
 from tquot.simplicial import (
     HomologyProfile,
     OrderedComplex,
@@ -225,6 +228,14 @@ def fraction_in_cone(target, generators) -> bool:
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def cones_equal(gens_a, gens_b) -> bool:
+    """Do the two families generate the same cone?  Each member of one
+    must lie in the cone of the other, by the Caratheodory subset search
+    of `in_cone`: the vertex-cone test V4 ran before it read facet
+    inequalities."""
+    return all(in_cone(g, gens_b) for g in gens_a) and all(in_cone(g, gens_a) for g in gens_b)
 
 
 def _staircases(sigma: tuple, tau: tuple):

@@ -340,6 +340,18 @@ def test_cli_missing_component_key_names_its_path(tmp_path, capsys):
     assert err == "error: malformed spec file: fixed_components[1].moment is missing\n"
 
 
+@pytest.mark.parametrize("key", ["name", "torus_rank", "half_dim", "fixed_components"])
+def test_cli_missing_top_level_key_names_it(tmp_path, capsys, key):
+    doc = spec_to_json(gallery.build("cp2-s1"))
+    del doc[key]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed spec file: {key} is missing\n"
+
+
 def test_cli_export_to_unwritable_path(tmp_path, capsys):
     out_path = tmp_path / "no-such-directory" / "x.json"
     code, out, err = run(capsys, "gallery", "export", "gr2c4", str(out_path))

@@ -2,8 +2,9 @@
 
 The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
-of validate; the components over each face come from one component x
-facet incidence.  The counting tests wrap the builders in every tquot
+of validate, which decides the vertex cones without the Caratheodory
+search of in_cone; the components over each face come from one
+component x facet incidence.  The counting tests wrap the builders in every tquot
 namespace that holds them; the oracle keeps the dot-product membership
 test the incidence replaced.
 """
@@ -15,7 +16,7 @@ from collections import Counter
 import pytest
 
 from conftest import polytope_specimens
-from tquot import cli, gallery, hamspace, polytope
+from tquot import classify, cli, gallery, hamspace, polytope
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
 from tquot.hamspace import read_faces
@@ -86,6 +87,17 @@ def test_skip_validation_runs_no_validation(tmp_path, capsys, passes):
     dump_spec(gallery.build("s2cubed"), str(path))
     assert _main(capsys, "classify", str(path), "--skip-validation") == 0
     assert passes == {"read_faces": 1}
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_classify_builds_one_hull_and_runs_no_cone_search(monkeypatch, name):
+    # V4 reads facet inequalities, so the Caratheodory subset search of
+    # in_cone stays off the hot path, and the weight cones it builds do
+    # not count as hulls
+    spec = gallery.build(name)
+    calls = _counter(monkeypatch, polytope, ("convex_hull", "in_cone"))
+    classify(spec)
+    assert (calls["convex_hull"], calls["in_cone"]) == (1, 0)
 
 
 def test_no_hull_for_spec_failing_v1(tmp_path, capsys, builds):

@@ -1,0 +1,88 @@
+"""The incremental hull and the vertex-cone test at scale.
+
+`convex_hull` builds facets by double description, and V4 reads the
+facet inequalities of the weight cone.  Where the brute-force hull is
+out of reach (the A4 regular orbit has C(120, 4) = 8 214 570
+candidates), the face counts are checked against theory.  V4 is
+compared with the Caratheodory cone equality it replaced
+(tests/oracles.py) at every vertex of every specimen, under seeded sign
+changes of the weights.  The hull's own differential tests against the
+brute-force oracle are in test_fraction_free.py.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+from conftest import polytope_specimens
+from oracles import cones_equal
+from tquot import classify, gallery
+from tquot.classify import StratificationOnly
+from tquot.hamspace import _tangent_cone_witness
+from tquot.polytope import tangent_cone
+
+
+@pytest.fixture(scope="module")
+def a4_regular():
+    return gallery.coadjoint_orbit(gallery.root_system("A", 4), (2, 1, 0, -1, -2))
+
+
+def _f_vector(poly):
+    dims = [f.dim for f in poly.lattice.faces]
+    return tuple(dims.count(k) for k in range(poly.dim))
+
+
+def test_a4_permutohedron_face_counts(a4_regular):
+    # the permutohedron of order 5: faces of dimension k are the ordered
+    # set partitions of {1..5} into 5 - k blocks
+    poly = a4_regular.polytope
+    assert poly.dim == 4
+    assert _f_vector(poly) == (120, 240, 150, 30)
+
+
+def test_a4_regular_orbit_classifies_to_stratification_only(a4_regular):
+    report = classify(a4_regular)
+    assert report.verdict == StratificationOnly()
+    assert report.validation.ok
+    assert report.stratification.complexity == 10 - 4
+
+
+def test_sphere_product_zonotope_face_counts():
+    # (S^2)^5 under T^4: the zonotope of five generators in general
+    # position in R^4 has 2 C(5, 3) facets and 2 (C(4,0)+...+C(4,3)) vertices
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    poly = gallery.sphere_product([*e, (1, 1, 1, 1)], 4).polytope
+    assert len(poly.facets) == 2 * comb(5, 3) == 20
+    assert len(poly.vertices) == 2 * sum(comb(4, i) for i in range(4)) == 30
+
+
+def _sign_changes(rng, weights):
+    """The weights, all negated, one negated, and one entry of one
+    weight with its sign flipped."""
+    out = [weights, tuple(tuple(-x for x in w) for w in weights)]
+    if weights:
+        i = rng.randrange(len(weights))
+        out.append(weights[:i] + (tuple(-x for x in weights[i]),) + weights[i + 1 :])
+        nonzero = [(i, j) for i, w in enumerate(weights) for j, x in enumerate(w) if x]
+        i, j = rng.choice(nonzero)
+        flipped = tuple(-x if k == j else x for k, x in enumerate(weights[i]))
+        out.append(weights[:i] + (flipped,) + weights[i + 1 :])
+    return out
+
+
+def test_vertex_cone_matches_cone_equality_oracle():
+    rng = random.Random(1996)
+    decisions = []
+    for spec in polytope_specimens():
+        poly = spec.polytope
+        for comp in spec.components:
+            if comp.moment not in poly.vertices:
+                continue
+            v = poly.vertices.index(comp.moment)
+            edges = tangent_cone(poly, v)
+            for weights in _sign_changes(rng, comp.weights):
+                ok = _tangent_cone_witness(poly, v, weights) is None
+                assert ok == cones_equal(weights, edges), (spec.name, v, weights)
+                decisions.append(ok)
+    assert decisions.count(True) > 60 and decisions.count(False) > 150

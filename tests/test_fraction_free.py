@@ -78,6 +78,89 @@ def _assert_same_hull(points, label):
     assert all(dot(n, b) == 0 for n in new.normals for b in old.basis), label
 
 
+def _cube_face_points(rng, count):
+    """The corners of [0, 2]^3 and grid points with one or two
+    coordinates fixed at 0 or 2: on its facets and on its ridges."""
+    points = [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
+    for _ in range(count):
+        q = [rng.randint(0, 2) for _ in range(3)]
+        for j in rng.sample(range(3), rng.randint(1, 2)):
+            q[j] = rng.choice((0, 2))
+        points.append(tuple(q))
+    return points
+
+
+def _cross_polytope_ridge_points(rng, count):
+    """The vertices of the cross-polytope in R^4 and points on its
+    edges, which lie on ridges and facets: (+-a, +-b, 0, 0) with
+    a + b = 1, in shuffled coordinates."""
+    points = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    for _ in range(count):
+        a = Fraction(rng.randint(1, 3), 4)
+        q = [rng.choice((1, -1)) * a, rng.choice((1, -1)) * (1 - a), 0, 0]
+        rng.shuffle(q)
+        points.append(tuple(q))
+    return points
+
+
+def _simplex_face_points(rng, dim, count):
+    """Rational points on the facets and ridges of a random integer
+    simplex: convex combinations of d or d-1 of its vertices."""
+    vertices = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 1)]
+    points = list(vertices)
+    for _ in range(count):
+        support = rng.sample(vertices, rng.randint(dim - 1, dim))
+        weights = [rng.randint(1, 3) for _ in support]
+        total = sum(weights)
+        points.append(
+            tuple(sum(Fraction(w, total) * v[j] for w, v in zip(weights, support)) for j in range(dim))
+        )
+    return points
+
+
+def _flat_points_in_r4(rng, flat_dim, count):
+    """Grid points of a random line or plane in R^4: collinear or
+    coplanar, many of them on the edges of their hull."""
+    base = [rng.randint(-2, 2) for _ in range(4)]
+    basis = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(flat_dim)]
+    points = []
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in range(flat_dim)]
+        points.append(tuple(base[j] + sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(4)))
+    return points
+
+
+def _degenerate_point_sets():
+    rng = random.Random(19960101)
+    sets = []
+    for _ in range(2):
+        sets.append(_cube_face_points(rng, 6))
+        sets.append(_cross_polytope_ridge_points(rng, 3))
+        sets.append(_simplex_face_points(rng, 3, 8))
+        sets.append(_simplex_face_points(rng, 4, 6))
+        sets.append(_flat_points_in_r4(rng, 1, 8))
+        sets.append(_flat_points_in_r4(rng, 2, 12))
+    # a grid square in R^4 and a 3 x 2 x 2 grid box, shuffled
+    square = [(a, b, 0, 1) for a in range(4) for b in range(4)]
+    box = [(a, b, c, 0) for a in range(3) for b in range(2) for c in range(2)]
+    for grid in (square, box):
+        rng.shuffle(grid)
+        sets.append(grid)
+    # duplicates, in shuffled order
+    for pts in [sets[0], sets[2], sets[4], sets[5], square]:
+        doubled = pts + rng.sample(pts, len(pts) // 2)
+        rng.shuffle(doubled)
+        sets.append(doubled)
+    return sets
+
+
+def test_hull_matches_brute_force_on_degenerate_sets():
+    point_sets = _degenerate_point_sets()
+    assert {convex_hull(pts).dim for pts in point_sets} == {1, 2, 3, 4}
+    for pts in point_sets:
+        _assert_same_hull(pts, pts)
+
+
 def test_hull_matches_brute_force_on_specimens():
     for spec in polytope_specimens():
         _assert_same_hull([c.moment for c in spec.components], spec.name)

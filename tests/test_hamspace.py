@@ -37,6 +37,8 @@ def test_moment_polytope_single_point():
     poly = moment_polytope(spec)
     assert poly.dim == 0
     assert poly.vertices == (vec((0, 0)),)
+    # a point's tangent cone is 0, generated by no weights
+    assert validate(spec).ok
 
 
 def test_moment_polytope_gr2c4_is_hypersimplex():
@@ -297,3 +299,74 @@ def test_face_complexity_disagreement_raises():
     )
     with pytest.raises(SpecError):
         stratify(spec)
+
+
+@pytest.mark.parametrize("moment", [(3, 3), (2, -1), (0, 1)], ids=["beyond-end", "off-hull", "off-hull-between"])
+def test_validate_moment_outside_given_polytope_fails_v2(moment):
+    # P is the segment from (0, 0) to (1, 1); (3, 3) lies on its line
+    # beyond an end, (2, -1) and (0, 1) off its line
+    ends = (point_component((0, 0), ((1, 1),)), point_component((1, 1), ((-1, -1),)))
+    segment = HamSpec("segment", 2, 1, ends)
+    extra = replace(segment, components=ends + (point_component(moment, ((1, 1),)),))
+    report = validate(extra, polytope=segment.polytope)
+    assert [f.name for f in report.failed] == ["V2-vertex-coverage"]
+    [v2] = report.failed
+    assert v2.detail == f"component 2: moment ({moment[0]}, {moment[1]}) lies outside the polytope"
+
+
+def _v4_detail(spec):
+    [v4] = [c for c in validate(spec).checks if c.name == "V4-vertex-cone"]
+    assert not v4.passed
+    return v4.detail
+
+
+def test_v4_names_the_weight_and_the_violated_facet():
+    spec = gallery.build("s2cubed")
+    i = component_at(spec, (2, 1))
+    c = spec.components[i]
+    flipped = replace(c, weights=tuple((0, 1) if w == (0, -1) else w for w in c.weights))
+    v = spec.polytope.vertices.index(c.moment)
+    assert _v4_detail(with_component(spec, i, flipped)) == (
+        f"component {i} at vertex {v}: weight (0, 1) violates the facet with conormal (0, -1)"
+    )
+
+
+def _toric_square(weights_at_origin):
+    """The toric square [0, 1]^2, with the weights at (0, 0) replaced."""
+    return HamSpec(
+        "square",
+        2,
+        2,
+        (
+            point_component((0, 0), weights_at_origin),
+            point_component((1, 0), ((-1, 0), (0, 1))),
+            point_component((0, 1), ((1, 0), (0, -1))),
+            point_component((1, 1), ((-1, 0), (0, -1))),
+        ),
+    )
+
+
+def test_v4_names_the_uncovered_edge_direction():
+    assert validate(_toric_square(((1, 0), (0, 1)))).ok
+    # inside the tangent cone, but the cone of (1, 0) and (1, 1) misses
+    # the edge direction (0, 1)
+    assert _v4_detail(_toric_square(((1, 0), (1, 1)))) == (
+        "component 0 at vertex 0: edge direction (0, 1) is not in the weight cone"
+    )
+    # a doubled weight spans a line only
+    assert _v4_detail(_toric_square(((1, 0), (1, 0)))) == (
+        "component 0 at vertex 0: edge direction (0, 1) is outside the span of the weights"
+    )
+
+
+def test_v4_names_a_weight_off_the_affine_hull():
+    spec = HamSpec(
+        "segment",
+        2,
+        1,
+        (point_component((0, 0), ((1, 0),)), point_component((1, 1), ((-1, -1),))),
+    )
+    [n] = spec.polytope.normals
+    assert _v4_detail(spec) == (
+        f"component 0 at vertex 0: weight (1, 0) leaves the affine hull (normal ({n[0]}, {n[1]}))"
+    )

@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 
 from conftest import random_point_set
-from oracles import fraction_solve_affine, lattice_membership
+from oracles import cones_equal, fraction_solve_affine, lattice_membership
 from tquot.exactq import dot, primitive, vec, vsub
 from tquot.polytope import (
-    cones_equal,
     convex_hull,
     face_lattice,
+    facet_incidence,
     in_cone,
     tangent_cone,
 )
@@ -200,6 +200,15 @@ def test_tangent_cone_matches_edges():
             if f.dim == 1 and v in f.vertex_set
         }
         assert gens == edge_dirs
+
+
+def test_facet_incidence_refuses_points_off_the_affine_hull():
+    p = convex_hull([(0, 0), (1, 1)])
+    assert p.facets == (((-1, -1), -2), ((1, 1), 0))
+    inner = (Fraction(1, 2), Fraction(1, 2))
+    assert facet_incidence(p, [(0, 0), (1, 1), inner]) == [{1}, {0}, set()]
+    # beyond an end on the line, and off the line inside both half-spaces
+    assert facet_incidence(p, [(3, 3), (2, -1), (0, 1)]) == [None, None, None]
 
 
 def test_in_cone():
