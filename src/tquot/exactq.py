@@ -47,7 +47,9 @@ def vsub(a, b) -> Vector:
 
 def integral(v) -> tuple[int, ...]:
     """v scaled by the lcm of its entries' denominators: an integer
-    vector with the same direction."""
+    vector with the same direction.  An integer vector is itself."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     factor = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (factor // x.denominator) for x in v)
 

@@ -26,11 +26,10 @@ from itertools import combinations
 from operator import mul
 from typing import Optional
 
-from tquot.exactq import Vector, eliminate, is_zero, rank, vec
+from tquot.exactq import Vector, is_zero, primitive, rank, vec
 from tquot.polytope import (
     FaceLattice,
     RationalPolytope,
-    _facets,
     convex_hull,
     facet_incidence,
     tangent_cone,
@@ -152,21 +151,27 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
     """Face id -> a reading for each component whose moment lies on the face.
 
     The rule: weights parallel to the face, plus one for the implicit
-    zero weight of a surface, minus dim F.  The components on a face
-    come from one component x facet incidence (`facet_incidence`): the
-    facets tight at each moment, or None for a moment outside the
-    polytope.  A moment inside the polytope lies on a face iff it is
-    tight on every facet that contains the face.
+    zero weight of a surface, minus dim F.  It is read in integers,
+    once per component and once per distinct weight: the facets tight at
+    each moment (`facet_incidence`, None outside the polytope), whether
+    the moment is a vertex, and for a weight in the polytope's
+    directions the facets whose conormal it meets with 0.  A moment
+    inside lies on a face, and a weight is parallel to it, iff those
+    facets hold every facet that contains the face.
     """
     tight = facet_incidence(poly, [c.moment for c in spec.components])
+    vertices = set(poly.vertices)
+    at_vertex = [c.moment in vertices for c in spec.components]
+    weights = dict.fromkeys(w for c in spec.components for w in c.weights)
+    zeros = {w: poly.zero_facets(w) for w in weights if poly.off_hull(w) is None}
     readings = {}
     for f in poly.lattice.faces:
         row = []
-        for comp, t in zip(spec.components, tight):
+        for comp, t, vertex in zip(spec.components, tight, at_vertex):
             if t is not None and f.facets <= t:
-                parallel = tuple(w for w in comp.weights if f.parallel(w))
+                parallel = tuple(w for w in comp.weights if w in zeros and f.facets <= zeros[w])
                 k = len(parallel) + comp.is_surface - f.dim
-                row.append(FaceReading(comp, k, parallel, comp.moment in f.vertex_coords))
+                row.append(FaceReading(comp, k, parallel, vertex))
         readings[f.id] = tuple(row)
     return readings
 
@@ -255,36 +260,32 @@ def _tangent_cone_witness(poly: RationalPolytope, v: int, weights) -> Optional[s
     """Why the weights do not generate the tangent cone of poly at
     vertex v, or None when they do.
 
-    The weights lie in the cone iff each is normal to the hull normals
-    and meets the conormal of every facet at v with >= 0.  The cone lies
-    in theirs iff the weights span the polytope's directions and every
-    edge direction at v satisfies the inequalities of the weight cone:
-    the facets through 0 of the hull of 0 and the weights, in the pivot
-    coordinates of their span.
+    The weights lie in the tangent cone iff each lies in the polytope's
+    directions and meets the conormal of every facet at v with >= 0.
+    The tangent cone is pointed and its extreme rays are the edge
+    directions at v, so then the two cones are equal iff every edge
+    direction is a positive multiple of a weight.  An edge direction
+    that is not lies outside the span of the weights when they do not
+    span the polytope's directions, and outside their cone otherwise.
     """
     # the dim-0 faces come first in the lattice, in vertex order
     at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
     for w in weights:
-        for n in poly.normals:
-            if sum(map(mul, n, w)):
-                return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
+        n = poly.off_hull(w)
+        if n is not None:
+            return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
         for n in at_v:
             if sum(map(mul, n, w)) < 0:
                 return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
-    edges = tangent_cone(poly, v)
-    pivots, _ = eliminate([list(w) for w in weights])
-    if len(pivots) < poly.dim:
-        e = next(e for e in edges if rank([*weights, e]) > len(pivots))
-        return f"edge direction {_parens(e)} is outside the span of the weights"
-    if not edges:  # a point: its tangent cone is 0
+    rays = {primitive(w) for w in weights if any(w)}
+    missed = [e for e in tangent_cone(poly, v) if e not in rays]
+    if not missed:
         return None
-    points = dict.fromkeys([(0,) * len(pivots), *(tuple(w[j] for j in pivots) for w in weights)])
-    cone = [n for n, c in _facets(list(points), len(pivots)) if c == 0]
-    for e in edges:
-        projected = [e[j] for j in pivots]
-        if any(sum(map(mul, n, projected)) < 0 for n in cone):
-            return f"edge direction {_parens(e)} is not in the weight cone"
-    return None
+    span = rank(weights)
+    if span < poly.dim:
+        e = next(e for e in missed if rank([*weights, e]) > span)
+        return f"edge direction {_parens(e)} is outside the span of the weights"
+    return f"edge direction {_parens(missed[0])} is not in the weight cone"
 
 
 def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> ValidationReport:
@@ -341,8 +342,11 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(
                 f"component {idx}: moment {_parens(comp.moment)} lies outside the polytope"
             )
-    for v in poly.vertices:
-        carriers = sum(1 for c in spec.components if c.moment == v)
+    carried = dict.fromkeys(poly.vertices, 0)
+    for comp in spec.components:
+        if comp.moment in carried:
+            carried[comp.moment] += 1
+    for v, carriers in carried.items():
         if carriers == 0:
             problems.append(f"vertex {tuple(map(str, v))} has no component")
         elif carriers > 1:
@@ -352,8 +356,13 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # V3: at every component the weights span the direction space of the polytope
     problems = []
     for idx, comp in enumerate(spec.components):
-        if not all(lattice.top.parallel(w) for w in comp.weights):
-            problems.append(f"component {idx}: weight outside the polytope directions")
+        off = [(w, n) for w in comp.weights if (n := poly.off_hull(w))]
+        if off:
+            w, n = off[0]
+            problems.append(
+                f"component {idx}: weight {_parens(w)} leaves the polytope's directions"
+                f" (normal {_parens(n)})"
+            )
         elif rank(comp.weights) != d:
             problems.append(f"component {idx}: weights do not span the polytope directions")
     checks.append(CheckResult("V3-weight-span", not problems, "; ".join(problems)))
@@ -362,10 +371,11 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # surface, generate the tangent cone there (a surface's implicit zero
     # weight adds nothing to the cone)
     problems = []
+    vertex_index = {v: i for i, v in enumerate(poly.vertices)}
     for idx, comp in enumerate(spec.components):
-        if comp.moment not in poly.vertices:
+        v = vertex_index.get(comp.moment)
+        if v is None:
             continue
-        v = poly.vertices.index(comp.moment)
         witness = _tangent_cone_witness(poly, v, comp.weights)
         if witness:
             problems.append(f"component {idx} at vertex {v}: {witness}")
@@ -397,13 +407,15 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             )
     checks.append(CheckResult("V5-face-complexity", not problems, "; ".join(problems)))
 
-    # V6: complexity is monotone along face containment
-    problems = []
-    for a, b in lattice.containment:
-        if a in fc and b in fc and fc[a] > fc[b]:
-            problems.append(
-                f"face {lattice.face(a).vertex_set} exceeds its superface {lattice.face(b).vertex_set}"
-            )
+    # V6: complexity is monotone along face containment.  By transitivity it is enough to
+    # compare a face with its covers, looking through those that V2 or V5 left without one
+    near: dict[int, set[int]] = {}
+    for a, b in lattice.covers:  # sorted, so near[a] is complete here
+        near.setdefault(b, set()).update({a} if a in fc else near.get(a, ()))
+    problems = [
+        f"face {lattice.face(a).vertex_set} exceeds its superface {lattice.face(b).vertex_set}"
+        for a, b in sorted((a, b) for b in fc for a in near.get(b, ()) if fc[a] > fc[b])
+    ]
     checks.append(CheckResult("V6-monotonicity", not problems, "; ".join(problems)))
 
     # V7: one genus when complexity-one and nothing is short

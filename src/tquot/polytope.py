@@ -15,9 +15,9 @@ the facet offsets and a vertex by another.  From there the hull runs on
 integer points: the primitive normals of the affine hull, the facets
 and their contacts in the projected coordinates, then each facet's
 ambient conormal as the primitive integer vector normal to its contacts
-and to the hull normals.  The face normals and the Caratheodory cone
-test `in_cone` run fraction-free too (`exactq.eliminate`).  Only the
-vertices and the facet offsets are Fractions.
+and to the hull normals.  The face lattice runs on vertex-facet bitmasks,
+and the cone test `in_cone` fraction-free (`exactq.eliminate`).  Only
+the vertices and the facet offsets are Fractions.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from tquot.exactq import (
     rank,
     solve_fraction_free,
     vec,
-    vsub,
 )
 
 # a facet is (conormal, offset) meaning <conormal, x> >= offset
@@ -65,6 +64,17 @@ class RationalPolytope:
         """The face lattice, built on first use and kept with the polytope."""
         return face_lattice(self)
 
+    def off_hull(self, w) -> Optional[tuple[int, ...]]:
+        """The first hull normal the integer vector w meets with nonzero,
+        or None when w lies in the polytope's directions."""
+        return next((n for n in self.normals if sum(map(mul, n, w))), None)
+
+    def zero_facets(self, w) -> frozenset[int]:
+        """The facets whose conormal the integer vector w meets with 0.
+        A w in the polytope's directions is parallel to a face iff these
+        hold the facets containing the face."""
+        return frozenset(i for i, (n, _) in enumerate(self.facets) if not sum(map(mul, n, w)))
+
 
 @dataclass(frozen=True)
 class Face:
@@ -72,22 +82,16 @@ class Face:
     dim: int
     vertex_set: tuple[int, ...]
     vertex_coords: tuple[Vector, ...]
-    # integer normals cutting out the face's direction space: the
-    # primitive normals of the polytope's affine hull, then the
-    # conormals of the facets containing the face
-    normals: tuple[tuple[int, ...], ...]
     supporting: Optional[Facet]
     facets: frozenset[int]  # indices of the facets containing the face
-
-    def parallel(self, w) -> bool:
-        """Does the integer vector w lie in the direction space of the face?"""
-        return all(sum(map(mul, n, w)) == 0 for n in self.normals)
 
 
 @dataclass(frozen=True)
 class FaceLattice:
     faces: tuple[Face, ...]
-    containment: tuple[tuple[int, int], ...]
+    covers: tuple[tuple[int, int], ...]  # (a, b) when face a is a facet of face b, sorted
+    # per vertex, the sorted primitive integer directions of its edges
+    edges: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def top(self) -> Face:
@@ -238,72 +242,71 @@ def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]
 
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
-    """Every nonempty face of the polytope, ordered by dimension.
+    """Every nonempty face of the polytope, ordered by dimension, the
+    cover relation among them and the edge directions at each vertex.
 
-    Faces are intersections of facet vertex sets, so the closure of the
-    facet contacts under pairwise intersection enumerates all of them;
-    the polytope itself is the unique maximum.
+    The walk goes down from the polytope on vertex sets as bitmasks
+    (Kaibel & Pfetsch, "Computing the face lattice of a polytope from
+    its vertex-facet incidences", Comput. Geom. 23, 2002): the facets of
+    a face F are the maximal sets among F & G over the facets G of the
+    polytope that do not contain F.  A face's dimension is its level.
     """
     nv = len(p.vertices)
     incidence = facet_incidence(p, p.vertices)
-    sets: set[frozenset[int]] = {frozenset(range(nv))}
-    for i in range(len(p.facets)):
-        sets.add(frozenset(v for v, on in enumerate(incidence) if i in on))
-    worklist = list(sets)
-    while worklist:
-        s = worklist.pop()
-        for t in list(sets):
-            meet = s & t
-            if meet and meet not in sets:
-                sets.add(meet)
-                worklist.append(meet)
+    on = [sum(1 << v for v, at in enumerate(incidence) if i in at) for i in range(len(p.facets))]
+    top = (1 << nv) - 1
+    # vertex mask -> (dim, vertex set, the facets containing the face)
+    found = {top: (p.dim, tuple(range(nv)), frozenset())}
+    below: dict[int, list[int]] = {}  # vertex mask -> the masks of its facets
+    level = [top]
+    for dim in range(p.dim - 1, -1, -1):
+        lower = []
+        for f in level:
+            _, vs, containing = found[f]
+            meets = {f & g for i, g in enumerate(on) if i not in containing and f & g}
+            below[f] = []
+            # a set no larger than the ones kept is maximal iff none of
+            # them holds it
+            for h in sorted(meets, key=int.bit_count, reverse=True):
+                if all(h & k != h for k in below[f]):
+                    below[f].append(h)
+                    if h not in found:
+                        held = frozenset(i for i, g in enumerate(on) if g & h == h)
+                        found[h] = (dim, tuple(v for v in vs if h >> v & 1), held)
+                        lower.append(h)
+        level = lower
 
-    # the face's direction space is cut out of the affine hull's
-    # directions by the conormals of the facets containing it: the
-    # facets its vertices all lie on
-    described = []
-    for s in sets:
-        vs = tuple(sorted(s))
-        containing = frozenset.intersection(*(incidence[v] for v in vs))
-        normals = p.normals + tuple(p.facets[i][0] for i in sorted(containing))
-        described.append((p.ambient_dim - rank(normals), vs, normals, containing))
-    described.sort(key=lambda t: (t[0], t[1]))
-
+    # a proper face is supported by the sum of the conormals of the
+    # facets containing it, at the level of any of its vertices
+    ints, scale = clear_denominators(p.vertices)
+    order = sorted(found, key=lambda mask: found[mask][:2])
     faces = []
-    for fid, (dim, vs, normals, containing) in enumerate(described):
-        if len(vs) == nv and dim == p.dim:
-            supporting = None
-        else:
-            total = [sum(column) for column in zip(*(p.facets[i][0] for i in containing))]
-            total_off = sum(p.facets[i][1] for i in containing)
-            conormal = primitive(total)
-            lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
-            supporting = (conormal, lam * total_off)
-        coords = tuple(p.vertices[i] for i in vs)
-        faces.append(Face(fid, dim, vs, coords, normals, supporting, containing))
+    edges: list[list] = [[] for _ in ints]
+    for fid, mask in enumerate(order):
+        dim, vs, containing = found[mask]
+        supporting = None
+        if containing:
+            conormal = primitive([sum(c) for c in zip(*(p.facets[i][0] for i in containing))])
+            supporting = (conormal, Fraction(sum(map(mul, conormal, ints[vs[0]])), scale))
+        if dim == 1:
+            a, b = vs
+            edges[a].append(primitive([y - x for x, y in zip(ints[a], ints[b])]))
+            edges[b].append(tuple(-x for x in edges[a][-1]))
+        faces.append(Face(fid, dim, vs, tuple(p.vertices[i] for i in vs), supporting, containing))
 
-    vertex_sets = [frozenset(f.vertex_set) for f in faces]
-    containment = tuple(
-        (a, b)
-        for a, sa in enumerate(vertex_sets)
-        for b, sb in enumerate(vertex_sets)
-        if sa < sb
-    )
-    return FaceLattice(tuple(faces), containment)
+    ids = {mask: fid for fid, mask in enumerate(order)}
+    covers = tuple(sorted((ids[h], ids[f]) for f, hs in below.items() for h in hs))
+    return FaceLattice(tuple(faces), covers, tuple(tuple(sorted(e)) for e in edges))
 
 
 def tangent_cone(p: RationalPolytope, v: int):
-    """Primitive generators of the edge directions at vertex v.
+    """Primitive generators of the edge directions at vertex v, as the
+    face lattice keeps them.
 
     The cone they span is the set of directions pointing into the
     polytope at that vertex.
     """
-    gens = []
-    for f in p.lattice.faces:
-        if f.dim == 1 and v in f.vertex_set:
-            other = next(i for i in f.vertex_set if i != v)
-            gens.append(primitive(vsub(p.vertices[other], p.vertices[v])))
-    return tuple(sorted(gens))
+    return p.lattice.edges[v]
 
 
 def in_cone(target, generators) -> bool:

@@ -410,14 +410,15 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
 
     Pulling triangulation in face-lattice order: each face is the cone
     from its smallest vertex over the already-triangulated facets that
-    miss it.  Triangulations therefore restrict compatibly to subfaces,
-    and any downward-closed selection of faces is automatically a
-    subcomplex of the result.  Only polytope vertices are used.
+    miss it, among the faces it covers.  Triangulations therefore
+    restrict compatibly to subfaces, and any downward-closed selection
+    of faces (checked along covers) is automatically a subcomplex of the
+    result.  Only polytope vertices are used.
     """
     lattice = sp.lattice
     ids = set(face_ids)
     sub_of = {f.id: set() for f in lattice.faces}
-    for a, b in lattice.containment:
+    for a, b in lattice.covers:
         sub_of[b].add(a)
     for fid in ids:
         if not sub_of[fid] <= ids:
@@ -431,8 +432,7 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
         apex = min(f.vertex_set)
         cells = set()
         for gid in sub_of[f.id]:
-            g = lattice.face(gid)
-            if g.dim != f.dim - 1 or apex in g.vertex_set:
+            if apex in lattice.face(gid).vertex_set:
                 continue
             for s in tri[gid]:
                 cells.add(tuple(sorted(set(s) | {apex})))

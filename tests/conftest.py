@@ -47,6 +47,32 @@ def without_component(spec, index):
     return replace(spec, components=comps)
 
 
+def random_unimodular(rng, r):
+    m = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    for _ in range(8):
+        a, b = rng.randrange(r), rng.randrange(r)
+        if a != b:
+            q = rng.randint(-2, 2)
+            for j in range(r):
+                m[a][j] += q * m[b][j]
+    return m
+
+
+def _apply(m, v):
+    return tuple(sum(Fraction(m[i][j]) * Fraction(v[j]) for j in range(len(v))) for i in range(len(m)))
+
+
+def transform(spec, u, shift, scl):
+    """The C8 transform: the unimodular u on moments and weights, then
+    the moments scaled by scl and shifted."""
+    comps = []
+    for c in spec.components:
+        moment = tuple(scl * x + s for x, s in zip(_apply(u, c.moment), shift))
+        weights = tuple(tuple(int(x) for x in _apply(u, w)) for w in c.weights)
+        comps.append(replace(c, moment=moment, weights=weights))
+    return replace(spec, components=tuple(comps))
+
+
 def polytope_specimens():
     """Every catalog specimen, the A3 regular orbit (24 points,
     permutohedron) and Gr(2,5) (the hypersimplex Delta(2,5))."""

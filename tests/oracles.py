@@ -6,7 +6,14 @@ determinant, affine span and coordinates by rational elimination, the
 C(N, d) brute-force hull on top of them, the span-membership parallel
 test, the Caratheodory cone test with a rational subset solve, and the
 cone equality by the integer Caratheodory test `in_cone`, which decided
-the vertex-cone check V4 before it read facet inequalities.  Below them are
+the vertex-cone check V4 before it read facet inequalities.  Then the
+face layer as it was before it went by covers and integer readings: the
+face lattice by pairwise closure of the facet vertex sets with all-pairs
+containment, the edge directions by a scan of every face, V4 by the
+facet inequalities of the weight cone, and the face readings by
+Fraction membership of the moments and span membership of the weights.
+`containment` gives all pairs of any lattice, for tests that assert
+along containment.  Below them are
 the verification model as it was built before it went through top
 simplices and a row sweep: the staircase product closed downward in
 full, the fiber collapse that maps every face of that closure, and the
@@ -39,8 +46,9 @@ from tquot.exactq import (
     vec,
     vsub,
 )
-from tquot.hamspace import SpecError, stratify, validate
-from tquot.polytope import in_cone
+from tquot.exactq import eliminate, rank
+from tquot.hamspace import FaceReading, SpecError, _parens, stratify, validate
+from tquot.polytope import Face, _facets, facet_incidence, in_cone
 from tquot.simplicial import (
     HomologyProfile,
     OrderedComplex,
@@ -236,6 +244,115 @@ def cones_equal(gens_a, gens_b) -> bool:
     of `in_cone`: the vertex-cone test V4 ran before it read facet
     inequalities."""
     return all(in_cone(g, gens_b) for g in gens_a) and all(in_cone(g, gens_a) for g in gens_b)
+
+
+# the oracle's face lattice: the faces as face_lattice gives them, and
+# every pair (a, b) with face a a proper subface of face b
+OracleLattice = namedtuple("OracleLattice", "faces containment")
+
+
+def closure_face_lattice(p) -> OracleLattice:
+    """The face lattice by closing the facet vertex sets under pairwise
+    intersection, dimensions by rank, and all-pairs containment."""
+    nv = len(p.vertices)
+    incidence = facet_incidence(p, p.vertices)
+    sets = {frozenset(range(nv))}
+    for i in range(len(p.facets)):
+        sets.add(frozenset(v for v, on in enumerate(incidence) if i in on))
+    worklist = list(sets)
+    while worklist:
+        s = worklist.pop()
+        for t in list(sets):
+            meet = s & t
+            if meet and meet not in sets:
+                sets.add(meet)
+                worklist.append(meet)
+    described = []
+    for s in sets:
+        vs = tuple(sorted(s))
+        containing = frozenset.intersection(*(incidence[v] for v in vs))
+        normals = p.normals + tuple(p.facets[i][0] for i in sorted(containing))
+        described.append((p.ambient_dim - rank(normals), vs, containing))
+    described.sort(key=lambda t: (t[0], t[1]))
+    faces = []
+    for fid, (dim, vs, containing) in enumerate(described):
+        if len(vs) == nv and dim == p.dim:
+            supporting = None
+        else:
+            total = [sum(column) for column in zip(*(p.facets[i][0] for i in containing))]
+            total_off = sum(p.facets[i][1] for i in containing)
+            conormal = primitive(total)
+            lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
+            supporting = (conormal, lam * total_off)
+        coords = tuple(p.vertices[i] for i in vs)
+        faces.append(Face(fid, dim, vs, coords, supporting, containing))
+    lattice = OracleLattice(tuple(faces), ())
+    return lattice._replace(containment=containment(lattice))
+
+
+def containment(lattice):
+    """Every pair (a, b) of face ids with face a a proper subface of face
+    b, from the vertex sets."""
+    sets = [frozenset(f.vertex_set) for f in lattice.faces]
+    return tuple((a, b) for a, sa in enumerate(sets) for b, sb in enumerate(sets) if sa < sb)
+
+
+def scanned_tangent_cone(p, v):
+    """Primitive edge directions at vertex v, by scanning every face."""
+    gens = []
+    for f in p.lattice.faces:
+        if f.dim == 1 and v in f.vertex_set:
+            other = next(i for i in f.vertex_set if i != v)
+            gens.append(primitive(vsub(p.vertices[other], p.vertices[v])))
+    return tuple(sorted(gens))
+
+
+def weight_cone_witness(poly, v, weights):
+    """The vertex-cone check V4 as it was before it read extreme rays:
+    after the facet inequalities at v, every edge direction must satisfy
+    the facet inequalities of the weight cone, the facets through 0 of
+    the hull of 0 and the weights, in the pivot coordinates of their
+    span."""
+    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    for w in weights:
+        for n in poly.normals:
+            if dot(n, w):
+                return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
+        for n in at_v:
+            if dot(n, w) < 0:
+                return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
+    edges = scanned_tangent_cone(poly, v)
+    pivots, _ = eliminate([list(w) for w in weights])
+    if len(pivots) < poly.dim:
+        e = next(e for e in edges if rank([*weights, e]) > len(pivots))
+        return f"edge direction {_parens(e)} is outside the span of the weights"
+    if not edges:
+        return None
+    points = dict.fromkeys([(0,) * len(pivots), *(tuple(w[j] for j in pivots) for w in weights)])
+    cone = [n for n, c in _facets(list(points), len(pivots)) if c == 0]
+    for e in edges:
+        projected = [e[j] for j in pivots]
+        if any(dot(n, projected) < 0 for n in cone):
+            return f"edge direction {_parens(e)} is not in the weight cone"
+    return None
+
+
+def fraction_readings(spec, poly):
+    """The face readings by Fraction membership of each moment among the
+    face's vertices and span membership of each weight in the face's
+    directions, face by face and weight by weight."""
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    readings = {}
+    for f in poly.lattice.faces:
+        _, basis = fraction_solve_affine(f.vertex_coords)
+        row = []
+        for comp, t in zip(spec.components, tight):
+            if t is not None and f.facets <= t:
+                parallel = tuple(w for w in comp.weights if lattice_membership(w, basis))
+                k = len(parallel) + comp.is_surface - f.dim
+                row.append(FaceReading(comp, k, parallel, comp.moment in f.vertex_coords))
+        readings[f.id] = tuple(row)
+    return readings
 
 
 def _staircases(sigma: tuple, tau: tuple):

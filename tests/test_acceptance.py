@@ -10,8 +10,15 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 
-from conftest import component_at, moment_polytope, with_component, without_component
-from oracles import classify_m4
+from conftest import (
+    component_at,
+    moment_polytope,
+    random_unimodular,
+    transform,
+    with_component,
+    without_component,
+)
+from oracles import classify_m4, containment
 from oracles import fraction_det as det
 from tquot import gallery
 from tquot.classify import (
@@ -78,7 +85,7 @@ def test_c1_table_reproduction(gallery_specs):
     maximal = [
         fid
         for fid in verdict.short_face_ids
-        if not any(a == fid and b in verdict.short_face_ids for a, b in sp.lattice.containment)
+        if not any(a == fid and b in verdict.short_face_ids for a, b in containment(sp.lattice))
     ]
     # the two facets x = +-2 of [-2,2] x [-1,1]
     assert {sp.lattice.face(fid).supporting[0] for fid in maximal} == {(1, 0), (-1, 0)}
@@ -264,32 +271,8 @@ def test_c7_algebra_properties(gallery_specs):
 
     for name, spec in gallery_specs.items():
         sp = stratify(spec)
-        for a, b in sp.lattice.containment:
+        for a, b in containment(sp.lattice):
             assert sp.face_complexity[a] <= sp.face_complexity[b], name
-
-
-def _random_unimodular(rng, r):
-    m = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for _ in range(8):
-        a, b = rng.randrange(r), rng.randrange(r)
-        if a != b:
-            q = rng.randint(-2, 2)
-            for j in range(r):
-                m[a][j] += q * m[b][j]
-    return m
-
-
-def _apply(m, v):
-    return tuple(sum(Fraction(m[i][j]) * Fraction(v[j]) for j in range(len(v))) for i in range(len(m)))
-
-
-def _transform(spec, u, shift, scl):
-    comps = []
-    for c in spec.components:
-        moment = tuple(scl * x + s for x, s in zip(_apply(u, c.moment), shift))
-        weights = tuple(tuple(int(x) for x in _apply(u, w)) for w in c.weights)
-        comps.append(replace(c, moment=moment, weights=weights))
-    return replace(spec, components=tuple(comps))
 
 
 def _equivalent(a, b):
@@ -305,9 +288,9 @@ def test_c8_invariance(gallery_specs):
         baseline = classify(spec).verdict
         for _ in range(10):
             r = spec.torus_rank
-            u = _random_unimodular(rng, r)
+            u = random_unimodular(rng, r)
             assert abs(det(u)) == 1
             shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
             scl = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-            moved = _transform(spec, u, shift, scl)
+            moved = transform(spec, u, shift, scl)
             assert _equivalent(classify(moved).verdict, baseline), name

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classify_m4
+from oracles import classify_m4, containment
 from tquot import gallery
 from tquot.classify import (
     CollapsedProduct,
@@ -60,7 +60,7 @@ def test_s2cubed_collapsed_product():
         fid
         for fid in verdict.short_face_ids
         if not any(
-            a == fid and b in verdict.short_face_ids for a, b in sp.lattice.containment
+            a == fid and b in verdict.short_face_ids for a, b in containment(sp.lattice)
         )
     ]
     conormals = {sp.lattice.face(fid).supporting[0] for fid in maximal_short}

@@ -1,13 +1,15 @@
 """The incremental hull and the vertex-cone test at scale.
 
 `convex_hull` builds facets by double description, and V4 reads the
-facet inequalities of the weight cone.  Where the brute-force hull is
-out of reach (the A4 regular orbit has C(120, 4) = 8 214 570
-candidates), the face counts are checked against theory.  V4 is
-compared with the Caratheodory cone equality it replaced
-(tests/oracles.py) at every vertex of every specimen, under seeded sign
-changes of the weights.  The hull's own differential tests against the
-brute-force oracle are in test_fraction_free.py.
+edge directions as the extreme rays of the tangent cone.  Where the
+brute-force hull is out of reach (the A4 regular orbit has C(120, 4) =
+8 214 570 candidates), the face counts are checked against theory.  V4
+is compared with the Caratheodory cone equality it once replaced, and
+its witnesses with those of the weight-cone facet test it replaced
+since (tests/oracles.py), at every vertex of every specimen, under
+seeded sign changes and merges of the weights.  The hull's own
+differential tests against the brute-force oracle are in
+test_fraction_free.py.
 """
 
 import random
@@ -16,7 +18,7 @@ from math import comb
 import pytest
 
 from conftest import polytope_specimens
-from oracles import cones_equal
+from oracles import cones_equal, weight_cone_witness
 from tquot import classify, gallery
 from tquot.classify import StratificationOnly
 from tquot.hamspace import _tangent_cone_witness
@@ -86,3 +88,41 @@ def test_vertex_cone_matches_cone_equality_oracle():
                 assert ok == cones_equal(weights, edges), (spec.name, v, weights)
                 decisions.append(ok)
     assert decisions.count(True) > 60 and decisions.count(False) > 150
+
+
+def _merges(rng, weights):
+    """The weights all replaced by one of them, and one of them replaced
+    by a copy of another and by the sum of two others: the span or the
+    cone shrinks, the facet inequalities still hold."""
+    if len(weights) < 2:
+        return []
+    i, j, k = (rng.randrange(len(weights)) for _ in range(3))
+    out = [(weights[j],) * len(weights)]
+    for w in (weights[j], tuple(a + b for a, b in zip(weights[j], weights[k]))):
+        if any(w):
+            out.append(weights[:i] + (w,) + weights[i + 1 :])
+    return out
+
+
+# a phrase of each kind of V4 witness
+_WITNESSES = ("affine hull", "violates", "outside the span", "not in the weight cone")
+
+
+def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
+    # V4 by extreme rays names the same witness as V4 by the facet
+    # inequalities of the weight cone, on the draws above and on merges
+    rng = random.Random(1996)
+    kinds = []
+    for spec in [*polytope_specimens(), a4_regular]:
+        poly = spec.polytope
+        index = {v: i for i, v in enumerate(poly.vertices)}
+        for comp in spec.components:
+            v = index.get(comp.moment)
+            if v is None:
+                continue
+            for weights in _sign_changes(rng, comp.weights) + _merges(rng, comp.weights):
+                witness = _tangent_cone_witness(poly, v, weights)
+                assert witness == weight_cone_witness(poly, v, weights), (spec.name, v, weights)
+                kinds.append(witness and next(k for k in _WITNESSES if k in witness))
+    # every kind of witness, and none, is drawn
+    assert min(kinds.count(k) for k in (None, *_WITNESSES)) > 150

@@ -1,9 +1,9 @@
 """The fraction-free polytope layer against its Fraction oracles.
 
-convex_hull, face_lattice, Face.parallel, in_cone and the exactq
-elimination kernel run on integers; tests/oracles.py keeps the Fraction
-algorithms they replaced.  Every test runs both on the same inputs and
-requires equal answers.
+convex_hull, face_lattice, the parallel test of the face readings,
+in_cone and the exactq elimination kernel run on integers;
+tests/oracles.py keeps the algorithms they replaced.  Every test runs
+both on the same inputs and requires equal answers.
 """
 
 import random
@@ -12,13 +12,17 @@ from fractions import Fraction
 from conftest import polytope_specimens, random_point_set
 from oracles import (
     brute_force_hull,
+    closure_face_lattice,
+    containment,
     fraction_coords,
     fraction_det,
     fraction_in_cone,
     fraction_rank,
     fraction_solve_affine,
     lattice_membership,
+    scanned_tangent_cone,
 )
+from tquot import gallery
 from tquot.exactq import (
     clear_denominators,
     dot,
@@ -28,7 +32,7 @@ from tquot.exactq import (
     solve_fraction_free,
     vsub,
 )
-from tquot.polytope import convex_hull, in_cone
+from tquot.polytope import convex_hull, in_cone, tangent_cone
 
 
 def _random_matrix(rng, nrows, ncols, rational):
@@ -175,9 +179,10 @@ def test_hull_matches_brute_force_on_random_points():
 
 
 def _faces_and_weights():
-    """(face, candidate weights) for every face of the specimens' polytopes: all
-    isotropy weights of the spec, every edge direction, and random
-    integer vectors, which mostly lie outside the polytope's directions."""
+    """(polytope, face, candidate weights) for every face of the
+    specimens' polytopes: all isotropy weights of the spec, every edge
+    direction, and random integer vectors, which mostly lie outside the
+    polytope's directions."""
     rng = random.Random(2718)
     polytopes = [
         (spec.polytope, [w for c in spec.components for w in c.weights])
@@ -194,16 +199,18 @@ def _faces_and_weights():
         randoms = [tuple(rng.randint(-2, 2) for _ in range(poly.ambient_dim)) for _ in range(4)]
         candidates = list(dict.fromkeys(weights + edges + randoms))
         for face in lattice.faces:
-            yield face, candidates
+            yield poly, face, candidates
 
 
 def test_parallel_matches_span_membership():
+    # the rule of the face readings: w lies in the polytope's directions
+    # and meets the conormal of every facet containing the face with 0
     answers = []
-    for face, weights in _faces_and_weights():
+    for poly, face, weights in _faces_and_weights():
         _, basis = fraction_solve_affine(face.vertex_coords)
         assert face.dim == len(basis)
         for w in weights:
-            answer = face.parallel(w)
+            answer = poly.off_hull(w) is None and face.facets <= poly.zero_facets(w)
             assert answer == lattice_membership(w, basis), (face.vertex_set, w)
             answers.append(answer)
     assert len(answers) == 22896
@@ -220,6 +227,41 @@ def test_facet_contacts_match_fraction_dot():
                 if all(dot(conormal, v) == offset for v in face.vertex_coords)
             }
             assert face.facets == tight, (spec.name, face.vertex_set)
+
+
+def _below(lattice):
+    """The pairs (a, b) with face a below face b along the covers."""
+    under = {}
+    for a, b in lattice.covers:
+        under.setdefault(b, []).append(a)
+    pairs = set()
+    for b, todo in under.items():
+        todo = list(todo)
+        while todo:
+            a = todo.pop()
+            if (a, b) not in pairs:
+                pairs.add((a, b))
+                todo.extend(under.get(a, ()))
+    return pairs
+
+
+def test_face_lattice_matches_closure_oracle():
+    # the specimens with both hull-heavy orbits, the A4 regular orbit,
+    # (S^2)^5 under T^4 and the random point sets
+    polytopes = [spec.polytope for spec in polytope_specimens()]
+    a4 = gallery.coadjoint_orbit(gallery.root_system("A", 4), (2, 1, 0, -1, -2))
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    polytopes += [a4.polytope, gallery.sphere_product([*e, (1, 1, 1, 1)], 4).polytope]
+    polytopes += [convex_hull(pts) for pts in _random_point_sets()]
+    for poly in polytopes:
+        lattice, oracle = poly.lattice, closure_face_lattice(poly)
+        assert lattice.faces == oracle.faces, poly.vertices
+        faces = lattice.faces
+        assert all(faces[a].dim + 1 == faces[b].dim for a, b in lattice.covers)
+        assert _below(lattice) == set(oracle.containment) == set(containment(lattice))
+        for v in range(len(poly.vertices)):
+            assert tangent_cone(poly, v) == scanned_tangent_cone(poly, v), (poly.vertices, v)
+    assert sum(len(p.lattice.faces) for p in polytopes) == 1906
 
 
 def test_in_cone_matches_fraction_oracle():

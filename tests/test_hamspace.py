@@ -1,9 +1,19 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import random
+
 import pytest
 
-from conftest import component_at, moment_polytope, with_component, without_component
+from conftest import (
+    component_at,
+    moment_polytope,
+    random_unimodular,
+    transform,
+    with_component,
+    without_component,
+)
+from oracles import containment, fraction_readings
 from tquot import gallery
 from tquot.exactq import vec
 from tquot.hamspace import (
@@ -11,6 +21,7 @@ from tquot.hamspace import (
     SpecError,
     general_position,
     point_component,
+    read_faces,
     stratify,
     surface_component,
     validate,
@@ -147,7 +158,7 @@ def test_stratify_short_downward_closed(gallery_specs):
     for name, spec in gallery_specs.items():
         sp = stratify(spec)
         short = set(sp.short_faces)
-        for a, b in sp.lattice.containment:
+        for a, b in containment(sp.lattice):
             if b in short:
                 assert a in short, name
 
@@ -157,7 +168,7 @@ def test_delta_leq_k_downward_closed(gallery_specs):
         sp = stratify(spec)
         for k in sp.delta_k:
             leq = {fid for kk, ids in sp.delta_k.items() if kk <= k for fid in ids}
-            for a, b in sp.lattice.containment:
+            for a, b in containment(sp.lattice):
                 if b in leq:
                     assert a in leq, name
 
@@ -165,7 +176,7 @@ def test_delta_leq_k_downward_closed(gallery_specs):
 def test_monotonicity_all_gallery(gallery_specs):
     for name, spec in gallery_specs.items():
         sp = stratify(spec)
-        for a, b in sp.lattice.containment:
+        for a, b in containment(sp.lattice):
             assert sp.face_complexity[a] <= sp.face_complexity[b], name
 
 
@@ -370,3 +381,90 @@ def test_v4_names_a_weight_off_the_affine_hull():
     assert _v4_detail(spec) == (
         f"component 0 at vertex 0: weight (1, 0) leaves the affine hull (normal ({n[0]}, {n[1]}))"
     )
+
+
+def test_v3_names_a_weight_off_the_affine_hull():
+    spec = gallery.build("gr2c4")
+    [n] = spec.polytope.normals
+    c = spec.components[0]
+    # the first weight with its last entry raised by one
+    w = c.weights[0][:-1] + (c.weights[0][-1] + 1,)
+    report = validate(with_component(spec, 0, replace(c, weights=(w, *c.weights[1:]))))
+    [v3] = [r for r in report.checks if r.name == "V3-weight-span"]
+    assert not v3.passed
+    assert v3.detail == (
+        f"component 0: weight ({', '.join(map(str, w))}) leaves the polytope's directions"
+        f" (normal ({', '.join(map(str, n))}))"
+    )
+
+
+def _readings_cases():
+    """Every gallery specimen, under a seeded C8 transform, and with one
+    weight removed or the weights at a vertex negated."""
+    rng = random.Random(1202)
+    for name in gallery.names():
+        spec = gallery.build(name)
+        r = spec.torus_rank
+        shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        yield transform(spec, random_unimodular(rng, r), shift, scale)
+        i = rng.choice([i for i, c in enumerate(spec.components) if c.weights])
+        c = spec.components[i]
+        j = rng.randrange(len(c.weights))
+        yield with_component(spec, i, replace(c, weights=c.weights[:j] + c.weights[j + 1 :]))
+        vertices = spec.polytope.vertices
+        i = rng.choice([i for i, c in enumerate(spec.components) if c.moment in vertices])
+        c = spec.components[i]
+        negated = tuple(tuple(-x for x in w) for w in c.weights)
+        yield with_component(spec, i, replace(c, weights=negated))
+
+
+def test_read_faces_matches_fraction_oracle():
+    failing_v5 = 0
+    for spec in _readings_cases():
+        poly = spec.polytope
+        assert read_faces(spec, poly) == fraction_readings(spec, poly), spec.name
+        failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).failed}
+    assert failing_v5 > 5
+
+
+def _random_spec(rng):
+    """Random weights and kinds over the vertices of a small polytope,
+    sometimes with one more point component."""
+    points = rng.choice(
+        [
+            [(0, 0), (1, 0)],
+            [(0, 0), (2, 0), (0, 1)],
+            [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        ]
+    )
+    r, n = len(points[0]), rng.randint(1, 3)
+    if rng.random() < 0.3:
+        points.append(tuple(rng.randint(0, 1) for _ in range(r)))
+    comps = []
+    for p in points:
+        surface = n >= 2 and rng.random() < 0.3
+        weights = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(n - surface)]
+        weights = tuple(w if any(w) else (1,) + (0,) * (r - 1) for w in weights)
+        comps.append(surface_component(0, p, weights) if surface else point_component(p, weights))
+    return HamSpec("random", r, n, tuple(comps))
+
+
+def test_v6_along_covers_decides_as_along_all_containments():
+    # V6 compares each face with the nearest faces below it that V2 and
+    # V5 left a complexity; on a lattice whose covers are all the
+    # containments it compares every pair, as it did before
+    rng = random.Random(2002)
+    failing = 0
+    for _ in range(300):
+        spec = _random_spec(rng)
+        lattice = spec.polytope.lattice
+        poly = replace(spec.polytope)
+        # the copy's cached lattice, with every containment as a cover
+        poly.__dict__["lattice"] = replace(lattice, covers=containment(lattice))
+        by_covers, by_pairs = validate(spec).checks, validate(spec, polytope=poly).checks
+        assert [c.passed for c in by_covers] == [c.passed for c in by_pairs], spec
+        assert by_covers[:5] == by_pairs[:5]
+        failing += not by_covers[5].passed
+    assert failing > 50
