@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=MAX_SIMPLICES,
         help="skip (exit 4) when the staircase product the model is collapsed from"
         " has more simplices; this bounds the product before the collapse, not the"
-        " smaller model homology runs on (gr2c4: product 39550, model 9756)",
+        " smaller model homology runs on (gr2c4: product 3742, model 404)",
     )
 
     return parser

@@ -9,8 +9,10 @@ Fiber collapse realizes the coequalizer of sub x fiber moving into
 base x fiber and projecting onto sub.  On the level of complexes this
 is the vertex identification (v, w) -> v for v in the collapsed part,
 which realizes the topological quotient provided the collapsed part is
-a full subcomplex of the base; when it is not, one barycentric
-subdivision of the pair makes it so (a subdivided subcomplex is always
+a full subcomplex of the base.  The polytope is triangulated so that
+the short locus is full: faces whose vertices are all short are coned
+from new vertices.  For a pair where the part is not full, one
+barycentric subdivision makes it so (a subdivided subcomplex is always
 full), and the identification is performed there.  Skipping that step
 over-collapses: an interval with both endpoints short would flatten to
 an edge instead of suspending the fiber.  The identification is
@@ -299,9 +301,11 @@ def collapse_fibers(
     of the whole product, with degenerate images dropped and duplicates
     merged.  When sub is not full in base, the pair is barycentrically
     subdivided first so that the identification realizes the fiberwise
-    quotient rather than something coarser.  With a cap, the exact size
-    of the product (`product_size`) is checked before the product is
-    built, and SizeCapExceeded raised when it is larger.
+    quotient rather than something coarser; the short locus is full in
+    `boundary_subcomplex_of_polytope`, so verification never subdivides.
+    With a cap, the exact size of the product (`product_size`) is
+    checked before the product is built, and SizeCapExceeded raised
+    when it is larger.
     """
     if not sub.simplices <= base.simplices:
         raise ValueError("sub is not a subcomplex of base")
@@ -406,14 +410,17 @@ def homology(k: OrderedComplex) -> HomologyProfile:
 
 
 def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
-    """Triangulate the polytope with the selected faces as a subcomplex.
+    """Triangulate the polytope with the selected faces as a full subcomplex.
 
-    Pulling triangulation in face-lattice order: each face is the cone
-    from its smallest vertex over the already-triangulated facets that
-    miss it, among the faces it covers.  Triangulations therefore
-    restrict compatibly to subfaces, and any downward-closed selection
-    of faces (checked along covers) is automatically a subcomplex of the
-    result.  Only polytope vertices are used.
+    In face-lattice order, each face is the cone from an apex over the
+    already-triangulated facets that miss it, among the faces it covers:
+    a selected face is pulled from its smallest vertex, any other face
+    from its smallest unselected vertex, or, when it has none, coned
+    from a new vertex, id len(polytope vertices) + face id.  So any
+    downward-closed selection (checked along covers) is a subcomplex,
+    and since no apex of an unselected face is a selected vertex, the
+    selected vertices of every simplex span a selected simplex: the
+    selection is full.  With nothing selected no new vertex is used.
     """
     lattice = sp.lattice
     ids = set(face_ids)
@@ -423,13 +430,18 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
     for fid in ids:
         if not sub_of[fid] <= ids:
             raise ValueError("selected faces are not downward closed")
+    selected_vertices = {f.vertex_set[0] for f in map(lattice.face, ids) if f.dim == 0}
 
     tri: dict[int, set] = {}
     for f in sorted(lattice.faces, key=lambda f: f.dim):
         if f.dim == 0:
             tri[f.id] = {(f.vertex_set[0],)}
             continue
-        apex = min(f.vertex_set)
+        if f.id in ids:
+            apex = min(f.vertex_set)
+        else:
+            free = (v for v in f.vertex_set if v not in selected_vertices)
+            apex = min(free, default=len(sp.polytope.vertices) + f.id)
         cells = set()
         for gid in sub_of[f.id]:
             if apex in lattice.face(gid).vertex_set:
@@ -438,14 +450,7 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
                 cells.add(tuple(sorted(set(s) | {apex})))
         tri[f.id] = cells
     full = OrderedComplex.from_simplices(tri[lattice.top.id])
-    selected = set()
-    for fid in ids:
-        selected.update(tri[fid])
-    sub = (
-        OrderedComplex.from_simplices(selected)
-        if selected
-        else OrderedComplex(frozenset())
-    )
+    sub = OrderedComplex.from_simplices(s for fid in ids for s in tri[fid])
     return full, sub
 
 
@@ -494,8 +499,10 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     Builds the collapsed-product model of the quotient and compares its
     integral homology, torsion included, with the profile the join rule
     (`expected_homology`) derives from the short locus; the same rule
-    covers every verdict.  For boundary-short sphere verdicts the
-    independent join model is computed as well and both must agree.
+    covers every verdict.  For boundary-short sphere verdicts the join
+    model is computed as well and both must agree; there the coned
+    model is that join, simplex for simplex, so the check recomputes
+    the same complex rather than giving independent evidence.
     Homology equality is a necessary condition only, and a mismatch
     signals a bug in the models, not a refutation.
     """

@@ -16,8 +16,10 @@ Fraction membership of the moments and span membership of the weights.
 along containment.  Below them are
 the verification model as it was built before it went through top
 simplices and a row sweep: the staircase product closed downward in
-full, the fiber collapse that maps every face of that closure, and the
-unit-pivot elimination driven by a Markowitz heap.  Then comes integral
+full, the fiber collapse that maps every face of that closure, the
+pulling triangulation on polytope vertices alone, in which the short
+locus is seldom full, and the unit-pivot elimination driven by a
+Markowitz heap.  Then comes integral
 homology by full elimination of every boundary matrix, as it was before
 coreduction ran first.  Last is the trichotomy for circle actions on
 four-manifolds, an independent decision for the cases it covers.  Tests
@@ -403,6 +405,35 @@ def close_then_map_collapse(base, sub, fiber) -> OrderedComplex:
     vmap = [class_id[c] for c in classes]
     out = {tuple(sorted({vmap[v] for v in s})) for s in prod_simplices}
     return OrderedComplex(frozenset(out))
+
+
+def pulled_boundary_subcomplex(sp, face_ids):
+    """The polytope triangulated with the selected faces as a subcomplex,
+    by the pulling triangulation on polytope vertices alone: each face
+    is the cone from its smallest vertex over the triangulated faces it
+    covers that miss that vertex.  The selection is seldom full in it."""
+    lattice = sp.lattice
+    ids = set(face_ids)
+    sub_of = {f.id: set() for f in lattice.faces}
+    for a, b in lattice.covers:
+        sub_of[b].add(a)
+    if any(not sub_of[fid] <= ids for fid in ids):
+        raise ValueError("selected faces are not downward closed")
+    tri = {}
+    for f in sorted(lattice.faces, key=lambda f: f.dim):
+        if f.dim == 0:
+            tri[f.id] = {(f.vertex_set[0],)}
+            continue
+        apex = min(f.vertex_set)
+        tri[f.id] = {
+            tuple(sorted(set(s) | {apex}))
+            for gid in sub_of[f.id]
+            if apex not in lattice.face(gid).vertex_set
+            for s in tri[gid]
+        }
+    full = OrderedComplex.from_simplices(tri[lattice.top.id])
+    sub = OrderedComplex.from_simplices(s for fid in ids for s in tri[fid])
+    return full, sub
 
 
 def heap_rank_and_factors(entries, nrows, ncols):

@@ -411,6 +411,19 @@ def test_cli_verify_pass(tmp_path, capsys):
     assert betti["join-homology"] == [1, 0, 0, 0, 0, 1]
 
 
+def test_cli_verify_passes_s2_power_under_the_default_cap(tmp_path, capsys):
+    # (S^2)^5 under T^4: the coned model has 8 114 simplices, collapsed
+    # from a product of 120 734, well under the default cap
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    path = tmp_path / "s2-5-t4.json"
+    dump_spec(gallery.sphere_product([*e, (1, 1, 1, 1)], 4), str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verification"]["passed"] is True
+    assert doc["verification"]["checks"][0]["computed_betti"] == [1, 0, 0, 0, 0, 0, 1]
+
+
 def test_cli_verify_skips_stratification_only(tmp_path, capsys):
     path = tmp_path / "cp5.json"
     dump_spec(gallery.build("cp5-t3"), str(path))

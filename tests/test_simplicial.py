@@ -281,11 +281,14 @@ def test_boundary_subcomplex_interval_one_end():
 
 
 def test_boundary_subcomplex_interval_both_ends():
-    # the interval stays one 1-simplex; the selection is the two vertices
+    # both endpoints are short, so the interval is split at one new
+    # vertex; the selection is the two endpoints, full in the split
     sp = classify(gallery.build("s2xs2-diag")).stratification
     full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
-    assert sum(1 for s in full.simplices if len(s) == 2) == 1
+    mid = len(sp.polytope.vertices) + sp.lattice.top.id
+    assert full.simplices == {(0,), (1,), (mid,), (0, mid), (1, mid)}
     assert sorted(sub.simplices) == [(0,), (1,)]
+    assert is_full_subcomplex(full, sub)
 
 
 def test_boundary_subcomplex_rectangle():
@@ -302,8 +305,14 @@ def test_boundary_subcomplex_octahedron_boundary():
     full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
     assert homology(full).reduced_trivial
     assert homology(sub).betti == (1, 0, 1)
-    # simplices use polytope vertices only
-    assert set(full.vertices) <= set(range(len(sp.polytope.vertices)))
+    # every polytope vertex is short, so each face that is not short is
+    # coned from its own new vertex, vertex count + face id
+    n = len(sp.polytope.vertices)
+    short = set(sp.short_faces)
+    coned = {n + f.id for f in sp.lattice.faces if f.id not in short}
+    assert set(full.vertices) == set(range(n)) | coned
+    assert max(full.vertices) < n + len(sp.lattice.faces)
+    assert is_full_subcomplex(full, sub)
 
 
 def test_boundary_subcomplex_requires_downward_closed():
@@ -328,6 +337,29 @@ def test_verify_gallery_sphere_cases(gallery_specs):
         assert computed.betti == betti, name
         names = [c.name for c in result.checks]
         assert names == ["quotient-homology", "join-homology", "models-agree"]
+
+
+E4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        gallery.projective_space([(0, 0, 0, 0), *E4, (1, 1, 1, 1)], name="cp5-t4"),
+        gallery.sphere_product([*E4, (1, 1, 1, 1)], 4, name="s2-5-t4"),
+    ],
+    ids=["cp5-t4", "s2-5-t4"],
+)
+def test_verify_passes_where_the_barycentric_model_was_refused(spec):
+    # the products of the coned bases have 8 798 and 120 734 simplices;
+    # subdividing the pulled triangulation gives 421 438 and 9 725 054,
+    # over the default cap
+    report = classify(spec)
+    result = verify_report(report)
+    assert result.passed
+    assert [c.name for c in result.checks] == ["quotient-homology", "join-homology", "models-agree"]
+    quotient = result.checks[0]
+    assert quotient.computed.betti == quotient.expected.betti == sphere_betti(spec.half_dim + 1)
 
 
 def test_verify_disk_and_products(gallery_specs):
@@ -411,3 +443,8 @@ def test_quotient_equals_join_for_boundary_short(gallery_specs):
         agree = next(c for c in result.checks if c.name == "models-agree")
         assert agree.passed
         assert result.checks[0].computed.betti == sphere_betti(spec.half_dim + 1)
+        # the coned model is the join model itself, simplex for simplex
+        sp = report.stratification
+        full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
+        s2 = surface_complex(0)
+        assert collapse_fibers(full, sub, s2).simplices == join(sub, s2).simplices

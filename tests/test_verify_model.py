@@ -4,10 +4,13 @@ collapse_fibers maps only the top simplices of the staircase product and
 closes their images once, the size cap is predicted from face counts,
 sparse_rank_and_factors sweeps the rows once for unit pivots, and
 homology coreduces the model before anything reaches that sweep;
-tests/oracles.py keeps the close-then-map collapse, the full product
-closure, the Markowitz-heap elimination and the homology that eliminates
-every boundary matrix in full.  Every test runs both on the same inputs
-and requires equal answers.
+the polytope is triangulated by coning so that the short locus is full
+in it; tests/oracles.py keeps the close-then-map collapse, the full
+product closure, the pulling triangulation on polytope vertices alone
+(whose short locus takes the barycentric branch of the collapse), the
+Markowitz-heap elimination and the homology that eliminates every
+boundary matrix in full.  Every test runs both on the same inputs and
+requires equal answers.
 """
 
 import random
@@ -20,6 +23,7 @@ from oracles import (
     close_then_map_collapse,
     full_elimination_homology,
     heap_rank_and_factors,
+    pulled_boundary_subcomplex,
     staircase_closure,
 )
 from tquot import gallery, simplicial
@@ -31,6 +35,7 @@ from tquot.simplicial import (
     barycentric_pair,
     boundary_subcomplex_of_polytope,
     collapse_fibers,
+    expected_homology,
     homology,
     is_full_subcomplex,
     join,
@@ -49,13 +54,22 @@ def verifiable_reports():
     return reports
 
 
-def model_pair(report):
+def genus_of(report):
+    verdict = report.verdict
+    return verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
+
+
+def model_pair(report, triangulate=boundary_subcomplex_of_polytope):
     """The (base, sub, fiber) that verify_report collapses."""
     sp = report.stratification
-    full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
-    verdict = report.verdict
-    genus = verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
-    return full, sub, surface_complex(genus)
+    full, sub = triangulate(sp, sp.short_faces)
+    return full, sub, surface_complex(genus_of(report))
+
+
+def oracle_pair(report):
+    """The same on the pulled triangulation, where the short locus is
+    seldom full, so the collapse subdivides it barycentrically."""
+    return model_pair(report, pulled_boundary_subcomplex)
 
 
 def collapsed_base(base, sub):
@@ -70,24 +84,26 @@ REPORTS = verifiable_reports()
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_collapse_matches_close_then_map(name):
-    base, sub, fiber = model_pair(REPORTS[name])
-    model = collapse_fibers(base, sub, fiber)
-    reference = close_then_map_collapse(base, sub, fiber)
-    assert model.simplices == reference.simplices
+    for base, sub, fiber in (model_pair(REPORTS[name]), oracle_pair(REPORTS[name])):
+        model = collapse_fibers(base, sub, fiber)
+        reference = close_then_map_collapse(base, sub, fiber)
+        assert model.simplices == reference.simplices
 
 
 def test_collapse_covers_both_branches():
-    full = {is_full_subcomplex(base, sub) for base, sub, _ in map(model_pair, REPORTS.values())}
+    # the program's own pairs are always full; the oracle pairs are not
+    pairs = [pair(r) for pair in (model_pair, oracle_pair) for r in REPORTS.values()]
+    full = {is_full_subcomplex(base, sub) for base, sub, _ in pairs}
     assert full == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_product_size_is_the_closure_size(name):
-    base, sub, _ = model_pair(REPORTS[name])
-    for b in (base, collapsed_base(base, sub)):
-        for genus in range(3):
-            fiber = surface_complex(genus)
-            assert product_size(b, fiber) == len(staircase_closure(b, fiber)[0])
+    for base, sub, _ in (model_pair(REPORTS[name]), oracle_pair(REPORTS[name])):
+        for b in (base, collapsed_base(base, sub)):
+            for genus in range(3):
+                fiber = surface_complex(genus)
+                assert product_size(b, fiber) == len(staircase_closure(b, fiber)[0])
 
 
 @pytest.mark.parametrize("name", ["gr2c4", "s2cubed", "sigma-g-x-s2"])
@@ -116,8 +132,11 @@ def test_boundary_matrices_match_heap_elimination(monkeypatch):
     monkeypatch.setattr(oracles, "sparse_rank_and_factors", both)
     monkeypatch.setattr(simplicial, "homology", full_elimination_homology)
     for name, report in REPORTS.items():
-        assert verify_report(report).passed, name
-    # gr2c4's collapsed model alone has boundary matrices with thousands of entries
+        result = verify_report(report)
+        assert result.passed, name
+        barycentric = collapse_fibers(*oracle_pair(report))
+        assert full_elimination_homology(barycentric).trimmed() == result.checks[0].expected
+    # gr2c4's barycentric model alone has boundary matrices with thousands of entries
     assert len(seen) > 30 and max(seen) > 10000
 
 
@@ -146,6 +165,34 @@ for _family in ("sigma-g-x-s2", "blowup-g"):
         MODEL_REPORTS[f"{_family}-{_genus}"] = classify(gallery.build(_family, genus=_genus))
 
 
+# the differential specimens add (S^2)^4 under T^3, whose barycentric
+# model has 57 020 simplices
+CONED_REPORTS = dict(MODEL_REPORTS)
+CONED_REPORTS["s2-4-t3"] = classify(gallery.sphere_product([E1, E2, E3, (1, 1, 1)], 3))
+
+
+@pytest.mark.parametrize("name", sorted(CONED_REPORTS))
+def test_coned_base_against_pulled_oracle(name):
+    report = CONED_REPORTS[name]
+    base, sub, fiber = model_pair(report)
+    pulled, pulled_sub, _ = oracle_pair(report)
+    assert is_full_subcomplex(base, sub)
+    assert homology(base).reduced_trivial and base.euler_characteristic == 1
+    assert homology(sub) == homology(pulled_sub)
+    if not sub.simplices:
+        assert base.simplices == pulled.simplices
+    coned = collapse_fibers(base, sub, fiber)
+    barycentric = collapse_fibers(pulled, pulled_sub, fiber)
+    assert coned.simplex_count <= barycentric.simplex_count
+    expected = expected_homology(sub, genus_of(report))
+    assert homology(coned).trimmed() == homology(barycentric).trimmed() == expected
+
+
+def test_coned_specimens_cover_both_kinds():
+    empty = {not model_pair(r)[1].simplices for r in CONED_REPORTS.values()}
+    assert empty == {True, False}
+
+
 def reduced_by_sweep(monkeypatch, k):
     """Homology of k, with the cells and boundary entries that reach the
     sweep: survivors of coreduction, counted from the matrix shapes."""
@@ -163,17 +210,22 @@ def reduced_by_sweep(monkeypatch, k):
 
 @pytest.mark.parametrize("name", sorted(MODEL_REPORTS))
 def test_homology_matches_full_elimination(name, monkeypatch):
-    base, sub, fiber = model_pair(MODEL_REPORTS[name])
-    for k in (collapse_fibers(base, sub, fiber), join(sub, fiber), sub):
+    report = MODEL_REPORTS[name]
+    base, sub, fiber = model_pair(report)
+    barycentric = collapse_fibers(*oracle_pair(report))
+    for k in (collapse_fibers(base, sub, fiber), barycentric, join(sub, fiber), sub):
         assert reduced_by_sweep(monkeypatch, k)[0] == full_elimination_homology(k)
 
 
 @pytest.mark.parametrize("name", ["gr2c4", "cp4-t3"])
 def test_coreduction_leaves_one_cell(name, monkeypatch):
-    model = collapse_fibers(*model_pair(MODEL_REPORTS[name]))
-    _, cells, nnz = reduced_by_sweep(monkeypatch, model)
-    assert model.simplex_count > 7000
-    assert (cells, nnz) == (1, 0)
+    report = MODEL_REPORTS[name]
+    coned = collapse_fibers(*model_pair(report))
+    barycentric = collapse_fibers(*oracle_pair(report))
+    assert barycentric.simplex_count > 7000
+    for model in (coned, barycentric):
+        _, cells, nnz = reduced_by_sweep(monkeypatch, model)
+        assert (cells, nnz) == (1, 0)
 
 
 def test_genus_models_keep_work_for_the_sweep(monkeypatch):
