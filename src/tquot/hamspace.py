@@ -12,10 +12,11 @@ weights at a vertex component of F parallel to F (plus one for the
 implicit zero of a surface) minus dim F.  Stratification groups the
 faces by that number; the complexity-zero faces form the short locus.
 
-The polytope and one reading of the face complexity per face and
-component on it (`read_faces`) are cached on the spec, so validation
-(check V5 reads every component on a face) and stratification (only
-those at the face's vertices) share one pass.
+The polytope, the facets tight at each moment and one reading of the
+face complexity per face and component on it (`read_faces`) are cached
+on the spec, so validation (check V2 finds the moments outside, V5
+reads every component on a face) and stratification (only those at the
+face's vertices) share one pass.
 """
 
 from __future__ import annotations
@@ -89,9 +90,14 @@ class HamSpec:
         return convex_hull([c.moment for c in self.components])
 
     @cached_property
+    def moment_facets(self) -> list[Optional[frozenset[int]]]:
+        """facet_incidence of the moments in self.polytope, built on first use."""
+        return facet_incidence(self.polytope, [c.moment for c in self.components])
+
+    @cached_property
     def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
         """read_faces over self.polytope, built on first use."""
-        return read_faces(self, self.polytope)
+        return read_faces(self, self.polytope, self.moment_facets)
 
 
 @dataclass(frozen=True)
@@ -147,19 +153,20 @@ class GeneralPositionReport:
     overall: bool
 
 
-def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:
+def read_faces(
+    spec: HamSpec, poly: RationalPolytope, tight: list[Optional[frozenset[int]]]
+) -> dict[int, tuple[FaceReading, ...]]:
     """Face id -> a reading for each component whose moment lies on the face.
 
     The rule: weights parallel to the face, plus one for the implicit
     zero weight of a surface, minus dim F.  It is read in integers,
     once per component and once per distinct weight: the facets tight at
-    each moment (`facet_incidence`, None outside the polytope), whether
-    the moment is a vertex, and for a weight in the polytope's
-    directions the facets whose conormal it meets with 0.  A moment
-    inside lies on a face, and a weight is parallel to it, iff those
-    facets hold every facet that contains the face.
+    each moment (`tight`, the `facet_incidence` of the moments in poly,
+    None outside it), whether the moment is a vertex, and for a weight
+    in the polytope's directions the facets whose conormal it meets
+    with 0.  A moment inside lies on a face, and a weight is parallel
+    to it, iff those facets hold every facet that contains the face.
     """
-    tight = facet_incidence(poly, [c.moment for c in spec.components])
     vertices = set(poly.vertices)
     at_vertex = [c.moment in vertices for c in spec.components]
     weights = dict.fromkeys(w for c in spec.components for w in c.weights)
@@ -336,7 +343,8 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # polytope carries exactly one component (vertex preimages are
     # connected fixed components)
     problems = []
-    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    moments = [c.moment for c in spec.components]
+    tight = spec.moment_facets if polytope is None else facet_incidence(poly, moments)
     for idx, (comp, t) in enumerate(zip(spec.components, tight)):
         if t is None:
             problems.append(
@@ -385,7 +393,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # parallel weights span the face directions
     problems = []
     fc: dict[int, int] = {}
-    readings = spec.face_readings if polytope is None else read_faces(spec, poly)
+    readings = spec.face_readings if polytope is None else read_faces(spec, poly, tight)
     for f in lattice.faces:
         over = readings[f.id]
         if not any(r.at_vertex for r in over):

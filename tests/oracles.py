@@ -13,18 +13,19 @@ containment, the edge directions by a scan of every face, V4 by the
 facet inequalities of the weight cone, and the face readings by
 Fraction membership of the moments and span membership of the weights.
 `containment` gives all pairs of any lattice, for tests that assert
-along containment.  Below them are
-the verification model as it was built before it went through top
-simplices and a row sweep: the staircase product closed downward in
-full, the fiber collapse that maps every face of that closure, the
-pulling triangulation on polytope vertices alone, in which the short
-locus is seldom full, and the unit-pivot elimination driven by a
-Markowitz heap.  Then comes integral
-homology by full elimination of every boundary matrix, as it was before
-coreduction ran first.  Last is the trichotomy for circle actions on
-four-manifolds, an independent decision for the cases it covers.  Tests
-compare the package code against them; nothing in the package imports
-this module.
+along containment.  Below them are the verification model as it was
+built before it went through top simplices and a row sweep: the
+staircase product closed downward in full, the same product closed
+from its top simplices (the paths that the collapse mapped one by one
+before it emitted the model's top simplices directly), the fiber
+collapse that maps every face of that closure, the pulling
+triangulation on polytope vertices alone, in which the short locus is
+seldom full, and the unit-pivot elimination driven by a Markowitz
+heap.  Then comes integral homology by full elimination of every
+boundary matrix, as it was before coreduction ran first.  Last is the
+trichotomy for circle actions on four-manifolds, an independent
+decision for the cases it covers.  Tests compare the package code
+against them; nothing in the package imports this module.
 """
 
 import heapq
@@ -391,6 +392,40 @@ def staircase_closure(k: OrderedComplex, l: OrderedComplex):
                     closed.update(combinations(top, size))
     labels = tuple((v, w) for v in vk for w in vl)
     return closed, labels
+
+
+def _staircase(k: OrderedComplex, l: OrderedComplex):
+    """The pairs (v, w) labelling the staircase product's vertices, in
+    lexicographic order, and a generator of its top simplices: the
+    monotone paths through sigma x tau, sigma and tau maximal."""
+    vk, vl = k.vertices, l.vertices
+    pos_k = {v: i for i, v in enumerate(vk)}
+    pos_l = {w: j for j, w in enumerate(vl)}
+    width = len(vl)
+
+    def tops():
+        taus = [[pos_l[w] for w in tau] for tau in l.maximal_simplices()]
+        for sigma in k.maximal_simplices():
+            rows = [pos_k[v] * width for v in sigma]
+            for cols in taus:
+                steps = len(rows) + len(cols) - 2
+                for up in combinations(range(steps), len(rows) - 1):
+                    i, top = 0, []
+                    for s in range(steps + 1):
+                        top.append(rows[i] + cols[s - i])
+                        i += s in up
+                    yield tuple(top)
+
+    return tuple((v, w) for v in vk for w in vl), tops()
+
+
+def product(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
+    """Staircase triangulation of the product, closed down from its top
+    simplices; vertex i is the i-th pair (v, w) in lexicographic order."""
+    if not k.simplices or not l.simplices:
+        raise ValueError("product of an empty complex")
+    _, tops = _staircase(k, l)
+    return OrderedComplex.from_simplices(tops)
 
 
 def close_then_map_collapse(base, sub, fiber) -> OrderedComplex:

@@ -4,9 +4,11 @@ The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
 of validate, which decides the vertex cones without the Caratheodory
 search of in_cone; the components over each face come from one
-component x facet incidence.  The counting tests wrap the builders in every tquot
-namespace that holds them; the oracle keeps the dot-product membership
-test the incidence replaced.
+component x facet incidence, which V2 shares.  Verify collapses the
+model once and reduces it and the short locus, not the join again when
+the join is the model.  The counting tests wrap the builders in every
+tquot namespace that holds them; the oracle keeps the dot-product
+membership test the incidence replaced.
 """
 
 import json
@@ -16,7 +18,7 @@ from collections import Counter
 import pytest
 
 from conftest import polytope_specimens
-from tquot import classify, cli, gallery, hamspace, polytope
+from tquot import classify, cli, gallery, hamspace, polytope, simplicial
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
 from tquot.hamspace import read_faces
@@ -100,6 +102,27 @@ def test_classify_builds_one_hull_and_runs_no_cone_search(monkeypatch, name):
     assert (calls["convex_hull"], calls["in_cone"]) == (1, 0)
 
 
+@pytest.mark.parametrize("skip_validation", [False, True], ids=["validated", "skipped"])
+@pytest.mark.parametrize("name", gallery.names())
+def test_classify_finds_the_facets_at_the_moments_once(monkeypatch, name, skip_validation):
+    # one incidence for the face lattice on the vertices, and one on the
+    # moments that V2 and the face readings share
+    spec = gallery.build(name)
+    calls = _counter(monkeypatch, polytope, ("facet_incidence",))
+    classify(spec, skip_validation=skip_validation)
+    assert calls["facet_incidence"] == 2
+
+
+def test_verify_collapses_once_and_reduces_model_and_short_locus(tmp_path, capsys, monkeypatch):
+    # gr2c4 is a boundary-short sphere: its join check reuses the
+    # model's homology, since the coned model is that join
+    path = tmp_path / "gr2c4.json"
+    dump_spec(gallery.build("gr2c4"), str(path))
+    calls = _counter(monkeypatch, simplicial, ("collapse_fibers", "homology"))
+    assert _main(capsys, "verify", str(path)) == 0
+    assert calls == {"collapse_fibers": 1, "homology": 2}
+
+
 def test_no_hull_for_spec_failing_v1(tmp_path, capsys, builds):
     doc = spec_to_json(gallery.build("s2cubed"))
     doc["fixed_components"][0]["moment"] = [0, 0, 0]  # longer than torus_rank
@@ -126,7 +149,7 @@ def test_incidence_matches_dot_product_membership():
     pairs = 0
     for spec in polytope_specimens():
         poly = spec.polytope
-        readings = read_faces(spec, poly)
+        readings = read_faces(spec, poly, spec.moment_facets)
         for face in poly.lattice.faces:
             carriers = tuple(r.component for r in readings[face.id])
             expected = tuple(c for c in spec.components if _moment_in_face(c.moment, face, poly))

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import RP2
-from tquot import gallery
+from oracles import product
+from tquot import gallery, simplicial
 from tquot.classify import classify
 from tquot.simplicial import (
     HomologyProfile,
@@ -14,7 +15,6 @@ from tquot.simplicial import (
     homology,
     is_full_subcomplex,
     join,
-    product,
     simplex_boundary_sphere,
     surface_complex,
     verify_report,
@@ -238,6 +238,13 @@ def test_collapse_empty_sub_is_product():
     assert q.simplices == p.simplices
 
 
+def test_collapse_empty_fiber_is_empty():
+    # the product is empty, so nothing is left to crush, even over sub
+    empty = OrderedComplex(frozenset())
+    for sub in (empty, OrderedComplex.from_simplices([(0,)]), interval()):
+        assert not collapse_fibers(interval(), sub, empty).simplices
+
+
 def test_collapse_full_base_is_base():
     s2 = simplex_boundary_sphere(3)
     q = collapse_fibers(interval(), interval(), s2)
@@ -435,10 +442,20 @@ def test_verify_size_cap(gallery_specs):
         verify_report(classify(gallery_specs["gr2c4"]), max_simplices=10)
 
 
+E3 = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+
+
+def boundary_short_specs(gallery_specs):
+    specs = [gallery_specs[n] for n in ("gr2c4", "flag-su3", "so5-orbit", "s2xs2-diag")]
+    specs.append(gallery.projective_space([(0, 0, 0), *E3, (1, 1, 1)], name="cp4-t3"))
+    specs.append(gallery.sphere_product([*E3, (1, 1, 1)], 3, name="s2-4-t3"))
+    return specs
+
+
 def test_quotient_equals_join_for_boundary_short(gallery_specs):
-    for name in ("gr2c4", "flag-su3", "so5-orbit", "s2xs2-diag"):
-        spec = gallery_specs[name]
+    for spec in boundary_short_specs(gallery_specs):
         report = classify(spec)
+        assert report.join_presentation, spec.name
         result = verify_report(report)
         agree = next(c for c in result.checks if c.name == "models-agree")
         assert agree.passed
@@ -448,3 +465,21 @@ def test_quotient_equals_join_for_boundary_short(gallery_specs):
         full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
         s2 = surface_complex(0)
         assert collapse_fibers(full, sub, s2).simplices == join(sub, s2).simplices
+
+
+def test_join_check_computes_a_join_that_differs(gallery_specs, monkeypatch):
+    # verify_report reuses the model's profile only for a join equal to
+    # the model; a different join is reduced on its own and fails
+    torus = surface_complex(1)
+    monkeypatch.setattr(simplicial, "join", lambda k, l: join(k, torus))
+    for spec in boundary_short_specs(gallery_specs):
+        report = classify(spec)
+        result = verify_report(report)
+        assert not result.passed, spec.name
+        checks = {c.name: c for c in result.checks}
+        assert checks["quotient-homology"].passed
+        sp = report.stratification
+        _, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
+        assert checks["join-homology"].computed == homology(join(sub, torus))
+        assert not checks["join-homology"].passed
+        assert not checks["models-agree"].passed

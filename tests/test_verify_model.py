@@ -1,7 +1,8 @@
 """The verification model against the algorithms it replaced.
 
-collapse_fibers maps only the top simplices of the staircase product and
-closes their images once, the size cap is predicted from face counts,
+collapse_fibers builds the model from the staircase paths over the
+vertices outside the crushed part without building the product, and
+counts the product from face numbers only for the size cap;
 sparse_rank_and_factors sweeps the rows once for unit pivots, and
 homology coreduces the model before anything reaches that sweep;
 the polytope is triangulated by coning so that the short locus is full
@@ -10,7 +11,8 @@ product closure, the pulling triangulation on polytope vertices alone
 (whose short locus takes the barycentric branch of the collapse), the
 Markowitz-heap elimination and the homology that eliminates every
 boundary matrix in full.  Every test runs both on the same inputs and
-requires equal answers.
+requires equal answers; the collapse is also compared on seeded random
+bases with the subcomplexes they induce on random vertex subsets.
 """
 
 import random
@@ -95,6 +97,41 @@ def test_collapse_covers_both_branches():
     pairs = [pair(r) for pair in (model_pair, oracle_pair) for r in REPORTS.values()]
     full = {is_full_subcomplex(base, sub) for base, sub, _ in pairs}
     assert full == {True, False}
+
+
+def induced_pair(rng):
+    """A seeded random base on up to 7 scattered vertex labels and the
+    subcomplex it induces on a random vertex subset, which is full."""
+    labels = sorted(rng.sample(range(30), rng.randint(1, 7)))
+    tops = [
+        sorted(rng.sample(labels, rng.randint(1, min(len(labels), 4))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    base = OrderedComplex.from_simplices(tops)
+    crushed = set(rng.sample(base.vertices, rng.randint(0, len(base.vertices))))
+    sub = OrderedComplex(frozenset(s for s in base.simplices if set(s) <= crushed))
+    return base, sub
+
+
+def test_collapse_of_induced_pairs_matches_close_then_map():
+    rng = random.Random(23)
+    fibers = [surface_complex(g) for g in range(3)]
+    seen = {"uncrushed first": 0, "interleaved": 0, "top in sub": 0, "top off sub": 0}
+    for _ in range(150):
+        base, sub = induced_pair(rng)
+        assert is_full_subcomplex(base, sub)
+        fiber = fibers[rng.randrange(3)]
+        model = collapse_fibers(base, sub, fiber)
+        assert model.simplices == close_then_map_collapse(base, sub, fiber).simplices
+        subv = set(sub.vertices)
+        for top in base.maximal_simplices():
+            kinds = "".join("c" if v in subv else "p" for v in top)
+            switches = sum(a != b for a, b in zip(kinds, kinds[1:]))
+            seen["uncrushed first"] += "pc" in kinds
+            seen["interleaved"] += switches >= 2
+            seen["top in sub"] += "p" not in kinds
+            seen["top off sub"] += "c" not in kinds
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
