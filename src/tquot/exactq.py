@@ -41,10 +41,6 @@ def dot(a, b) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def vsub(a, b) -> Vector:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
-
-
 def integral(v) -> tuple[int, ...]:
     """v scaled by the lcm of its entries' denominators: an integer
     vector with the same direction.  An integer vector is itself."""

@@ -16,7 +16,9 @@ The polytope, the facets tight at each moment and one reading of the
 face complexity per face and component on it (`read_faces`) are cached
 on the spec, so validation (check V2 finds the moments outside, V5
 reads every component on a face) and stratification (only those at the
-face's vertices) share one pass.
+face's vertices) share one pass.  Each fact is proven once: V5 ranks
+the parallel weights only of the readings that V4 has not settled,
+those away from a vertex and those whose vertex cone V4 refused.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ from operator import mul
 from typing import Optional
 
 from tquot.exactq import Vector, is_zero, primitive, rank, vec
-from tquot.polytope import (
-    FaceLattice,
-    RationalPolytope,
-    convex_hull,
-    facet_incidence,
-    tangent_cone,
-)
+from tquot.polytope import FaceLattice, RationalPolytope, convex_hull, facet_incidence
 
 POINT = "point"
 SURFACE = "surface"
@@ -183,14 +179,6 @@ def read_faces(
     return readings
 
 
-def _by_complexity(readings) -> dict[int, list[tuple]]:
-    """Each complexity read mapped to the parallel weights of its readers."""
-    values: dict[int, list[tuple]] = {}
-    for r in readings:
-        values.setdefault(r.complexity, []).append(r.parallel)
-    return values
-
-
 def stratify(spec: HamSpec) -> StratifiedPolytope:
     """Complexity label for every face, grouped into the strata.
 
@@ -206,7 +194,7 @@ def stratify(spec: HamSpec) -> StratifiedPolytope:
     readings = spec.face_readings
     fc = {}
     for f in lattice.faces:
-        values = _by_complexity(r for r in readings[f.id] if r.at_vertex)
+        values = {r.complexity for r in readings[f.id] if r.at_vertex}
         if not values:
             raise SpecError(f"no fixed component at any vertex of face {f.vertex_set}")
         if len(values) > 1:
@@ -285,7 +273,7 @@ def _tangent_cone_witness(poly: RationalPolytope, v: int, weights) -> Optional[s
             if sum(map(mul, n, w)) < 0:
                 return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
     rays = {primitive(w) for w in weights if any(w)}
-    missed = [e for e in tangent_cone(poly, v) if e not in rays]
+    missed = [e for e in poly.lattice.edges[v] if e not in rays]
     if not missed:
         return None
     span = rank(weights)
@@ -379,6 +367,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # surface, generate the tangent cone there (a surface's implicit zero
     # weight adds nothing to the cone)
     problems = []
+    unconed = []  # the components at a vertex that fail it
     vertex_index = {v: i for i, v in enumerate(poly.vertices)}
     for idx, comp in enumerate(spec.components):
         v = vertex_index.get(comp.moment)
@@ -386,11 +375,14 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             continue
         witness = _tangent_cone_witness(poly, v, comp.weights)
         if witness:
+            unconed.append(comp)
             problems.append(f"component {idx} at vertex {v}: {witness}")
     checks.append(CheckResult("V4-vertex-cone", not problems, "; ".join(problems)))
 
     # V5: all components over a face agree on its complexity, and the
-    # parallel weights span the face directions
+    # parallel weights span the face directions.  At a vertex where V4
+    # holds they do: each edge of the face there is a positive multiple
+    # of a weight, which is then parallel to the face
     problems = []
     fc: dict[int, int] = {}
     readings = spec.face_readings if polytope is None else read_faces(spec, poly, tight)
@@ -398,18 +390,19 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         over = readings[f.id]
         if not any(r.at_vertex for r in over):
             continue  # V2's finding
-        values = _by_complexity(over)
+        values = {r.complexity for r in over}
         if len(values) > 1:
             problems.append(
                 f"face {f.vertex_set}: components disagree on complexity {sorted(values)}"
             )
             continue
-        [(value, parallels)] = values.items()
+        [value] = values
         if value < 0:
             problems.append(f"face {f.vertex_set}: negative complexity")
             continue
         fc[f.id] = value
-        if any(rank(parallel) != f.dim for parallel in parallels):
+        unsettled = (r for r in over if not r.at_vertex or r.component in unconed)
+        if any(rank(r.parallel) != f.dim for r in unsettled):
             problems.append(
                 f"face {f.vertex_set}: parallel weights do not span the face directions"
             )

@@ -13,11 +13,13 @@ Denominators are cleared once per routine: `convex_hull` scales all
 points by one common integer, and `facet_incidence` scales its points,
 the facet offsets and a vertex by another.  From there the hull runs on
 integer points: the primitive normals of the affine hull, the facets
-and their contacts in the projected coordinates, then each facet's
-ambient conormal as the primitive integer vector normal to its contacts
-and to the hull normals.  The face lattice runs on vertex-facet bitmasks,
-and the cone test `in_cone` fraction-free (`exactq.eliminate`).  Only
-the vertices and the facet offsets are Fractions.
+and the bitmasks of their contacts in the projected coordinates, the
+vertices as the points where the facets through them meet alone, then
+each facet's ambient conormal as the primitive integer vector normal to
+its contacts and to the hull normals.  The face lattice runs on
+vertex-facet bitmasks, and the cone test `in_cone` fraction-free
+(`exactq.eliminate`).  Only the vertices and the facet offsets are
+Fractions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from tquot.exactq import (
     integral,
     nullspace,
     primitive,
-    rank,
     solve_fraction_free,
     vec,
 )
@@ -130,30 +131,27 @@ def convex_hull(points) -> RationalPolytope:
         return RationalPolytope(ambient, (pts[0],), (), hull_normals)
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
-    # each facet with its contacts among all the points
+    # each facet with its contacts, as the double description keeps them;
+    # a point is a vertex iff the facets through it meet in it alone
     supports = [
-        (n, [i for i, q in enumerate(coords) if sum(map(mul, n, q)) == c])
-        for n, c in _facets(coords, d)
+        (mask, [i for i in range(len(pts)) if mask >> i & 1]) for _, _, mask in _facets(coords, d)
     ]
-
-    # extreme points: active conormals span the full coordinate space
-    active_normals: dict[int, list] = {i: [] for i in range(len(pts))}
-    for n, contact in supports:
+    meet = [(1 << len(pts)) - 1] * len(pts)
+    for mask, contact in supports:
         for i in contact:
-            active_normals[i].append(n)
-    vertex_idx = [i for i in range(len(pts)) if rank(active_normals[i]) == d]
-    vertex_idx.sort(key=lambda i: pts[i])
+            meet[i] &= mask
+    vertex_idx = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: pts[i])
     vertices = tuple(pts[i] for i in vertex_idx)
 
     # the ambient conormal of a facet is normal to its contacts and lies
     # in the affine hull's directions; a point off the facet signs it
     facets = []
-    for _, contact in supports:
+    for mask, contact in supports:
         q0 = ints[contact[0]]
         rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
         [w] = nullspace([*rows, *hull_normals], ambient)
         level = sum(map(mul, w, q0))
-        off = next(i for i in range(len(ints)) if i not in contact)
+        off = next(i for i in range(len(ints)) if not mask >> i & 1)
         if sum(map(mul, w, ints[off])) < level:
             w, level = tuple(-x for x in w), -level
         facets.append((w, Fraction(level, scale)))
@@ -161,9 +159,10 @@ def convex_hull(points) -> RationalPolytope:
     return RationalPolytope(ambient, vertices, tuple(facets), hull_normals)
 
 
-def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """The facets (n, c), <n, x> >= c with n primitive, of the hull of
-    distinct integer points that affinely span R^d, d >= 1.
+def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The facets (n, c, contacts), <n, x> >= c with n primitive, of the
+    hull of distinct integer points that affinely span R^d, d >= 1;
+    contacts is the bitmask of the points on the facet.
 
     The incremental double description method (Fukuda & Prodon, "Double
     description method revisited", 1996): start from the simplex on d+1
@@ -216,7 +215,7 @@ def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int]]:
             for (n, c, contacts), s in zip(facets, slacks)
             if s >= 0
         ] + new
-    return [(n, c) for n, c, _ in facets]
+    return facets
 
 
 def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]]]:
@@ -297,16 +296,6 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     ids = {mask: fid for fid, mask in enumerate(order)}
     covers = tuple(sorted((ids[h], ids[f]) for f, hs in below.items() for h in hs))
     return FaceLattice(tuple(faces), covers, tuple(tuple(sorted(e)) for e in edges))
-
-
-def tangent_cone(p: RationalPolytope, v: int):
-    """Primitive generators of the edge directions at vertex v, as the
-    face lattice keeps them.
-
-    The cone they span is the set of directions pointing into the
-    polytope at that vertex.
-    """
-    return p.lattice.edges[v]
 
 
 def in_cone(target, generators) -> bool:

@@ -10,20 +10,20 @@ the vertex-cone check V4 before it read facet inequalities.  Then the
 face layer as it was before it went by covers and integer readings: the
 face lattice by pairwise closure of the facet vertex sets with all-pairs
 containment, the edge directions by a scan of every face, V4 by the
-facet inequalities of the weight cone, and the face readings by
-Fraction membership of the moments and span membership of the weights.
-`containment` gives all pairs of any lattice, for tests that assert
-along containment.  Below them are the verification model as it was
-built before it went through top simplices and a row sweep: the
-staircase product closed downward in full, the same product closed
-from its top simplices (the paths that the collapse mapped one by one
-before it emitted the model's top simplices directly), the fiber
-collapse that maps every face of that closure, the pulling
-triangulation on polytope vertices alone, in which the short locus is
-seldom full, and the unit-pivot elimination driven by a Markowitz
-heap.  Then comes integral homology by full elimination of every
-boundary matrix, as it was before coreduction ran first.  Last is the
-trichotomy for circle actions on four-manifolds, an independent
+facet inequalities of the weight cone, the face readings by Fraction
+membership of the moments and span membership of the weights, and V5
+ranking the parallel weights of every reading.  `containment` gives all
+pairs of any lattice, for tests that assert along containment.  Below
+them are the verification model as it was built before it went through
+top simplices and a row sweep: the staircase product closed downward in
+full, the same product closed from its top simplices (the paths that
+the collapse mapped one by one before it emitted the model's top
+simplices directly), the fiber collapse that maps every face of that
+closure, the pulling triangulation on polytope vertices alone, in which
+the short locus is seldom full, and the unit-pivot elimination driven
+by a Markowitz heap.  Then comes integral homology by full elimination
+of every boundary matrix, as it was before coreduction ran first.  Last
+is the trichotomy for circle actions on four-manifolds, an independent
 decision for the cases it covers.  Tests compare the package code
 against them; nothing in the package imports this module.
 """
@@ -47,10 +47,9 @@ from tquot.exactq import (
     smith_normal_form,
     sparse_rank_and_factors,
     vec,
-    vsub,
 )
 from tquot.exactq import eliminate, rank
-from tquot.hamspace import FaceReading, SpecError, _parens, stratify, validate
+from tquot.hamspace import CheckResult, FaceReading, SpecError, _parens, stratify, validate
 from tquot.polytope import Face, _facets, facet_incidence, in_cone
 from tquot.simplicial import (
     HomologyProfile,
@@ -58,6 +57,10 @@ from tquot.simplicial import (
     barycentric_pair,
     is_full_subcomplex,
 )
+
+
+def vsub(a, b):
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
 
 
 class Echelon:
@@ -332,7 +335,7 @@ def weight_cone_witness(poly, v, weights):
     if not edges:
         return None
     points = dict.fromkeys([(0,) * len(pivots), *(tuple(w[j] for j in pivots) for w in weights)])
-    cone = [n for n, c in _facets(list(points), len(pivots)) if c == 0]
+    cone = [n for n, c, _ in _facets(list(points), len(pivots)) if c == 0]
     for e in edges:
         projected = [e[j] for j in pivots]
         if any(dot(n, projected) < 0 for n in cone):
@@ -356,6 +359,28 @@ def fraction_readings(spec, poly):
                 row.append(FaceReading(comp, k, parallel, comp.moment in f.vertex_coords))
         readings[f.id] = tuple(row)
     return readings
+
+
+def ranked_v5(spec):
+    """The face-complexity check V5 as it was before it left the spans at
+    vertices to V4: the parallel weights of every reading on a face are
+    ranked, also those of a component whose vertex cone V4 accepted."""
+    problems = []
+    readings = spec.face_readings
+    for f in spec.polytope.lattice.faces:
+        over = readings[f.id]
+        if not any(r.at_vertex for r in over):
+            continue
+        values = sorted({r.complexity for r in over})
+        if len(values) > 1:
+            problems.append(f"face {f.vertex_set}: components disagree on complexity {values}")
+        elif values[0] < 0:
+            problems.append(f"face {f.vertex_set}: negative complexity")
+        elif any(rank(r.parallel) != f.dim for r in over):
+            problems.append(
+                f"face {f.vertex_set}: parallel weights do not span the face directions"
+            )
+    return CheckResult("V5-face-complexity", not problems, "; ".join(problems))
 
 
 def _staircases(sigma: tuple, tau: tuple):

@@ -4,21 +4,24 @@ The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
 of validate, which decides the vertex cones without the Caratheodory
 search of in_cone; the components over each face come from one
-component x facet incidence, which V2 shares.  Verify collapses the
-model once and reduces it and the short locus, not the join again when
-the join is the model.  The counting tests wrap the builders in every
-tquot namespace that holds them; the oracle keeps the dot-product
-membership test the incidence replaced.
+component x facet incidence, which V2 shares.  A span is ranked once:
+V3's rank per component, with none in the hull and none in V5 at a
+vertex that V4 accepts.  Verify collapses the model once and reduces
+it and the short locus, not the join again when the join is the model.
+The counting tests wrap the builders in every tquot namespace that
+holds them; the oracle keeps the dot-product membership test the
+incidence replaced.
 """
 
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import polytope_specimens
-from tquot import classify, cli, gallery, hamspace, polytope, simplicial
+from tquot import classify, cli, exactq, gallery, hamspace, polytope, simplicial
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
 from tquot.hamspace import read_faces
@@ -111,6 +114,19 @@ def test_classify_finds_the_facets_at_the_moments_once(monkeypatch, name, skip_v
     calls = _counter(monkeypatch, polytope, ("facet_incidence",))
     classify(spec, skip_validation=skip_validation)
     assert calls["facet_incidence"] == 2
+
+
+def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):
+    # every moment of the A3 regular orbit is a vertex whose cone V4
+    # accepts, so V5 leaves every span to V4 and the one rank per
+    # component is V3's; the hull reads its vertices off its contacts
+    half = Fraction(1, 2)
+    spec = gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
+    calls = _counter(monkeypatch, exactq, ("rank",))
+    assert len(spec.polytope.vertices) == len(spec.components) == 24
+    assert calls["rank"] == 0
+    assert classify(spec).validation.ok
+    assert calls["rank"] == 24
 
 
 def test_verify_collapses_once_and_reduces_model_and_short_locus(tmp_path, capsys, monkeypatch):

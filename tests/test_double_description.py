@@ -9,7 +9,8 @@ its witnesses with those of the weight-cone facet test it replaced
 since (tests/oracles.py), at every vertex of every specimen, under
 seeded sign changes and merges of the weights.  The hull's own
 differential tests against the brute-force oracle are in
-test_fraction_free.py.
+test_fraction_free.py; here the contact masks it keeps are checked
+against the slacks, on the moments and on the weight cones of the draws.
 """
 
 import random
@@ -21,8 +22,9 @@ from conftest import polytope_specimens
 from oracles import cones_equal, weight_cone_witness
 from tquot import classify, gallery
 from tquot.classify import StratificationOnly
+from tquot.exactq import clear_denominators, eliminate, vec
 from tquot.hamspace import _tangent_cone_witness
-from tquot.polytope import tangent_cone
+from tquot.polytope import _facets
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +84,7 @@ def test_vertex_cone_matches_cone_equality_oracle():
             if comp.moment not in poly.vertices:
                 continue
             v = poly.vertices.index(comp.moment)
-            edges = tangent_cone(poly, v)
+            edges = poly.lattice.edges[v]
             for weights in _sign_changes(rng, comp.weights):
                 ok = _tangent_cone_witness(poly, v, weights) is None
                 assert ok == cones_equal(weights, edges), (spec.name, v, weights)
@@ -126,3 +128,37 @@ def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
                 kinds.append(witness and next(k for k in _WITNESSES if k in witness))
     # every kind of witness, and none, is drawn
     assert min(kinds.count(k) for k in (None, *_WITNESSES)) > 150
+
+
+def _projected(points):
+    """The distinct points as convex_hull hands them to _facets: scaled
+    to integers and projected onto the pivot coordinates of their
+    directions."""
+    ints, _ = clear_denominators(list(dict.fromkeys(vec(p) for p in points)))
+    pivots, _ = eliminate([[a - b for a, b in zip(q, ints[0])] for q in ints])
+    return [tuple(q[j] for j in pivots) for q in ints], len(pivots)
+
+
+def test_facet_contacts_are_the_points_with_zero_slack(a4_regular):
+    # the masks the double description keeps, on the moments of every
+    # specimen and on the hull of 0 and the weights of each draw above
+    rng = random.Random(1996)
+    point_sets = []
+    for spec in [*polytope_specimens(), a4_regular]:
+        point_sets.append([c.moment for c in spec.components])
+        index = {v: i for i, v in enumerate(spec.polytope.vertices)}
+        for comp in spec.components:
+            if comp.moment in index:
+                for weights in _sign_changes(rng, comp.weights) + _merges(rng, comp.weights):
+                    point_sets.append([(0,) * spec.torus_rank, *weights])
+    facets = 0
+    for points in point_sets:
+        coords, d = _projected(points)
+        if d == 0:
+            continue
+        for n, c, mask in _facets(coords, d):
+            slacks = [sum(a * b for a, b in zip(n, q)) - c for q in coords]
+            assert min(slacks) == 0, points
+            assert mask == sum(1 << i for i, s in enumerate(slacks) if s == 0), points
+            facets += 1
+    assert facets > 10000

@@ -13,7 +13,7 @@ from conftest import (
     with_component,
     without_component,
 )
-from oracles import containment, fraction_readings
+from oracles import containment, fraction_readings, ranked_v5
 from tquot import gallery
 from tquot.exactq import vec
 from tquot.hamspace import (
@@ -468,3 +468,50 @@ def test_v6_along_covers_decides_as_along_all_containments():
         assert by_covers[:5] == by_pairs[:5]
         failing += not by_covers[5].passed
     assert failing > 50
+
+
+def _doubled_first_weight_cases():
+    """Each vertex component of each gallery specimen with its weights
+    shifted by one, so that its first weight appears twice and its last
+    is dropped.  V4 refuses most of them, and on a face parallel to the
+    first and the dropped weight the count can still agree while the
+    span falls short."""
+    for name in gallery.names():
+        spec = gallery.build(name)
+        vertices = spec.polytope.vertices
+        for i, c in enumerate(spec.components):
+            if c.moment in vertices and len(c.weights) > 1:
+                shifted = (c.weights[0], *c.weights[:-1])
+                yield with_component(spec, i, replace(c, weights=shifted))
+
+
+def _v5(spec):
+    return next(c for c in validate(spec).checks if c.name == "V5-face-complexity")
+
+
+def test_v5_matches_the_oracle_that_ranks_every_reading():
+    # V5 leaves the span at a vertex to V4 and ranks only the readings V4
+    # has not settled; it must say what ranking every reading says
+    rng = random.Random(1996)
+    transformed = []
+    for name in gallery.names():
+        spec = gallery.build(name)
+        r = spec.torus_rank
+        for _ in range(2):
+            shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+            scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            transformed.append(transform(spec, random_unimodular(rng, r), shift, scale))
+    rng = random.Random(2002)
+    drawn = [_random_spec(rng) for _ in range(300)]
+    doubled = list(_doubled_first_weight_cases())
+    assert len(doubled) == 29
+    for spec in [*transformed, *_readings_cases(), *drawn, *doubled]:
+        assert _v5(spec) == ranked_v5(spec), spec
+    # the doubled weight leaves spans short at components that V4 refuses
+    short = [
+        spec
+        for spec in doubled
+        if "do not span" in _v5(spec).detail
+        and not next(c for c in validate(spec).checks if c.name == "V4-vertex-cone").passed
+    ]
+    assert len(short) >= 4

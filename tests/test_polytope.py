@@ -5,14 +5,13 @@ from itertools import combinations
 import pytest
 
 from conftest import random_point_set
-from oracles import cones_equal, fraction_solve_affine, lattice_membership
-from tquot.exactq import dot, primitive, vec, vsub
+from oracles import cones_equal, fraction_solve_affine, lattice_membership, vsub
+from tquot.exactq import dot, primitive, vec
 from tquot.polytope import (
     convex_hull,
     face_lattice,
     facet_incidence,
     in_cone,
-    tangent_cone,
 )
 
 
@@ -167,19 +166,19 @@ def test_supporting_hyperplanes():
 def test_tangent_cone_square():
     p = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     v = p.vertices.index(vec((0, 0)))
-    assert tangent_cone(p, v) == ((0, 1), (1, 0))
+    assert p.lattice.edges[v] == ((0, 1), (1, 0))
 
 
 def test_tangent_cone_interval():
     p = convex_hull([(0,), (1,)])
     v = p.vertices.index(vec((1,)))
-    assert tangent_cone(p, v) == ((-1,),)
+    assert p.lattice.edges[v] == ((-1,),)
 
 
 def test_tangent_cone_hypersimplex():
     p = convex_hull(hypersimplex_points())
     v = p.vertices.index(vec((1, 1, 0, 0)))
-    cone = tangent_cone(p, v)
+    cone = p.lattice.edges[v]
     expected = {
         (-1, 0, 1, 0),
         (-1, 0, 0, 1),
@@ -193,7 +192,7 @@ def test_tangent_cone_matches_edges():
     p = convex_hull(hypersimplex_points())
     lat = face_lattice(p)
     for v in range(len(p.vertices)):
-        gens = set(tangent_cone(p, v))
+        gens = set(p.lattice.edges[v])
         edge_dirs = {
             primitive(vsub(p.vertices[next(i for i in f.vertex_set if i != v)], p.vertices[v]))
             for f in lat.faces
