@@ -355,9 +355,9 @@ def cmd_gallery(args) -> int:
             genus = " (takes --genus)" if entry.parametrized else ""
             print(f"{name:14s} row ({entry.row}): {entry.summary}; quotient {entry.reported_quotient}{genus}")
         return 0
-    entry = gallery.CATALOG.get(args.name)
-    # an unknown name raises GalleryError, which main reports
-    spec = gallery.build(args.name, genus=args.genus if entry and entry.parametrized else None)
+    # an unknown name, or a genus the specimen does not take, raises
+    # GalleryError, which main reports
+    spec = gallery.build(args.name, genus=args.genus)
     if args.gallery_command == "show":
         print(_render_report_text(spec, classify(spec)))
         return 0
@@ -433,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     gsub.add_parser("list")
     p_show = gsub.add_parser("show")
     p_show.add_argument("name")
-    p_show.add_argument("--genus", type=int, default=1)
+    p_show.add_argument("--genus", type=int)
     p_export = gsub.add_parser("export")
     p_export.add_argument("name")
     p_export.add_argument("out_path")
-    p_export.add_argument("--genus", type=int, default=1)
+    p_export.add_argument("--genus", type=int)
 
     p_verify = sub.add_parser("verify", help="verify a classification by homology")
     p_verify.add_argument("path")

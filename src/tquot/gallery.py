@@ -315,4 +315,6 @@ def build(name: str, genus: Optional[int] = None) -> HamSpec:
     entry = CATALOG[name]
     if genus is not None and not entry.parametrized:
         raise GalleryError(f"{name} takes no genus parameter")
+    if isinstance(genus, int) and genus < 0:
+        raise GalleryError(f"{name} needs a genus >= 0, got {genus}")
     return entry.builder(genus)

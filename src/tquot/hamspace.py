@@ -12,18 +12,19 @@ weights at a vertex component of F parallel to F (plus one for the
 implicit zero of a surface) minus dim F.  Stratification groups the
 faces by that number; the complexity-zero faces form the short locus.
 
-The polytope, the facets tight at each moment and one reading of the
-face complexity per face and component on it (`read_faces`) are cached
-on the spec, so validation (check V2 finds the moments outside, V5
-reads every component on a face) and stratification (only those at the
-face's vertices) share one pass.  Each fact is proven once: V5 ranks
-the parallel weights only of the readings that V4 has not settled,
-those away from a vertex and those whose vertex cone V4 refused.
+The polytope and one reading of the face complexity per face and
+component on it (`read_faces`) are cached on the spec and shared: V2
+reads the moments outside and the carriers of each vertex off them, V4
+the components at the vertices, V5 every component on a face and
+stratification those at its vertices.  Each fact is proven once: V5
+ranks the parallel weights only of the readings that V4 has not
+settled, those away from a vertex and those whose vertex cone V4 refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -52,23 +53,27 @@ class FixedComponent:
         return self.kind == SURFACE
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints.  Anything else, a bool, a float or
-    a Fraction included, is refused, never coerced."""
+def _exact(values, what: str, kinds=int) -> tuple:
+    """The values as a tuple if each is of kinds; a bool never is.  Nothing is coerced."""
     values = tuple(values)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
-        raise SpecError(f"{what} must be integers, got {values!r}")
+    if any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
+        raise SpecError(f"{what}, got {values!r}")
     return values
 
 
+def _moment(values) -> Vector:
+    return vec(_exact(values, "a moment must be integers or Fractions", (int, Fraction)))
+
+
 def point_component(moment, weights) -> FixedComponent:
-    return FixedComponent(POINT, vec(moment), tuple(_integers(w, "weights") for w in weights))
+    weights = tuple(_exact(w, "weights must be integers") for w in weights)
+    return FixedComponent(POINT, _moment(moment), weights)
 
 
 def surface_component(genus, moment, weights) -> FixedComponent:
-    weights = tuple(_integers(w, "weights") for w in weights)
-    [genus] = _integers((genus,), "a genus")
-    return FixedComponent(SURFACE, vec(moment), weights, genus=genus)
+    weights = tuple(_exact(w, "weights must be integers") for w in weights)
+    [genus] = _exact((genus,), "a genus must be integers")
+    return FixedComponent(SURFACE, _moment(moment), weights, genus=genus)
 
 
 @dataclass(frozen=True)
@@ -86,22 +91,17 @@ class HamSpec:
         return convex_hull([c.moment for c in self.components])
 
     @cached_property
-    def moment_facets(self) -> list[Optional[frozenset[int]]]:
-        """facet_incidence of the moments in self.polytope, built on first use."""
-        return facet_incidence(self.polytope, [c.moment for c in self.components])
-
-    @cached_property
     def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
         """read_faces over self.polytope, built on first use."""
-        return read_faces(self, self.polytope, self.moment_facets)
+        return read_faces(self, self.polytope)
 
 
 @dataclass(frozen=True)
 class FaceReading:
-    """A component on a face: the face complexity it reads, its weights
-    parallel to the face, and whether its moment is a vertex of the face."""
+    """A component on a face, by its index in the spec: the complexity it
+    reads, its weights parallel to the face, and whether it is at a vertex."""
 
-    component: FixedComponent
+    index: int
     complexity: int
     parallel: tuple[tuple[int, ...], ...]
     at_vertex: bool
@@ -137,10 +137,7 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def first_failed(self) -> Optional[str]:
-        for c in self.checks:
-            if not c.passed:
-                return c.name
-        return None
+        return next((c.name for c in self.checks if not c.passed), None)
 
 
 @dataclass(frozen=True)
@@ -149,20 +146,19 @@ class GeneralPositionReport:
     overall: bool
 
 
-def read_faces(
-    spec: HamSpec, poly: RationalPolytope, tight: list[Optional[frozenset[int]]]
-) -> dict[int, tuple[FaceReading, ...]]:
+def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:
     """Face id -> a reading for each component whose moment lies on the face.
 
     The rule: weights parallel to the face, plus one for the implicit
     zero weight of a surface, minus dim F.  It is read in integers,
     once per component and once per distinct weight: the facets tight at
-    each moment (`tight`, the `facet_incidence` of the moments in poly,
-    None outside it), whether the moment is a vertex, and for a weight
+    each moment (their `facet_incidence` in poly; a moment outside lies
+    on no face), whether the moment is a vertex, and for a weight
     in the polytope's directions the facets whose conormal it meets
     with 0.  A moment inside lies on a face, and a weight is parallel
     to it, iff those facets hold every facet that contains the face.
     """
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
     vertices = set(poly.vertices)
     at_vertex = [c.moment in vertices for c in spec.components]
     weights = dict.fromkeys(w for c in spec.components for w in c.weights)
@@ -170,11 +166,11 @@ def read_faces(
     readings = {}
     for f in poly.lattice.faces:
         row = []
-        for comp, t, vertex in zip(spec.components, tight, at_vertex):
+        for i, (comp, t, vertex) in enumerate(zip(spec.components, tight, at_vertex)):
             if t is not None and f.facets <= t:
                 parallel = tuple(w for w in comp.weights if w in zeros and f.facets <= zeros[w])
                 k = len(parallel) + comp.is_surface - f.dim
-                row.append(FaceReading(comp, k, parallel, vertex))
+                row.append(FaceReading(i, k, parallel, vertex))
         readings[f.id] = tuple(row)
     return readings
 
@@ -326,27 +322,24 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     poly = spec.polytope if polytope is None else polytope
     lattice = poly.lattice
     d = poly.dim
+    readings = spec.face_readings if polytope is None else read_faces(spec, poly)
 
     # V2: every moment lies in the polytope, and every vertex of the
     # polytope carries exactly one component (vertex preimages are
     # connected fixed components)
-    problems = []
-    moments = [c.moment for c in spec.components]
-    tight = spec.moment_facets if polytope is None else facet_incidence(poly, moments)
-    for idx, (comp, t) in enumerate(zip(spec.components, tight)):
-        if t is None:
-            problems.append(
-                f"component {idx}: moment {_parens(comp.moment)} lies outside the polytope"
-            )
-    carried = dict.fromkeys(poly.vertices, 0)
-    for comp in spec.components:
-        if comp.moment in carried:
-            carried[comp.moment] += 1
-    for v, carriers in carried.items():
+    inside = {r.index for r in readings[lattice.top.id]}
+    problems = [
+        f"component {idx}: moment {_parens(c.moment)} lies outside the polytope"
+        for idx, c in enumerate(spec.components)
+        if idx not in inside
+    ]
+    # the dim-0 faces come first in the lattice, in vertex order
+    for v, vertex in enumerate(poly.vertices):
+        carriers = len(readings[v])
         if carriers == 0:
-            problems.append(f"vertex {tuple(map(str, v))} has no component")
+            problems.append(f"vertex {tuple(map(str, vertex))} has no component")
         elif carriers > 1:
-            problems.append(f"vertex {tuple(map(str, v))} carries {carriers} components")
+            problems.append(f"vertex {tuple(map(str, vertex))} carries {carriers} components")
     checks.append(CheckResult("V2-vertex-coverage", not problems, "; ".join(problems)))
 
     # V3: at every component the weights span the direction space of the polytope
@@ -367,15 +360,11 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # surface, generate the tangent cone there (a surface's implicit zero
     # weight adds nothing to the cone)
     problems = []
-    unconed = []  # the components at a vertex that fail it
-    vertex_index = {v: i for i, v in enumerate(poly.vertices)}
-    for idx, comp in enumerate(spec.components):
-        v = vertex_index.get(comp.moment)
-        if v is None:
-            continue
-        witness = _tangent_cone_witness(poly, v, comp.weights)
+    unconed = set()  # the indices of the components at a vertex that fail it
+    for idx, v in sorted((r.index, v) for v in range(len(poly.vertices)) for r in readings[v]):
+        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights)
         if witness:
-            unconed.append(comp)
+            unconed.add(idx)
             problems.append(f"component {idx} at vertex {v}: {witness}")
     checks.append(CheckResult("V4-vertex-cone", not problems, "; ".join(problems)))
 
@@ -385,7 +374,6 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # of a weight, which is then parallel to the face
     problems = []
     fc: dict[int, int] = {}
-    readings = spec.face_readings if polytope is None else read_faces(spec, poly, tight)
     for f in lattice.faces:
         over = readings[f.id]
         if not any(r.at_vertex for r in over):
@@ -401,7 +389,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(f"face {f.vertex_set}: negative complexity")
             continue
         fc[f.id] = value
-        unsettled = (r for r in over if not r.at_vertex or r.component in unconed)
+        unsettled = (r for r in over if not r.at_vertex or r.index in unconed)
         if any(rank(r.parallel) != f.dim for r in unsettled):
             problems.append(
                 f"face {f.vertex_set}: parallel weights do not span the face directions"

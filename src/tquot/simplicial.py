@@ -43,14 +43,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable
 
-from tquot.classify import (
-    ProductPolytopeSurface,
-    Sphere,
-    StratificationOnly,
-    TopologyReport,
-)
+from tquot.classify import ProductPolytopeSurface, StratificationOnly, TopologyReport
 from tquot.exactq import sparse_rank_and_factors
 from tquot.hamspace import StratifiedPolytope
 
@@ -267,10 +262,7 @@ def barycentric_pair(base: OrderedComplex, sub: OrderedComplex):
 
 
 def collapse_fibers(
-    base: OrderedComplex,
-    sub: OrderedComplex,
-    fiber: OrderedComplex,
-    cap: Optional[int] = None,
+    base: OrderedComplex, sub: OrderedComplex, fiber: OrderedComplex
 ) -> OrderedComplex:
     """Product of base and fiber with the fibers over sub crushed.
 
@@ -286,16 +278,11 @@ def collapse_fibers(
     the identification realizes the fiberwise quotient rather than
     something coarser; the short locus is full in
     `boundary_subcomplex_of_polytope`, so verification never subdivides.
-    With a cap, the exact size of the product (`product_size`) is
-    checked before anything is built, and SizeCapExceeded raised when
-    it is larger.
     """
     if not sub.simplices <= base.simplices:
         raise ValueError("sub is not a subcomplex of base")
     if sub.simplices and not is_full_subcomplex(base, sub):
         base, sub = barycentric_pair(base, sub)
-    if cap is not None and (size := product_size(base, fiber)) > cap:
-        raise SizeCapExceeded(size, cap)
     crushed = {v: i for i, v in enumerate(sub.vertices)}
     col = {w: j for j, w in enumerate(fiber.vertices)}
     others = (v for v in base.vertices if v not in crushed)
@@ -490,7 +477,9 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     complexes differ, and otherwise the model's profile is reused: the
     check gives no independent evidence.
     Homology equality is a necessary condition only, and a mismatch
-    signals a bug in the models, not a refutation.
+    signals a bug in the models, not a refutation.  A staircase product
+    (`product_size`) over max_simplices raises SizeCapExceeded before
+    the model is built.
     """
     if isinstance(report.verdict, StratificationOnly):
         raise ValueError("nothing to verify: the verdict is stratification-only")
@@ -499,12 +488,14 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     verdict = report.verdict
     genus = verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
     fiber = surface_complex(genus)
-    model = collapse_fibers(full, sub, fiber, cap=max_simplices)
+    if (size := product_size(full, fiber)) > max_simplices:
+        raise SizeCapExceeded(size, max_simplices)
+    model = collapse_fibers(full, sub, fiber)
     computed = homology(model)
     expected = expected_homology(sub, genus)
 
     checks = [_check("quotient-homology", computed, expected)]
-    if isinstance(verdict, Sphere) and report.join_presentation:
+    if report.join_presentation:
         presented = join(sub, fiber)
         join_h = computed if presented.simplices == model.simplices else homology(presented)
         checks.append(_check("join-homology", join_h, expected))

@@ -11,8 +11,10 @@ face layer as it was before it went by covers and integer readings: the
 face lattice by pairwise closure of the facet vertex sets with all-pairs
 containment, the edge directions by a scan of every face, V4 by the
 facet inequalities of the weight cone, the face readings by Fraction
-membership of the moments and span membership of the weights, and V5
-ranking the parallel weights of every reading.  `containment` gives all
+membership of the moments and span membership of the weights, V5
+ranking the parallel weights of every reading, and V2 and V4 as they
+were before they read the face readings, each with its own dict keyed
+by the vertices' Fraction coordinates.  `containment` gives all
 pairs of any lattice, for tests that assert along containment.  Below
 them are the verification model as it was built before it went through
 top simplices and a row sweep: the staircase product closed downward in
@@ -49,7 +51,15 @@ from tquot.exactq import (
     vec,
 )
 from tquot.exactq import eliminate, rank
-from tquot.hamspace import CheckResult, FaceReading, SpecError, _parens, stratify, validate
+from tquot.hamspace import (
+    CheckResult,
+    FaceReading,
+    SpecError,
+    _parens,
+    _tangent_cone_witness,
+    stratify,
+    validate,
+)
 from tquot.polytope import Face, _facets, facet_incidence, in_cone
 from tquot.simplicial import (
     HomologyProfile,
@@ -352,11 +362,11 @@ def fraction_readings(spec, poly):
     for f in poly.lattice.faces:
         _, basis = fraction_solve_affine(f.vertex_coords)
         row = []
-        for comp, t in zip(spec.components, tight):
+        for i, (comp, t) in enumerate(zip(spec.components, tight)):
             if t is not None and f.facets <= t:
                 parallel = tuple(w for w in comp.weights if lattice_membership(w, basis))
                 k = len(parallel) + comp.is_surface - f.dim
-                row.append(FaceReading(comp, k, parallel, comp.moment in f.vertex_coords))
+                row.append(FaceReading(i, k, parallel, comp.moment in f.vertex_coords))
         readings[f.id] = tuple(row)
     return readings
 
@@ -381,6 +391,46 @@ def ranked_v5(spec):
                 f"face {f.vertex_set}: parallel weights do not span the face directions"
             )
     return CheckResult("V5-face-complexity", not problems, "; ".join(problems))
+
+
+def dict_v2(spec, poly):
+    """The vertex-coverage check V2 as it was before it read the face
+    readings: the moments outside by their facet incidence in poly, and
+    the carriers of each vertex counted in a dict keyed by its Fraction
+    coordinates."""
+    problems = []
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    for idx, (comp, t) in enumerate(zip(spec.components, tight)):
+        if t is None:
+            problems.append(
+                f"component {idx}: moment {_parens(comp.moment)} lies outside the polytope"
+            )
+    carried = dict.fromkeys(poly.vertices, 0)
+    for comp in spec.components:
+        if comp.moment in carried:
+            carried[comp.moment] += 1
+    for v, carriers in carried.items():
+        if carriers == 0:
+            problems.append(f"vertex {tuple(map(str, v))} has no component")
+        elif carriers > 1:
+            problems.append(f"vertex {tuple(map(str, v))} carries {carriers} components")
+    return CheckResult("V2-vertex-coverage", not problems, "; ".join(problems))
+
+
+def dict_v4(spec, poly):
+    """The vertex-cone check V4 as it was before it walked the readings
+    of the vertex faces: each component in turn, its vertex looked up in
+    a dict from Fraction coordinates to vertex index."""
+    problems = []
+    vertex_index = {v: i for i, v in enumerate(poly.vertices)}
+    for idx, comp in enumerate(spec.components):
+        v = vertex_index.get(comp.moment)
+        if v is None:
+            continue
+        witness = _tangent_cone_witness(poly, v, comp.weights)
+        if witness:
+            problems.append(f"component {idx} at vertex {v}: {witness}")
+    return CheckResult("V4-vertex-cone", not problems, "; ".join(problems))
 
 
 def _staircases(sigma: tuple, tau: tuple):

@@ -397,6 +397,20 @@ def test_cli_gallery_export_genus(tmp_path, capsys):
     assert all(c.genus == 2 for c in spec.components)
 
 
+def test_cli_gallery_export_negative_genus_is_refused(tmp_path, capsys):
+    path = tmp_path / "sigma.json"
+    code, out, err = run(capsys, "gallery", "export", "sigma-g-x-s2", str(path), "--genus", "-1")
+    assert code == 2
+    assert (out, err) == ("", "error: sigma-g-x-s2 needs a genus >= 0, got -1\n")
+    assert not path.exists()
+
+
+def test_cli_gallery_genus_for_an_unparametrized_specimen_is_refused(capsys):
+    code, out, err = run(capsys, "gallery", "show", "gr2c4", "--genus", "7")
+    assert code == 2
+    assert (out, err) == ("", "error: gr2c4 takes no genus parameter\n")
+
+
 def test_cli_verify_pass(tmp_path, capsys):
     path = tmp_path / "gr2c4.json"
     dump_spec(gallery.build("gr2c4"), str(path))

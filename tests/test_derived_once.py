@@ -165,10 +165,12 @@ def test_incidence_matches_dot_product_membership():
     pairs = 0
     for spec in polytope_specimens():
         poly = spec.polytope
-        readings = read_faces(spec, poly, spec.moment_facets)
+        readings = read_faces(spec, poly)
         for face in poly.lattice.faces:
-            carriers = tuple(r.component for r in readings[face.id])
-            expected = tuple(c for c in spec.components if _moment_in_face(c.moment, face, poly))
+            carriers = tuple(r.index for r in readings[face.id])
+            expected = tuple(
+                i for i, c in enumerate(spec.components) if _moment_in_face(c.moment, face, poly)
+            )
             assert carriers == expected, (spec.name, face.vertex_set)
             pairs += len(spec.components)
     assert pairs == 3153

@@ -167,3 +167,11 @@ def test_build_unknown_name():
 def test_genus_only_for_parametrized():
     with pytest.raises(GalleryError):
         gallery.build("gr2c4", genus=2)
+
+
+@pytest.mark.parametrize("name", ["sigma-g-x-s2", "blowup-g"])
+def test_negative_genus_refused(name):
+    with pytest.raises(GalleryError, match="genus >= 0"):
+        gallery.build(name, genus=-1)
+    # the default genus lives in the builders
+    assert {c.genus for c in gallery.build(name).components if c.is_surface} == {1}

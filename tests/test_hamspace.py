@@ -13,7 +13,7 @@ from conftest import (
     with_component,
     without_component,
 )
-from oracles import containment, fraction_readings, ranked_v5
+from oracles import containment, dict_v2, dict_v4, fraction_readings, ranked_v5
 from tquot import gallery
 from tquot.exactq import vec
 from tquot.hamspace import (
@@ -72,12 +72,19 @@ def test_complexity_inconsistent():
         stratify(spec)
 
 
-@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.0, True])
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.0, True, 0.1, "1/3"])
 def test_component_builders_refuse_non_integer_weights(entry):
     with pytest.raises(SpecError, match="integers"):
         point_component((0,), ((entry,), (-1,)))
     with pytest.raises(SpecError, match="integers"):
         surface_component(0, (0,), ((entry,),))
+    if isinstance(entry, Fraction):
+        return  # an exact moment, kept by test_component_builders_keep_integers
+    # a moment is refused too, never coerced through Fraction()
+    with pytest.raises(SpecError, match="a moment must be integers or Fractions"):
+        point_component((entry,), ((1,), (-1,)))
+    with pytest.raises(SpecError, match="a moment must be integers or Fractions"):
+        surface_component(0, (0, entry), ((1, 0),))
 
 
 @pytest.mark.parametrize("genus", [1.7, Fraction(1), True, None])
@@ -423,7 +430,7 @@ def test_read_faces_matches_fraction_oracle():
     failing_v5 = 0
     for spec in _readings_cases():
         poly = spec.polytope
-        assert read_faces(spec, poly, spec.moment_facets) == fraction_readings(spec, poly), spec.name
+        assert read_faces(spec, poly) == fraction_readings(spec, poly), spec.name
         failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).failed}
     assert failing_v5 > 5
 
@@ -515,3 +522,69 @@ def test_v5_matches_the_oracle_that_ranks_every_reading():
         and not next(c for c in validate(spec).checks if c.name == "V4-vertex-cone").passed
     ]
     assert len(short) >= 4
+
+
+def _negated(weights):
+    return tuple(tuple(-x for x in w) for w in weights)
+
+
+def _coverage_cases():
+    """(variant, spec, polytope) over every gallery specimen, the genus
+    families at genus 0..2, each under a seeded C8 transform: as given,
+    each vertex component dropped, one duplicated, the weights negated at
+    each vertex component, the components reversed with every vertex
+    weight negated, each component dropped against the given polytope,
+    and one vertex moment moved off it.  A polytope of None stands for
+    the hull of the spec's own moments."""
+    rng = random.Random(1606)
+    specs = []
+    for name in gallery.names():
+        genera = range(3) if gallery.CATALOG[name].parametrized else [None]
+        specs.extend(gallery.build(name, genus=g) for g in genera)
+    for spec in specs:
+        r = spec.torus_rank
+        shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        spec = transform(spec, random_unimodular(rng, r), shift, scale)
+        poly, comps = spec.polytope, spec.components
+        at_vertex = [i for i, c in enumerate(comps) if c.moment in poly.vertices]
+        yield "given", spec, None
+        for i in at_vertex:
+            yield "dropped", without_component(spec, i), None
+            negated = replace(comps[i], weights=_negated(comps[i].weights))
+            yield "negated", with_component(spec, i, negated), None
+        i = rng.choice(at_vertex)
+        yield "duplicated", replace(spec, components=comps + (comps[i],)), None
+        flipped = tuple(
+            replace(c, weights=_negated(c.weights)) if c.moment in poly.vertices else c
+            for c in reversed(comps)
+        )
+        yield "reversed", replace(spec, components=flipped), None
+        for i in range(len(comps)):
+            yield "dropped-given", without_component(spec, i), poly
+        i = rng.choice(at_vertex)
+        v = comps[i].moment
+        u = rng.choice([u for u in poly.vertices if u != v])
+        moved = tuple(2 * a - b for a, b in zip(v, u))  # beyond the vertex v
+        yield "moved-given", with_component(spec, i, replace(comps[i], moment=moved)), poly
+
+
+def test_v2_and_v4_match_the_dict_oracles():
+    v2_kinds = {"lies outside": 0, "has no component": 0, "carries": 0}
+    reordered = 0
+    for variant, spec, poly in _coverage_cases():
+        checks = {c.name: c for c in validate(spec, polytope=poly).checks}
+        given = spec.polytope if poly is None else poly
+        assert checks["V2-vertex-coverage"] == dict_v2(spec, given), (variant, spec.name)
+        assert checks["V4-vertex-cone"] == dict_v4(spec, given), (variant, spec.name)
+        for kind in v2_kinds:
+            v2_kinds[kind] += kind in checks["V2-vertex-coverage"].detail
+        if variant == "reversed":
+            # V4 fails at every vertex component, listed in component order
+            vertex_of = [
+                given.vertices.index(c.moment) for c in spec.components if c.moment in given.vertices
+            ]
+            assert checks["V4-vertex-cone"].detail.count("component") == len(vertex_of) > 1
+            reordered += vertex_of != sorted(vertex_of)
+    assert all(v2_kinds.values()), v2_kinds
+    assert reordered > 0
