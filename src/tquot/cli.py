@@ -1,21 +1,22 @@
 """Command-line interface: classify, gallery, verify.
 
 Spec files are JSON with exact rationals ("p/q" strings, bare integers
-allowed); reports render as text or JSON with stable ordering.  Exit
-codes: 0 success, 1 validation or verification failure or an invalid
-spec, 2 parse error, unknown name or unwritable export, 3 internal
-error, 4 verification skipped.
+allowed).  Exit codes: 0 success, 1 validation or verification failure
+or an invalid spec, 2 parse error, unknown name or unwritable export, 3
+internal error, 4 verification skipped.
 
-Each command calls `classify` once and renders the report it returns.
-Errors reach `main`, which maps them to exit codes and renders a
-validation failure the same way for every command: the failed check,
-then every check.  `classify --skip-validation` refuses a malformed
-spec on stderr only.
+Each command calls `classify` once and builds one JSON document, which
+`_emit` prints with sorted keys or renders as text from the document
+alone (`_text`).  Errors reach `main`, which maps them to exit codes; a
+validation failure is such a document for every command: the failed
+check, then every check.  `classify --skip-validation` refuses a
+malformed spec on stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -159,6 +160,8 @@ def parse_spec(data) -> HamSpec:
     Every integer field must be a JSON integer, and a malformed value is
     reported with its JSON path.
     """
+    if not isinstance(data, dict):
+        raise SpecFileError("malformed spec file: the document must be a JSON object")
     try:
         name = data["name"]
         torus_rank = data["torus_rank"]
@@ -166,8 +169,6 @@ def parse_spec(data) -> HamSpec:
         raw_components = data["fixed_components"]
     except KeyError as exc:
         raise SpecFileError(f"malformed spec file: {exc.args[0]} is missing") from exc
-    except TypeError as exc:
-        raise SpecFileError(f"malformed spec file: {exc}") from exc
     if not isinstance(name, str):
         raise SpecFileError(f"malformed spec file: name must be a string, got {_shown(name)}")
     torus_rank = _integer(torus_rank, "torus_rank")
@@ -237,39 +238,41 @@ def dump_spec(spec: HamSpec, path: str) -> None:
         fh.write(text)
 
 
-def _verdict(verdict) -> tuple[dict, str]:
-    """The verdict as JSON and as text."""
+# The text name of each verdict type, formatted with the verdict's JSON fields
+VERDICT_TEXT = {
+    "sphere": "Sphere({dim})",
+    "disk": "Disk({dim})",
+    "product-polytope-surface": "ProductPolytopeSurface(genus={genus})",
+    "collapsed-product": "CollapsedProduct(short_faces={short_face_ids}, fiber=S2)",
+    "stratification-only": "StratificationOnly",
+}
+
+
+def _verdict(verdict) -> dict:
     if isinstance(verdict, Sphere):
-        return {"type": "sphere", "dim": verdict.dim}, f"Sphere({verdict.dim})"
+        return {"type": "sphere", "dim": verdict.dim}
     if isinstance(verdict, Disk):
-        return {"type": "disk", "dim": verdict.dim}, f"Disk({verdict.dim})"
+        return {"type": "disk", "dim": verdict.dim}
     if isinstance(verdict, ProductPolytopeSurface):
-        text = f"ProductPolytopeSurface(genus={verdict.genus})"
-        return {"type": "product-polytope-surface", "genus": verdict.genus}, text
+        return {"type": "product-polytope-surface", "genus": verdict.genus}
     if isinstance(verdict, CollapsedProduct):
-        ids = list(verdict.short_face_ids)
-        text = f"CollapsedProduct(short_faces={ids}, fiber=S2)"
-        return {"type": "collapsed-product", "short_face_ids": ids, "fiber": "S2"}, text
-    return {"type": "stratification-only"}, "StratificationOnly"
+        return {"type": "collapsed-product", "short_face_ids": list(verdict.short_face_ids), "fiber": "S2"}
+    return {"type": "stratification-only"}
 
 
 def report_to_json(spec: HamSpec, report: TopologyReport) -> dict:
     sp = report.stratification
+    entry = gallery.CATALOG.get(spec.name)
     faces = [
-        {
-            "id": f.id,
-            "dim": f.dim,
-            "vertices": list(f.vertex_set),
-            "complexity": sp.face_complexity[f.id],
-        }
+        {"id": f.id, "dim": f.dim, "vertices": list(f.vertex_set), "complexity": sp.face_complexity[f.id]}
         for f in sp.lattice.faces
     ]
     doc = {
         "name": spec.name,
-        "verdict": _verdict(report.verdict)[0],
+        "verdict": _verdict(report.verdict),
         "provenance": report.provenance,
         "join_presentation": report.join_presentation,
-        "annotation": _annotation_for(spec),
+        "annotation": entry.reported_quotient if entry else None,
         "complexity": sp.complexity,
         "polytope": {
             "ambient_dim": sp.polytope.ambient_dim,
@@ -292,59 +295,55 @@ def _checks_json(validation) -> list:
     return [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in validation.checks]
 
 
-def _checks_text(validation) -> list:
-    return [f"{c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}" for c in validation.checks]
+def _check_lines(rows) -> list:
+    return [f"{r['check']}: {'ok' if r['passed'] else 'FAIL ' + r['detail']}" for r in rows]
 
 
-def _torsion_json(profile) -> list:
-    return [list(t) for t in profile.torsion]
-
-
-def _render_report_text(spec, report) -> str:
-    sp = report.stratification
-    lines = [f"spec: {spec.name}"]
-    if report.validation is not None:
-        lines.extend("  " + line for line in _checks_text(report.validation))
-    lines.append(f"momentum polytope: dim {sp.polytope.dim}, {len(sp.polytope.vertices)} vertices, {len(sp.polytope.facets)} facets")
-    lines.append(f"complexity: {sp.complexity}")
-    for f in sp.lattice.faces:
-        lines.append(
-            f"  face {f.id} dim {f.dim} vertices {list(f.vertex_set)} complexity {sp.face_complexity[f.id]}"
-        )
-    lines.append(f"short faces: {list(sp.short_faces)}")
-    lines.append(f"verdict: {_verdict(report.verdict)[1]}")
-    lines.append(f"provenance: {report.provenance}")
-    annotation = _annotation_for(spec)
-    if annotation:
-        lines.append(f"reported identification: {annotation}")
+def _text(doc: dict) -> str:
+    """The text form of a document: a validation failure, or a report
+    with its validation and verification rows when it has them."""
+    if "error" in doc:
+        return "\n".join(_check_lines(doc["validation"]) + [f"validation failed: {doc['check']}"])
+    lines = [f"spec: {doc['name']}"]
+    lines.extend("  " + line for line in _check_lines(doc.get("validation", ())))
+    poly = doc["polytope"]
+    counts = f"{len(poly['vertices'])} vertices, {len(poly['facets'])} facets"
+    lines.append(f"momentum polytope: dim {poly['dim']}, {counts}")
+    lines.append(f"complexity: {doc['complexity']}")
+    lines.extend(
+        f"  face {f['id']} dim {f['dim']} vertices {f['vertices']} complexity {f['complexity']}"
+        for f in doc["faces"]
+    )
+    lines.append(f"short faces: {doc['short_faces']}")
+    lines.append("verdict: " + VERDICT_TEXT[doc["verdict"]["type"]].format(**doc["verdict"]))
+    lines.append(f"provenance: {doc['provenance']}")
+    if doc["annotation"]:
+        lines.append(f"reported identification: {doc['annotation']}")
+    if "verification" in doc:
+        lines.append("verification:")
+        for c in doc["verification"]["checks"]:
+            line = (
+                f"  {c['name']}: {'pass' if c['passed'] else 'FAIL'} computed betti"
+                f" {c['computed_betti']} expected {c['expected_betti']}"
+            )
+            # so that a torsion-only mismatch never fails beside equal Betti numbers
+            if any(c["computed_torsion"]) or any(c["expected_torsion"]):
+                line += (
+                    f" computed torsion {c['computed_torsion']}"
+                    f" expected torsion {c['expected_torsion']}"
+                )
+            lines.append(line)
     return "\n".join(lines)
 
 
-def _render_failure(validation, fmt: str) -> None:
-    """The report of a spec that validation rejects: the first failed
-    check, then every check."""
-    first = validation.first_failed()
-    doc = {"error": "validation-failed", "check": first, "validation": _checks_json(validation)}
-    text = "\n".join(_checks_text(validation) + [f"validation failed: {first}"])
-    _emit(doc, text, fmt)
-
-
-def _emit(doc, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(text)
-
-
-def _annotation_for(spec: HamSpec):
-    entry = gallery.CATALOG.get(spec.name)
-    return entry.reported_quotient if entry else None
+def _emit(doc: dict, fmt: str) -> None:
+    print(json.dumps(doc, sort_keys=True, indent=2) if fmt == "json" else _text(doc))
 
 
 def cmd_classify(args) -> int:
     spec = load_spec(args.path)
     report = classify(spec, args.skip_validation)
-    _emit(report_to_json(spec, report), _render_report_text(spec, report), args.format)
+    _emit(report_to_json(spec, report), args.format)
     return 0
 
 
@@ -359,7 +358,7 @@ def cmd_gallery(args) -> int:
     # GalleryError, which main reports
     spec = gallery.build(args.name, genus=args.genus)
     if args.gallery_command == "show":
-        print(_render_report_text(spec, classify(spec)))
+        _emit(report_to_json(spec, classify(spec)), "text")
         return 0
     try:
         dump_spec(spec, args.out_path)
@@ -392,30 +391,19 @@ def cmd_verify(args) -> int:
                 "name": c.name,
                 "passed": c.passed,
                 "computed_betti": list(c.computed.betti),
-                "computed_torsion": _torsion_json(c.computed),
+                "computed_torsion": [list(t) for t in c.computed.torsion],
                 "expected_betti": list(c.expected.betti),
-                "expected_torsion": _torsion_json(c.expected),
+                "expected_torsion": [list(t) for t in c.expected.torsion],
             }
             for c in result.checks
         ],
     }
-    lines = [_render_report_text(spec, report), "verification:"]
-    for c in result.checks:
-        line = (
-            f"  {c.name}: {'pass' if c.passed else 'FAIL'} computed betti {list(c.computed.betti)}"
-            f" expected {list(c.expected.betti)}"
-        )
-        # so that a torsion-only mismatch never fails beside equal Betti numbers
-        if any(c.computed.torsion) or any(c.expected.torsion):
-            line += (
-                f" computed torsion {_torsion_json(c.computed)}"
-                f" expected torsion {_torsion_json(c.expected)}"
-            )
-        lines.append(line)
-    _emit(doc, "\n".join(lines), args.format)
+    _emit(doc, args.format)
     return 0 if result.passed else 1
 
 
+# built once per process, on first use: it costs about as much as a small classify
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tquot",
@@ -463,7 +451,9 @@ def main(argv=None) -> int:
         if getattr(args, "skip_validation", False):
             print(f"validation failed: {exc.report.first_failed()}", file=sys.stderr)
         else:
-            _render_failure(exc.report, getattr(args, "format", "text"))
+            doc = {"error": "validation-failed", "check": exc.report.first_failed()}
+            doc["validation"] = _checks_json(exc.report)
+            _emit(doc, getattr(args, "format", "text"))
         return 1
     except (SpecFileError, SpecError, gallery.GalleryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

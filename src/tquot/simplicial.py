@@ -90,8 +90,9 @@ class OrderedComplex:
         return len(self.simplices)
 
     @property
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
+    def face_numbers(self) -> Counter:
+        """The number of simplices of each dimension."""
+        return Counter(len(s) - 1 for s in self.simplices)
 
     def maximal_simplices(self) -> tuple:
         by_size: dict[int, set] = {}
@@ -177,6 +178,15 @@ def surface_complex(g: int) -> OrderedComplex:
     return acc
 
 
+def surface_face_numbers(g: int) -> Counter:
+    """The face numbers of `surface_complex(g)`, without building it:
+    each torus summed on adds (7, 21, 14) less the glued triangle's
+    vertices, edges and the two triangles removed, (4, 18, 12)."""
+    if g == 0:
+        return Counter({0: 4, 1: 6, 2: 4})
+    return Counter({0: 4 * g + 3, 1: 18 * g + 3, 2: 12 * g + 2})
+
+
 def _paths(rows: list, cols: list):
     """The staircase paths through rows x cols: the monotone lattice
     paths from the first pair to the last, each pair as row + col."""
@@ -189,15 +199,14 @@ def _paths(rows: list, cols: list):
         yield path
 
 
-def product_size(k: OrderedComplex, l: OrderedComplex) -> int:
-    """Number of simplices of the staircase product, from face counts.
+def product_size(fk: Counter, fl: Counter) -> int:
+    """Number of simplices of the staircase product of two complexes,
+    from their face numbers fk and fl (dimension -> count).
 
-    Each product simplex projects onto an i-simplex of k and a j-simplex
-    of l, and over each such pair lie D(i, j) of them, the Delannoy
-    number sum_t C(i, t) C(j, t) 2^t.
+    Each product simplex projects onto an i-simplex of one and a
+    j-simplex of the other, and over each such pair lie D(i, j) of them,
+    the Delannoy number sum_t C(i, t) C(j, t) 2^t.
     """
-    fk = Counter(len(s) - 1 for s in k.simplices)
-    fl = Counter(len(s) - 1 for s in l.simplices)
     return sum(
         a * b * comb(i, t) * comb(j, t) * 2**t
         for i, a in fk.items()
@@ -479,7 +488,7 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     Homology equality is a necessary condition only, and a mismatch
     signals a bug in the models, not a refutation.  A staircase product
     (`product_size`) over max_simplices raises SizeCapExceeded before
-    the model is built.
+    the fiber or the model is built.
     """
     if isinstance(report.verdict, StratificationOnly):
         raise ValueError("nothing to verify: the verdict is stratification-only")
@@ -487,9 +496,9 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
     verdict = report.verdict
     genus = verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
-    fiber = surface_complex(genus)
-    if (size := product_size(full, fiber)) > max_simplices:
+    if (size := product_size(full.face_numbers, surface_face_numbers(genus))) > max_simplices:
         raise SizeCapExceeded(size, max_simplices)
+    fiber = surface_complex(genus)
     model = collapse_fibers(full, sub, fiber)
     computed = homology(model)
     expected = expected_homology(sub, genus)

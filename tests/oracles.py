@@ -24,10 +24,12 @@ simplices directly), the fiber collapse that maps every face of that
 closure, the pulling triangulation on polytope vertices alone, in which
 the short locus is seldom full, and the unit-pivot elimination driven
 by a Markowitz heap.  Then comes integral homology by full elimination
-of every boundary matrix, as it was before coreduction ran first.  Last
-is the trichotomy for circle actions on four-manifolds, an independent
-decision for the cases it covers.  Tests compare the package code
-against them; nothing in the package imports this module.
+of every boundary matrix, as it was before coreduction ran first, and
+the Euler characteristic as an alternating count of simplices, which
+the package no longer needs.  Last is the trichotomy for circle actions
+on four-manifolds, an independent decision for the cases it covers.
+Tests compare the package code against them; nothing in the package
+imports this module.
 """
 
 import heapq
@@ -431,6 +433,11 @@ def dict_v4(spec, poly):
         if witness:
             problems.append(f"component {idx} at vertex {v}: {witness}")
     return CheckResult("V4-vertex-cone", not problems, "; ".join(problems))
+
+
+def euler_characteristic(k: OrderedComplex) -> int:
+    """The alternating count of the simplices of k."""
+    return sum((-1) ** (len(s) - 1) for s in k.simplices)
 
 
 def _staircases(sigma: tuple, tau: tuple):

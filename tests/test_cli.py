@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from tquot.cli import (
     spec_to_json,
 )
 from tquot.simplicial import (
+    MAX_SIMPLICES,
     HomologyProfile,
     VerificationCheck,
     VerificationResult,
@@ -454,6 +456,24 @@ def test_cli_verify_size_cap(tmp_path, capsys):
     assert "size cap" in out
 
 
+@pytest.mark.parametrize(
+    "name, genus, cap, estimate",
+    [("gr2c4", None, 2000, 3742), ("sigma-g-x-s2", 10**6, MAX_SIMPLICES, 186000038)],
+)
+def test_cli_verify_counts_the_product_before_building_it(tmp_path, capsys, name, genus, cap, estimate):
+    # the cap is checked before the fiber is built; a genus-10^6 fiber would not finish
+    path = tmp_path / "spec.json"
+    dump_spec(gallery.build(name, genus=genus), str(path))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--max-simplices", str(cap), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert json.loads(out) == {
+        "estimate": estimate,
+        "skipped": f"size cap exceeded: {estimate} simplices (cap {cap})",
+    }
+
+
 def test_cli_verify_validation_failure(tmp_path, capsys):
     spec = gallery.build("s2cubed")
     doc = spec_to_json(spec)
@@ -505,12 +525,27 @@ def _bytes_case(case):
         text = json.dumps(doc).replace('"@"', "-" + "7" * 5000)
         message = "fixed_components[0].weights[0][0] is an integer of 5000 digits, more than 640"
         return text.encode(), message
+    if case.startswith("top-level-"):
+        text = {"array": "[1, 2]", "string": '"abc"', "number": "3", "null": "null"}[case[10:]]
+        return text.encode(), "malformed spec file: the document must be a JSON object"
     doc["fixed_components"][0]["moment"][0] = "1/" + "3" * 5000
     message = "fixed_components[0].moment[0]: rational with more than 640 digits"
     return json.dumps(doc).encode(), message
 
 
-@pytest.mark.parametrize("case", ["deep-nesting", "byte-ff", "long-integer", "long-rational"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "deep-nesting",
+        "byte-ff",
+        "long-integer",
+        "long-rational",
+        "top-level-array",
+        "top-level-string",
+        "top-level-number",
+        "top-level-null",
+    ],
+)
 @pytest.mark.parametrize("op", ["classify", "verify"])
 def test_cli_unreadable_spec_is_parse_error(tmp_path, capsys, case, op):
     data, message = _bytes_case(case)
@@ -583,6 +618,19 @@ def test_cli_verify_without_torsion_prints_none(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
     checks = json.loads(out)["verification"]["checks"]
     assert [c["expected_torsion"] for c in checks] == [[[]] * 6] * 3
+
+
+def test_parser_survives_an_argparse_error(tmp_path, capsys):
+    # the parser is built once per process and then reused
+    path = tmp_path / "s2xs2-diag.json"
+    dump_spec(gallery.build("s2xs2-diag"), str(path))
+    first = run(capsys, "classify", str(path), "--format", "json")
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "classify", str(path), "--format", "json") == first
+    assert first[0] == 0
 
 
 def _python_m_tquot(*argv):

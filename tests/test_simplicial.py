@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import RP2
-from oracles import product
+from oracles import euler_characteristic, product
 from tquot import gallery, simplicial
 from tquot.classify import classify
 from tquot.simplicial import (
@@ -17,6 +17,7 @@ from tquot.simplicial import (
     join,
     simplex_boundary_sphere,
     surface_complex,
+    surface_face_numbers,
     verify_report,
 )
 
@@ -83,7 +84,12 @@ def test_surface_complexes(g, betti):
     assert prof.betti == betti
     assert no_torsion(prof)
     closed_surface_check(k)
-    assert k.euler_characteristic == 2 - 2 * g
+    assert euler_characteristic(k) == 2 - 2 * g
+
+
+@pytest.mark.parametrize("g", range(9))
+def test_surface_face_numbers_match_the_complex(g):
+    assert surface_face_numbers(g) == surface_complex(g).face_numbers
 
 
 def test_product_edge_edge():
@@ -181,7 +187,7 @@ def test_euler_characteristic_matches_homology():
         join(simplex_boundary_sphere(1), simplex_boundary_sphere(1)),
     ):
         prof = homology(k)
-        assert k.euler_characteristic == sum(
+        assert euler_characteristic(k) == sum(
             (-1) ** d * b for d, b in enumerate(prof.betti)
         )
 
@@ -304,7 +310,7 @@ def test_boundary_subcomplex_rectangle():
     assert homology(full).reduced_trivial
     # two opposite closed edges: two contractible components
     assert homology(sub).betti == (2, 0)
-    assert full.euler_characteristic == 1
+    assert euler_characteristic(full) == 1
 
 
 def test_boundary_subcomplex_octahedron_boundary():
