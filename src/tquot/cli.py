@@ -114,21 +114,21 @@ def _shown(value) -> str:
     return text
 
 
-def _fraction_from_json(value, path: str) -> Fraction:
+def _fraction_from_json(value, at: str, j: int) -> Fraction:
+    """Entry j of the moment of component at: a JSON integer or a "p/q"
+    string.  Its path is formatted only for an error."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if match:
-        if len(value) > MAX_DIGITS and max(map(len, value.lstrip("-").split("/"))) > MAX_DIGITS:
-            raise SpecFileError(
-                f"{path}: rational with more than {MAX_DIGITS} digits"
-                " in its numerator or denominator"
-            )
-        num, den = int(match.group(1)), int(match.group(2) or 1)
-        if den == 0:
-            raise SpecFileError(f"{path}: rational needs a positive denominator: {_shown(value)}")
-        return Fraction(num, den)
-    raise SpecFileError(f"{path}: not a rational: {_shown(value)}")
+    if not match:
+        problem = f"not a rational: {_shown(value)}"
+    elif len(value) > MAX_DIGITS and max(map(len, value.lstrip("-").split("/"))) > MAX_DIGITS:
+        problem = f"rational with more than {MAX_DIGITS} digits in its numerator or denominator"
+    elif not (den := int(match.group(2) or 1)):
+        problem = f"rational needs a positive denominator: {_shown(value)}"
+    else:
+        return Fraction(int(match.group(1)), den)
+    raise SpecFileError(f"{at}.moment[{j}]: {problem}")
 
 
 def _integer(value, path: str) -> int:
@@ -182,16 +182,18 @@ def parse_spec(data) -> HamSpec:
         try:
             kind = raw["kind"]
             moment = tuple(
-                _fraction_from_json(x, f"{at}.moment[{j}]")
+                _fraction_from_json(x, at, j)
                 for j, x in enumerate(_array(raw["moment"], f"{at}.moment"))
             )
-            weights = tuple(
-                tuple(
-                    _integer(x, f"{at}.weights[{i}][{j}]")
-                    for j, x in enumerate(_array(w, f"{at}.weights[{i}]"))
-                )
-                for i, w in enumerate(_array(raw["weights"], f"{at}.weights"))
-            )
+            weights = []
+            for i, w in enumerate(_array(raw["weights"], f"{at}.weights")):
+                # a row is checked whole; only a refused one is searched for its path
+                if type(w) is not list or any(type(x) is not int for x in w):
+                    w = [
+                        _integer(x, f"{at}.weights[{i}][{j}]")
+                        for j, x in enumerate(_array(w, f"{at}.weights[{i}]"))
+                    ]
+                weights.append(tuple(w))
             if kind == "point":
                 components.append(point_component(moment, weights))
             elif kind == "surface":

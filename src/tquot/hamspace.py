@@ -16,9 +16,12 @@ The polytope and one reading of the face complexity per face and
 component on it (`read_faces`) are cached on the spec and shared: V2
 reads the moments outside and the carriers of each vertex off them, V4
 the components at the vertices, V5 every component on a face and
-stratification those at its vertices.  Each fact is proven once: V5
-ranks the parallel weights only of the readings that V4 has not
-settled, those away from a vertex and those whose vertex cone V4 refused.
+stratification those at its vertices.  The readings are taken from the
+face whose relative interior holds each moment upward along the covers,
+so their cost follows the component-face incidences.  Each fact is
+proven once: V4 runs first, and V3 ranks the weights and V5 the
+parallel weights only of what V4 has not settled, the components away
+from a vertex and those whose vertex cone V4 refused.
 """
 
 from __future__ import annotations
@@ -147,32 +150,42 @@ class GeneralPositionReport:
 
 
 def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:
-    """Face id -> a reading for each component whose moment lies on the face.
+    """Face id -> a reading for each component whose moment lies on the
+    face, in component order.
 
     The rule: weights parallel to the face, plus one for the implicit
-    zero weight of a surface, minus dim F.  It is read in integers,
-    once per component and once per distinct weight: the facets tight at
-    each moment (their `facet_incidence` in poly; a moment outside lies
-    on no face), whether the moment is a vertex, and for a weight
-    in the polytope's directions the facets whose conormal it meets
-    with 0.  A moment inside lies on a face, and a weight is parallel
-    to it, iff those facets hold every facet that contains the face.
+    zero weight of a surface, minus dim F.  A moment inside the polytope
+    lies in the relative interior of one face, its carrier, whose facets
+    are those tight at the moment (`facet_incidence`; a moment outside
+    lies on no face); the faces holding it are the carrier and the faces
+    above it along the covers.  A weight in the polytope's directions is
+    parallel to a face iff the facets whose conormal it meets with 0
+    hold every facet that contains the face, read on bitmasks.
     """
-    tight = facet_incidence(poly, [c.moment for c in spec.components])
-    vertices = set(poly.vertices)
-    at_vertex = [c.moment in vertices for c in spec.components]
+    faces = poly.lattice.faces
+    above: list[list[int]] = [[] for _ in faces]
+    for a, b in poly.lattice.covers:
+        above[a].append(b)
+    carrier = {f.facets: f.id for f in faces}
+    masks = [sum(1 << i for i in f.facets) for f in faces]
     weights = dict.fromkeys(w for c in spec.components for w in c.weights)
     zeros = {w: poly.zero_facets(w) for w in weights if poly.off_hull(w) is None}
-    readings = {}
-    for f in poly.lattice.faces:
-        row = []
-        for i, (comp, t, vertex) in enumerate(zip(spec.components, tight, at_vertex)):
-            if t is not None and f.facets <= t:
-                parallel = tuple(w for w in comp.weights if w in zeros and f.facets <= zeros[w])
-                k = len(parallel) + comp.is_surface - f.dim
-                row.append(FaceReading(i, k, parallel, vertex))
-        readings[f.id] = tuple(row)
-    return readings
+    rows: list[list[FaceReading]] = [[] for _ in faces]
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    for i, (comp, t) in enumerate(zip(spec.components, tight)):
+        if t is None:
+            continue
+        level = [carrier[t]]  # then the faces one dimension up, level by level
+        vertex = faces[level[0]].dim == 0
+        own = [(w, zeros[w]) for w in comp.weights if w in zeros]
+        while level:
+            for f in level:
+                m = masks[f]
+                parallel = tuple(w for w, z in own if m & z == m)
+                k = len(parallel) + comp.is_surface - faces[f].dim
+                rows[f].append(FaceReading(i, k, parallel, vertex))
+            level = dict.fromkeys(b for f in level for b in above[f])
+    return {f.id: tuple(row) for f, row in zip(faces, rows)}
 
 
 def stratify(spec: HamSpec) -> StratifiedPolytope:
@@ -342,9 +355,28 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(f"vertex {tuple(map(str, vertex))} carries {carriers} components")
     checks.append(CheckResult("V2-vertex-coverage", not problems, "; ".join(problems)))
 
+    # V4: the weights of a component at a vertex, isolated point or fixed
+    # surface, generate the tangent cone there (a surface's implicit zero
+    # weight adds nothing to the cone).  It runs before V3: a component
+    # it accepts has its weights in the polytope's directions and a
+    # positive multiple of each edge direction at its vertex among them,
+    # so they span those directions and V3 need not rank them
+    problems = []
+    coned, unconed = set(), set()  # the components at a vertex that pass it and fail it
+    for idx, v in sorted((r.index, v) for v in range(len(poly.vertices)) for r in readings[v]):
+        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights)
+        if witness:
+            unconed.add(idx)
+            problems.append(f"component {idx} at vertex {v}: {witness}")
+        else:
+            coned.add(idx)
+    v4 = CheckResult("V4-vertex-cone", not problems, "; ".join(problems))
+
     # V3: at every component the weights span the direction space of the polytope
     problems = []
     for idx, comp in enumerate(spec.components):
+        if idx in coned:
+            continue
         off = [(w, n) for w in comp.weights if (n := poly.off_hull(w))]
         if off:
             w, n = off[0]
@@ -355,18 +387,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         elif rank(comp.weights) != d:
             problems.append(f"component {idx}: weights do not span the polytope directions")
     checks.append(CheckResult("V3-weight-span", not problems, "; ".join(problems)))
-
-    # V4: the weights of a component at a vertex, isolated point or fixed
-    # surface, generate the tangent cone there (a surface's implicit zero
-    # weight adds nothing to the cone)
-    problems = []
-    unconed = set()  # the indices of the components at a vertex that fail it
-    for idx, v in sorted((r.index, v) for v in range(len(poly.vertices)) for r in readings[v]):
-        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights)
-        if witness:
-            unconed.add(idx)
-            problems.append(f"component {idx} at vertex {v}: {witness}")
-    checks.append(CheckResult("V4-vertex-cone", not problems, "; ".join(problems)))
+    checks.append(v4)
 
     # V5: all components over a face agree on its complexity, and the
     # parallel weights span the face directions.  At a vertex where V4

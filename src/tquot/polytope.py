@@ -19,7 +19,9 @@ each facet's ambient conormal as the primitive integer vector normal to
 its contacts and to the hull normals.  The face lattice runs on
 vertex-facet bitmasks, and the cone test `in_cone` fraction-free
 (`exactq.eliminate`).  Only the vertices and the facet offsets are
-Fractions.
+Fractions.  A face is its dimension, its vertex indices and the facets
+containing it; the lattice adds the cover pairs and the edge directions
+at each vertex.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ class RationalPolytope:
         or None when w lies in the polytope's directions."""
         return next((n for n in self.normals if sum(map(mul, n, w))), None)
 
-    def zero_facets(self, w) -> frozenset[int]:
-        """The facets whose conormal the integer vector w meets with 0.
-        A w in the polytope's directions is parallel to a face iff these
-        hold the facets containing the face."""
-        return frozenset(i for i, (n, _) in enumerate(self.facets) if not sum(map(mul, n, w)))
+    def zero_facets(self, w) -> int:
+        """The bitmask of the facets whose conormal the integer vector w
+        meets with 0.  A w in the polytope's directions is parallel to a
+        face iff these hold the facets containing the face."""
+        return sum(1 << i for i, (n, _) in enumerate(self.facets) if not sum(map(mul, n, w)))
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,6 @@ class Face:
     id: int
     dim: int
     vertex_set: tuple[int, ...]
-    vertex_coords: tuple[Vector, ...]
-    supporting: Optional[Facet]
     facets: frozenset[int]  # indices of the facets containing the face
 
 
@@ -275,23 +275,17 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
                         lower.append(h)
         level = lower
 
-    # a proper face is supported by the sum of the conormals of the
-    # facets containing it, at the level of any of its vertices
-    ints, scale = clear_denominators(p.vertices)
+    ints, _ = clear_denominators(p.vertices)
     order = sorted(found, key=lambda mask: found[mask][:2])
     faces = []
     edges: list[list] = [[] for _ in ints]
     for fid, mask in enumerate(order):
         dim, vs, containing = found[mask]
-        supporting = None
-        if containing:
-            conormal = primitive([sum(c) for c in zip(*(p.facets[i][0] for i in containing))])
-            supporting = (conormal, Fraction(sum(map(mul, conormal, ints[vs[0]])), scale))
         if dim == 1:
             a, b = vs
             edges[a].append(primitive([y - x for x, y in zip(ints[a], ints[b])]))
             edges[b].append(tuple(-x for x in edges[a][-1]))
-        faces.append(Face(fid, dim, vs, tuple(p.vertices[i] for i in vs), supporting, containing))
+        faces.append(Face(fid, dim, vs, containing))
 
     ids = {mask: fid for fid, mask in enumerate(order)}
     covers = tuple(sorted((ids[h], ids[f]) for f, hs in below.items() for h in hs))

@@ -39,6 +39,7 @@ that leaves through the dense Smith normal form.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -146,36 +147,37 @@ _TORUS_TRIANGLES = tuple(
 )
 
 
-def _connected_sum(a: OrderedComplex, b: OrderedComplex) -> OrderedComplex:
-    """Glue two closed triangulated surfaces along a removed triangle."""
-    ta = max(a.maximal_simplices())
-    tb = max(b.maximal_simplices())
-    fresh = max(a.vertices) + 1
-    mapping = dict(zip(tb, ta))
-    for v in b.vertices:
-        if v not in mapping:
-            mapping[v] = fresh
-            fresh += 1
-    relabeled = {tuple(sorted(mapping[v] for v in s)) for s in b.simplices}
-    merged = (set(a.simplices) - {ta}) | (relabeled - {ta})
-    return OrderedComplex(frozenset(merged))
-
-
 def surface_complex(g: int) -> OrderedComplex:
     """A triangulated closed oriented surface of genus g.
 
     Genus zero is the tetrahedron boundary; genus one the seven-vertex
-    torus; higher genus an iterated connected sum of tori.
+    torus; higher genus an iterated connected sum of tori.  Each torus
+    is glued on along the largest triangle so far, which a heap of the
+    negated triangles keeps, onto its own largest triangle; its other
+    vertices are numbered after all the vertices so far, in order, and
+    both triangles are removed.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if g == 0:
         return simplex_boundary_sphere(3)
     torus = OrderedComplex.from_simplices(_TORUS_TRIANGLES)
-    acc = torus
-    for _ in range(g - 1):
-        acc = _connected_sum(acc, torus)
-    return acc
+    simplices = set(torus.simplices)
+    heap = sorted(tuple(-v for v in t) for t in _TORUS_TRIANGLES)  # sorted, so a heap
+    glued = max(_TORUS_TRIANGLES)
+    rest = [v for v in range(7) if v not in glued]
+    for fresh in range(7, 4 * g + 3, 4):
+        largest = tuple(-v for v in heapq.heappop(heap))
+        simplices.discard(largest)
+        mapping = dict(zip(glued, largest))
+        mapping.update(zip(rest, range(fresh, fresh + 4)))
+        for s in torus.simplices:
+            if s != glued:
+                simplices.add(tuple(sorted(mapping[v] for v in s)))
+        for t in _TORUS_TRIANGLES:
+            if t != glued:
+                heapq.heappush(heap, tuple(-x for x in sorted(mapping[v] for v in t)))
+    return OrderedComplex(frozenset(simplices))
 
 
 def surface_face_numbers(g: int) -> Counter:

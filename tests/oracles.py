@@ -14,8 +14,13 @@ facet inequalities of the weight cone, the face readings by Fraction
 membership of the moments and span membership of the weights, V5
 ranking the parallel weights of every reading, and V2 and V4 as they
 were before they read the face readings, each with its own dict keyed
-by the vertices' Fraction coordinates.  `containment` gives all
-pairs of any lattice, for tests that assert along containment.  Below
+by the vertices' Fraction coordinates.  Then the face readings as they
+were taken before they walked up from each moment's carrier face, every
+face against every component, and V3 ranking every component, also
+those whose vertex cone V4 accepts.  `vertex_coords` and `supporting`
+give a face's vertex coordinates and a supporting hyperplane, which the
+face lattice no longer keeps, and `containment` all pairs of any
+lattice, for tests that assert along containment.  Below
 them are the verification model as it was built before it went through
 top simplices and a row sweep: the staircase product closed downward in
 full, the same product closed from its top simplices (the paths that
@@ -26,8 +31,10 @@ the short locus is seldom full, and the unit-pivot elimination driven
 by a Markowitz heap.  Then comes integral homology by full elimination
 of every boundary matrix, as it was before coreduction ran first, and
 the Euler characteristic as an alternating count of simplices, which
-the package no longer needs.  Last is the trichotomy for circle actions
-on four-manifolds, an independent decision for the cases it covers.
+the package no longer needs, and the surfaces of higher genus by
+connected sums that copy the whole surface for each torus.  Last is
+the trichotomy for circle actions on four-manifolds, an independent
+decision for the cases it covers.
 Tests compare the package code against them; nothing in the package
 imports this module.
 """
@@ -64,10 +71,12 @@ from tquot.hamspace import (
 )
 from tquot.polytope import Face, _facets, facet_incidence, in_cone
 from tquot.simplicial import (
+    _TORUS_TRIANGLES,
     HomologyProfile,
     OrderedComplex,
     barycentric_pair,
     is_full_subcomplex,
+    simplex_boundary_sphere,
 )
 
 
@@ -264,9 +273,26 @@ def cones_equal(gens_a, gens_b) -> bool:
     return all(in_cone(g, gens_b) for g in gens_a) and all(in_cone(g, gens_a) for g in gens_b)
 
 
-# the oracle's face lattice: the faces as face_lattice gives them, and
-# every pair (a, b) with face a a proper subface of face b
-OracleLattice = namedtuple("OracleLattice", "faces containment")
+# the oracle's face lattice: the faces as face_lattice gives them, every
+# pair (a, b) with face a a proper subface of face b, and each face's
+# supporting hyperplane by the facet offsets, None for the polytope
+OracleLattice = namedtuple("OracleLattice", "faces containment supporting")
+
+
+def vertex_coords(poly, face):
+    """The Fraction coordinates of the face's vertices, in vertex order."""
+    return tuple(poly.vertices[i] for i in face.vertex_set)
+
+
+def supporting(poly, face):
+    """A supporting hyperplane (conormal, offset) of a proper face, as
+    face_lattice built it before no package code read it: the primitive
+    sum of the conormals of the facets containing the face, at the level
+    of any of its vertices.  None for the polytope itself."""
+    if not face.facets:
+        return None
+    conormal = primitive([sum(c) for c in zip(*(poly.facets[i][0] for i in face.facets))])
+    return conormal, dot(conormal, poly.vertices[face.vertex_set[0]])
 
 
 def closure_face_lattice(p) -> OracleLattice:
@@ -292,19 +318,18 @@ def closure_face_lattice(p) -> OracleLattice:
         normals = p.normals + tuple(p.facets[i][0] for i in sorted(containing))
         described.append((p.ambient_dim - rank(normals), vs, containing))
     described.sort(key=lambda t: (t[0], t[1]))
-    faces = []
+    faces, hyperplanes = [], []
     for fid, (dim, vs, containing) in enumerate(described):
         if len(vs) == nv and dim == p.dim:
-            supporting = None
+            hyperplanes.append(None)
         else:
             total = [sum(column) for column in zip(*(p.facets[i][0] for i in containing))]
             total_off = sum(p.facets[i][1] for i in containing)
             conormal = primitive(total)
             lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
-            supporting = (conormal, lam * total_off)
-        coords = tuple(p.vertices[i] for i in vs)
-        faces.append(Face(fid, dim, vs, coords, supporting, containing))
-    lattice = OracleLattice(tuple(faces), ())
+            hyperplanes.append((conormal, lam * total_off))
+        faces.append(Face(fid, dim, vs, containing))
+    lattice = OracleLattice(tuple(faces), (), tuple(hyperplanes))
     return lattice._replace(containment=containment(lattice))
 
 
@@ -362,15 +387,59 @@ def fraction_readings(spec, poly):
     tight = facet_incidence(poly, [c.moment for c in spec.components])
     readings = {}
     for f in poly.lattice.faces:
-        _, basis = fraction_solve_affine(f.vertex_coords)
+        coords = vertex_coords(poly, f)
+        _, basis = fraction_solve_affine(coords)
         row = []
         for i, (comp, t) in enumerate(zip(spec.components, tight)):
             if t is not None and f.facets <= t:
                 parallel = tuple(w for w in comp.weights if lattice_membership(w, basis))
                 k = len(parallel) + comp.is_surface - f.dim
-                row.append(FaceReading(i, k, parallel, comp.moment in f.vertex_coords))
+                row.append(FaceReading(i, k, parallel, comp.moment in coords))
         readings[f.id] = tuple(row)
     return readings
+
+
+def every_face_readings(spec, poly):
+    """The face readings as read_faces took them before it walked up from
+    each moment's carrier face: every face against every component, the
+    facets tight at the moment and the zero facets of each weight as
+    sets."""
+    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    vertices = set(poly.vertices)
+    at_vertex = [c.moment in vertices for c in spec.components]
+    weights = dict.fromkeys(w for c in spec.components for w in c.weights)
+    zeros = {
+        w: frozenset(i for i, (n, _) in enumerate(poly.facets) if not dot(n, w))
+        for w in weights
+        if poly.off_hull(w) is None
+    }
+    readings = {}
+    for f in poly.lattice.faces:
+        row = []
+        for i, (comp, t, vertex) in enumerate(zip(spec.components, tight, at_vertex)):
+            if t is not None and f.facets <= t:
+                parallel = tuple(w for w in comp.weights if w in zeros and f.facets <= zeros[w])
+                k = len(parallel) + comp.is_surface - f.dim
+                row.append(FaceReading(i, k, parallel, vertex))
+        readings[f.id] = tuple(row)
+    return readings
+
+
+def ranked_v3(spec, poly):
+    """The weight-span check V3 as it was before it left the components
+    that V4 accepts alone: the weights of every component are ranked."""
+    problems = []
+    for idx, comp in enumerate(spec.components):
+        off = [(w, n) for w in comp.weights if (n := poly.off_hull(w))]
+        if off:
+            w, n = off[0]
+            problems.append(
+                f"component {idx}: weight {_parens(w)} leaves the polytope's directions"
+                f" (normal {_parens(n)})"
+            )
+        elif rank(comp.weights) != poly.dim:
+            problems.append(f"component {idx}: weights do not span the polytope directions")
+    return CheckResult("V3-weight-span", not problems, "; ".join(problems))
 
 
 def ranked_v5(spec):
@@ -433,6 +502,34 @@ def dict_v4(spec, poly):
         if witness:
             problems.append(f"component {idx} at vertex {v}: {witness}")
     return CheckResult("V4-vertex-cone", not problems, "; ".join(problems))
+
+
+def _connected_sum(a: OrderedComplex, b: OrderedComplex) -> OrderedComplex:
+    """Glue two closed triangulated surfaces along a removed triangle."""
+    ta = max(a.maximal_simplices())
+    tb = max(b.maximal_simplices())
+    fresh = max(a.vertices) + 1
+    mapping = dict(zip(tb, ta))
+    for v in b.vertices:
+        if v not in mapping:
+            mapping[v] = fresh
+            fresh += 1
+    relabeled = {tuple(sorted(mapping[v] for v in s)) for s in b.simplices}
+    merged = (set(a.simplices) - {ta}) | (relabeled - {ta})
+    return OrderedComplex(frozenset(merged))
+
+
+def summed_surface(g: int) -> OrderedComplex:
+    """surface_complex as it was built before it kept one set: each torus
+    is glued on by a connected sum that copies and relabels the whole
+    surface so far and searches it for its largest triangle."""
+    if g == 0:
+        return simplex_boundary_sphere(3)
+    torus = OrderedComplex.from_simplices(_TORUS_TRIANGLES)
+    acc = torus
+    for _ in range(g - 1):
+        acc = _connected_sum(acc, torus)
+    return acc
 
 
 def euler_characteristic(k: OrderedComplex) -> int:

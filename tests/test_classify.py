@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classify_m4, containment
+from oracles import classify_m4, containment, supporting
 from tquot import gallery
 from tquot.classify import (
     CollapsedProduct,
@@ -63,7 +63,7 @@ def test_s2cubed_collapsed_product():
             a == fid and b in verdict.short_face_ids for a, b in containment(sp.lattice)
         )
     ]
-    conormals = {sp.lattice.face(fid).supporting[0] for fid in maximal_short}
+    conormals = {supporting(sp.polytope, sp.lattice.face(fid))[0] for fid in maximal_short}
     assert conormals == {(1, 0), (-1, 0)}
     assert all(sp.lattice.face(fid).dim == 1 for fid in maximal_short)
 

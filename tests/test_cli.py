@@ -213,6 +213,100 @@ def test_cli_non_integer_is_parse_error(tmp_path, capsys, field, value, message,
     assert message in err
 
 
+def _at(name, path, value):
+    """The export of a gallery specimen with value put at path, a
+    sequence of keys below fixed_components."""
+    doc = spec_to_json(gallery.build(name))
+    node = doc["fixed_components"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# each case: specimen, path below fixed_components, value, and the whole
+# stderr; the path lies past the first component, row and entry
+PARSE_ERRORS = {
+    "weight-bool": (
+        "gr2c4",
+        (3, "weights", 2, 3),
+        True,
+        "malformed spec file: fixed_components[3].weights[2][3] must be an integer, got true",
+    ),
+    "weight-float": (
+        "gr2c4",
+        (3, "weights", 2, 3),
+        1.0,
+        "malformed spec file: fixed_components[3].weights[2][3] must be an integer, got 1.0",
+    ),
+    "weight-string": (
+        "gr2c4",
+        (3, "weights", 2, 3),
+        "-1",
+        'malformed spec file: fixed_components[3].weights[2][3] must be an integer, got "-1"',
+    ),
+    "weight-row-object": (
+        "gr2c4",
+        (3, "weights", 1),
+        {"0": 1},
+        "malformed spec file: fixed_components[3].weights[1] must be a JSON array",
+    ),
+    "weights-string": (
+        "gr2c4",
+        (3, "weights"),
+        "[[1, 0, 0, -1]]",
+        "malformed spec file: fixed_components[3].weights must be a JSON array",
+    ),
+    "moment-not-rational": (
+        "gr2c4",
+        (3, "moment", 2),
+        "1/2/3",
+        'fixed_components[3].moment[2]: not a rational: "1/2/3"',
+    ),
+    "moment-zero-denominator": (
+        "gr2c4",
+        (3, "moment", 2),
+        "-1/0",
+        'fixed_components[3].moment[2]: rational needs a positive denominator: "-1/0"',
+    ),
+    "moment-700-digits": (
+        "gr2c4",
+        (3, "moment", 2),
+        "1/" + "7" * 700,
+        "fixed_components[3].moment[2]: rational with more than 640 digits"
+        " in its numerator or denominator",
+    ),
+    "genus-bool": (
+        "blowup-g",
+        (1, "genus"),
+        True,
+        "malformed spec file: fixed_components[1].genus must be an integer, got true",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+@pytest.mark.parametrize("op", ["classify", "verify"])
+def test_cli_parse_error_names_the_position(tmp_path, capsys, case, op):
+    name, at, value, message = PARSE_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_at(name, at, value)))
+    assert run(capsys, op, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_cli_parse_error_names_the_first_bad_weight(tmp_path, capsys):
+    doc = _at("gr2c4", (3, "weights", 2, 3), "-1")
+    doc["fixed_components"][3]["weights"][1][2] = 0.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classify", str(path)) == (
+        2,
+        "",
+        "error: malformed spec file: fixed_components[3].weights[1][2]"
+        " must be an integer, got 0.0\n",
+    )
+
+
 def _long_value_case(case):
     """A blowup-g export (text) with one long malformed value, and the
     message its parse error must show before the cut value."""

@@ -4,9 +4,9 @@ The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
 of validate, which decides the vertex cones without the Caratheodory
 search of in_cone; the components over each face come from one
-component x facet incidence, which V2 shares.  A span is ranked once:
-V3's rank per component, with none in the hull and none in V5 at a
-vertex that V4 accepts.  Verify collapses the model once and reduces
+component x facet incidence, which V2 shares.  A span is ranked at
+most once: by V3 or V5 only where V4 has not accepted the vertex cone,
+and never in the hull.  Verify collapses the model once and reduces
 it and the short locus, not the join again when the join is the model.
 The counting tests wrap the builders in every tquot namespace that
 holds them; the oracle keeps the dot-product membership test the
@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import polytope_specimens
+from oracles import supporting
 from tquot import classify, cli, exactq, gallery, hamspace, polytope, simplicial
 from tquot.cli import dump_spec, spec_to_json
 from tquot.exactq import dot
@@ -118,15 +119,16 @@ def test_classify_finds_the_facets_at_the_moments_once(monkeypatch, name, skip_v
 
 def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):
     # every moment of the A3 regular orbit is a vertex whose cone V4
-    # accepts, so V5 leaves every span to V4 and the one rank per
-    # component is V3's; the hull reads its vertices off its contacts
+    # accepts, so V3 and V5 leave every span to V4, which ranks none
+    # when it accepts: no component is ranked even once.  The hull
+    # reads its vertices off its contacts
     half = Fraction(1, 2)
     spec = gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
     calls = _counter(monkeypatch, exactq, ("rank",))
     assert len(spec.polytope.vertices) == len(spec.components) == 24
     assert calls["rank"] == 0
     assert classify(spec).validation.ok
-    assert calls["rank"] == 24
+    assert calls["rank"] == 0
 
 
 def test_verify_collapses_once_and_reduces_model_and_short_locus(tmp_path, capsys, monkeypatch):
@@ -155,9 +157,9 @@ def _moment_in_face(moment, face, poly):
     for conormal, offset in poly.facets:
         if dot(conormal, moment) < offset:
             return False
-    if face.supporting is None:
+    if supporting(poly, face) is None:
         return True
-    conormal, offset = face.supporting
+    conormal, offset = supporting(poly, face)
     return dot(conormal, moment) == offset
 
 

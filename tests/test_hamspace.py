@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,12 +9,23 @@ import pytest
 from conftest import (
     component_at,
     moment_polytope,
+    polytope_specimens,
     random_unimodular,
     transform,
     with_component,
     without_component,
 )
-from oracles import containment, dict_v2, dict_v4, fraction_readings, ranked_v5
+from oracles import (
+    containment,
+    dict_v2,
+    dict_v4,
+    every_face_readings,
+    fraction_readings,
+    ranked_v3,
+    ranked_v5,
+    supporting,
+    vertex_coords,
+)
 from tquot import gallery
 from tquot.exactq import vec
 from tquot.hamspace import (
@@ -105,7 +117,8 @@ def faces_by(sp, dim=None):
 
 def facet_with_conormal(sp, conormal):
     for f in sp.lattice.faces:
-        if f.supporting and f.supporting[0] == conormal and f.dim == sp.polytope.dim - 1:
+        plane = supporting(sp.polytope, f)
+        if plane and plane[0] == conormal and f.dim == sp.polytope.dim - 1:
             return f
     raise AssertionError(f"no facet with conormal {conormal}")
 
@@ -124,10 +137,10 @@ def test_face_complexity_cp2_vertex_with_surface():
     spec = gallery.build("cp2-s1")
     sp = stratify(spec)
     vertex0 = next(
-        f for f in faces_by(sp, 0) if f.vertex_coords[0] == vec((0,))
+        f for f in faces_by(sp, 0) if vertex_coords(sp.polytope, f)[0] == vec((0,))
     )
     vertex1 = next(
-        f for f in faces_by(sp, 0) if f.vertex_coords[0] == vec((1,))
+        f for f in faces_by(sp, 0) if vertex_coords(sp.polytope, f)[0] == vec((1,))
     )
     # the fixed sphere's implicit zero weight is parallel to the vertex
     assert sp.face_complexity[vertex0.id] == 1
@@ -588,3 +601,64 @@ def test_v2_and_v4_match_the_dict_oracles():
             reordered += vertex_of != sorted(vertex_of)
     assert all(v2_kinds.values()), v2_kinds
     assert reordered > 0
+
+
+def _off_vertex_cases():
+    """gr2c4 with one more point component whose moment is the centroid
+    of an edge, of a facet or of the polytope, carrying the weights of
+    the first component; and with a vertex component's weights made to
+    fail V3, by one weight off the affine hull or one weight replaced by
+    twice another; the toric square so; and the doubled first weights."""
+    spec = gallery.build("gr2c4")
+    poly = spec.polytope
+    weights = spec.components[0].weights
+    for dim in (1, poly.dim - 1, poly.dim):
+        face = next(f for f in poly.lattice.faces if f.dim == dim)
+        coords = [poly.vertices[v] for v in face.vertex_set]
+        centroid = tuple(sum(x) / len(coords) for x in zip(*coords))
+        yield f"centroid-{dim}", replace(
+            spec, components=spec.components + (point_component(centroid, weights),)
+        )
+    c = spec.components[0]
+    w = c.weights[0][:-1] + (c.weights[0][-1] + 1,)
+    yield "off-hull", with_component(spec, 0, replace(c, weights=(w, *c.weights[1:])))
+    doubled = tuple(2 * x for x in c.weights[0])
+    multiple = (c.weights[0], doubled, *c.weights[2:])
+    yield "multiple", with_component(spec, 0, replace(c, weights=multiple))
+    yield "multiple-square", _toric_square(((1, 0), (2, 0)))
+    for spec in _doubled_first_weight_cases():
+        yield "doubled", spec
+
+
+def test_carrier_walk_and_v3_match_the_oracles_that_test_every_pair():
+    # read_faces walks up from each moment's carrier face, and V3 leaves
+    # the components V4 accepts unranked; the oracles test every face
+    # against every component and rank every component
+    half = Fraction(1, 2)
+    a4 = gallery.coadjoint_orbit(gallery.root_system("A", 4), (2, 1, 0, -1, -2))
+    cases = [(variant, spec, poly) for variant, spec, poly in _coverage_cases()]
+    assert len(cases) == 187
+    cases += [("specimen", spec, None) for spec in (*polytope_specimens(), a4)]
+    cases += [(variant, spec, None) for variant, spec in _off_vertex_cases()]
+    a3 = polytope_specimens()[-2]
+    assert a3.polytope.vertices[0] == (-3 * half, -half, half, 3 * half)
+    outside = with_component(a3, 0, replace(a3.components[0], moment=(-2, -half, half, 2)))
+    cases += [("outside-given", outside, a3.polytope)]
+    carriers, v3_details = Counter(), Counter()
+    for variant, spec, poly in cases:
+        given = spec.polytope if poly is None else poly
+        readings = read_faces(spec, given)
+        assert readings == every_face_readings(spec, given), (variant, spec.name)
+        [v3] = [c for c in validate(spec, polytope=poly).checks if c.name == "V3-weight-span"]
+        assert v3 == ranked_v3(spec, given), (variant, spec.name)
+        for kind in ("leaves", "do not span"):
+            v3_details[kind] += kind in v3.detail
+        # the dimension of each moment's carrier, the least face holding it
+        lowest = {}
+        for f in given.lattice.faces:
+            for r in readings[f.id]:
+                lowest.setdefault(r.index, f.dim)
+        carriers.update(lowest.values())
+        carriers["outside"] += len(spec.components) - len(lowest)
+    assert v3_details["leaves"] > 5 and v3_details["do not span"] > 3, v3_details
+    assert all(carriers[d] for d in (0, 1, 2, 3, "outside")), carriers

@@ -5,7 +5,13 @@ from itertools import combinations
 import pytest
 
 from conftest import random_point_set
-from oracles import cones_equal, fraction_solve_affine, lattice_membership, vsub
+from oracles import (
+    cones_equal,
+    fraction_solve_affine,
+    lattice_membership,
+    supporting,
+    vsub,
+)
 from tquot.exactq import dot, primitive, vec
 from tquot.polytope import (
     convex_hull,
@@ -126,7 +132,7 @@ def test_face_lattice_point():
     lat = face_lattice(p)
     assert len(lat.faces) == 1
     assert lat.faces[0].dim == 0
-    assert lat.faces[0].supporting is None
+    assert supporting(p, lat.faces[0]) is None
 
 
 def test_euler_relation():
@@ -154,9 +160,9 @@ def test_supporting_hyperplanes():
     lat = face_lattice(p)
     for f in lat.faces:
         if f.id == lat.top.id:
-            assert f.supporting is None
+            assert supporting(p, f) is None
             continue
-        conormal, offset = f.supporting
+        conormal, offset = supporting(p, f)
         for i, v in enumerate(p.vertices):
             val = dot(conormal, v)
             assert val >= offset

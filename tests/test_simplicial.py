@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from conftest import RP2
-from oracles import euler_characteristic, product
+from oracles import euler_characteristic, product, summed_surface
 from tquot import gallery, simplicial
 from tquot.classify import classify
 from tquot.simplicial import (
@@ -90,6 +92,20 @@ def test_surface_complexes(g, betti):
 @pytest.mark.parametrize("g", range(9))
 def test_surface_face_numbers_match_the_complex(g):
     assert surface_face_numbers(g) == surface_complex(g).face_numbers
+
+
+def test_surface_complex_matches_the_summed_surface_oracle():
+    # one set and a heap of triangles give the simplices that copying the
+    # surface for each torus gave
+    for g in range(13):
+        assert surface_complex(g).simplices == summed_surface(g).simplices, g
+
+
+def test_surface_complex_is_near_linear_in_the_genus():
+    start = time.perf_counter()
+    k = surface_complex(1000)
+    assert time.perf_counter() - start < 1.0
+    assert k.face_numbers == surface_face_numbers(1000)
 
 
 def test_product_edge_edge():
