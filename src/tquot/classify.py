@@ -124,6 +124,9 @@ def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
         genera = sorted({c.genus for c in spec.components if c.is_surface})
         if not genera:
             raise SpecError("invalid spec: nothing short yet no fixed surface in sight")
+        # V1 and V7 refuse these first when validation runs
+        if len(genera) > 1 or genera[0] < 0:
+            raise SpecError(f"invalid spec: the fixed surfaces need one genus >= 0, got {genera}")
         return ProductPolytopeSurface(genera[0]), "no-short-product"
 
     # partial collapse

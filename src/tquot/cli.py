@@ -33,6 +33,7 @@ from tquot.classify import (
     ValidationFailure,
     classify,
 )
+from tquot.exactq import exact
 from tquot.hamspace import (
     HamSpec,
     SpecError,
@@ -114,11 +115,12 @@ def _shown(value) -> str:
     return text
 
 
-def _fraction_from_json(value, at: str, j: int) -> Fraction:
-    """Entry j of the moment of component at: a JSON integer or a "p/q"
-    string.  Its path is formatted only for an error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def _fraction_from_json(value, at: str, j: int):
+    """Entry j of the moment of component at: a JSON integer, returned as
+    it is, or a "p/q" string, as a Fraction.  Its path is formatted only
+    for an error."""
+    if type(value) is int:  # a JSON integer, not true or false
+        return value
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if not match:
         problem = f"not a rational: {_shown(value)}"
@@ -132,12 +134,14 @@ def _fraction_from_json(value, at: str, j: int) -> Fraction:
 
 
 def _integer(value, path: str) -> int:
-    """A JSON integer.  Booleans, floats and strings are refused, never
-    coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """A JSON integer, by `exactq.exact`.  Booleans, floats and strings
+    are refused with the path, never coerced."""
+    try:
+        [value] = exact((value,), path)
+    except ValueError:
         raise SpecFileError(
             f"malformed spec file: {path} must be an integer, got {_shown(value)}"
-        )
+        ) from None
     return value
 
 
@@ -148,17 +152,28 @@ def _array(value, path: str) -> list:
 
 
 def _fraction_to_json(x: Fraction):
-    x = Fraction(x)
     if x.denominator == 1:
-        return int(x)
+        return x.numerator
     return f"{x.numerator}/{x.denominator}"
+
+
+def _name_refused(raw: dict, at: str) -> None:
+    """Raise the parse error for the first value of component at that is
+    not a JSON integer where one is needed: the weights row by row, then
+    a surface's genus."""
+    for i, w in enumerate(raw["weights"]):
+        for j, x in enumerate(_array(w, f"{at}.weights[{i}]")):
+            _integer(x, f"{at}.weights[{i}][{j}]")
+    if raw["kind"] == "surface":
+        _integer(raw["genus"], f"{at}.genus")
 
 
 def parse_spec(data) -> HamSpec:
     """Build a spec from a decoded JSON document.
 
-    Every integer field must be a JSON integer, and a malformed value is
-    reported with its JSON path.
+    Only what JSON knows is checked here: shapes, missing keys, rational
+    strings.  The builders check the numbers, and the first value one
+    refuses is reported with its JSON path.
     """
     if not isinstance(data, dict):
         raise SpecFileError("malformed spec file: the document must be a JSON object")
@@ -185,22 +200,17 @@ def parse_spec(data) -> HamSpec:
                 _fraction_from_json(x, at, j)
                 for j, x in enumerate(_array(raw["moment"], f"{at}.moment"))
             )
-            weights = []
-            for i, w in enumerate(_array(raw["weights"], f"{at}.weights")):
-                # a row is checked whole; only a refused one is searched for its path
-                if type(w) is not list or any(type(x) is not int for x in w):
-                    w = [
-                        _integer(x, f"{at}.weights[{i}][{j}]")
-                        for j, x in enumerate(_array(w, f"{at}.weights[{i}]"))
-                    ]
-                weights.append(tuple(w))
-            if kind == "point":
-                components.append(point_component(moment, weights))
-            elif kind == "surface":
-                genus = _integer(raw["genus"], f"{at}.genus")
-                components.append(surface_component(genus, moment, weights))
-            else:
-                raise SpecFileError(f"{at}.kind: unknown component kind {_shown(kind)}")
+            weights = _array(raw["weights"], f"{at}.weights")
+            try:  # the walk names a row that is no array; an unknown kind comes after it
+                if kind not in ("point", "surface") or any(type(w) is not list for w in weights):
+                    raise SpecError(f"{at}: not a component")
+                if kind == "point":
+                    components.append(point_component(moment, weights))
+                else:
+                    components.append(surface_component(raw.get("genus"), moment, weights))
+            except SpecError:  # the walk names a refused number, so what it passes is the kind
+                _name_refused(raw, at)
+                raise SpecFileError(f"{at}.kind: unknown component kind {_shown(kind)}") from None
         except KeyError as exc:
             raise SpecFileError(f"malformed spec file: {at}.{exc.args[0]} is missing") from exc
     return HamSpec(name, torus_rank, half_dim, tuple(components))

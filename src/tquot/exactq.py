@@ -5,16 +5,20 @@ runs in arbitrary precision and no floats appear anywhere.  Of the
 polytope layer, only the vertices and the facet offsets stay Fractions;
 the affine hull is described by its integer normals alone.
 
+A number that comes in is an int, never a bool, or where a rational
+is allowed a Fraction.  `exact` is the one test of that rule, and `vec`
+applies it to rational vectors; a float, a bool or a string such as
+"1/3" is refused, never coerced.
+
 Denominators are cleared at the entry of each routine that eliminates:
 `integral` scales a vector by the lcm of its denominators, and
 `clear_denominators` scales a whole family by one common lcm.  One
-fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`,
-`nullspace` (for a corank-one matrix, the cofactor normal) and
-`solve_fraction_free` on plain Python ints.  The Smith normal form
-works on ints too.  Sparse boundary matrices
-(`sparse_rank_and_factors`) are reduced by one sweep of unit pivots
-over their rows, and only what survives that sweep meets the dense
-Smith routine.  Homology coreduces a complex before it builds any
+fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`
+and `nullspace` (for a corank-one matrix, the cofactor normal) on plain
+Python ints.  The Smith normal form works on ints too.  Sparse boundary
+matrices (`sparse_rank_and_factors`) are reduced by one sweep of unit
+pivots over their rows, and only what survives that sweep meets the
+dense Smith routine.  Homology coreduces a complex before it builds any
 matrix, so the sweep sees only the boundary among the cells that
 coreduction leaves: nothing for the sphere models of gr2c4 or CP^4, a
 few hundred cells for the genus-g product models.
@@ -24,13 +28,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 
 
-def vec(values) -> Vector:
-    """Coerce a sequence of numbers into a tuple of Fractions."""
-    return tuple(Fraction(x) for x in values)
+def exact(values, what: str, kinds=int, error=ValueError) -> tuple:
+    """The values as a tuple if each is of kinds; a bool never is.
+    Anything else raises error with what and the values: nothing is
+    coerced.  The one test of the rule for numbers that come in."""
+    values = tuple(values)
+    if any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
+        raise error(f"{what}, got {values!r}")
+    return values
+
+
+def vec(values, what: str = "a vector must be integers or Fractions", error=ValueError) -> Vector:
+    """The values as a tuple of Fractions.  Each must be an int or a
+    Fraction (`exact`), and only an int is made a Fraction."""
+    return tuple(
+        x if isinstance(x, Fraction) else Fraction(x)
+        for x in exact(values, what, (int, Fraction), error)
+    )
 
 
 def is_zero(v) -> bool:
@@ -38,7 +57,7 @@ def is_zero(v) -> bool:
 
 
 def dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b), Fraction(0))
 
 
 def integral(v) -> tuple[int, ...]:
@@ -136,23 +155,6 @@ def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def solve_fraction_free(columns, target):
-    """Express an integer target in linearly independent integer columns.
-
-    Returns (numerators, denominator) with target = sum of
-    numerators[i] / denominator * columns[i], or None when the columns
-    are dependent or the target lies outside their span.
-    """
-    k = len(columns)
-    rows = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
-    pivots, _ = eliminate(rows, reduce=True)
-    if pivots != list(range(k)):
-        return None
-    if k == 0:
-        return (), 1
-    return tuple(rows[i][k] for i in range(k)), rows[k - 1][k - 1]
-
-
 def identity_matrix(n) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -169,7 +171,8 @@ def matmul(a, b) -> list[list]:
 
 
 def smith_normal_form(a):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix; any other entry raises
+    ValueError.
 
     Returns (u, d, v) with d = u*a*v, u and v unimodular, and d diagonal
     with nonnegative entries d1 | d2 | ... .  Pivots are chosen as the
@@ -178,7 +181,7 @@ def smith_normal_form(a):
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    d = [[int(x) for x in row] for row in a]
+    d = [list(exact(row, "a matrix must be integers")) for row in a]
     u = identity_matrix(nrows)
     v = identity_matrix(ncols)
 

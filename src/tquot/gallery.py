@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
-from tquot.exactq import dot, matmul, vec
+from tquot.exactq import dot, exact, matmul, vec
 from tquot.hamspace import (
     HamSpec,
     point_component,
@@ -63,16 +64,13 @@ def root_system(type_label: str, rank: int) -> RootSystemData:
 
 
 def _apply(matrix, v):
-    return tuple(dot(row, v) for row in matrix)
+    """matrix * v: integers for an integer v, and exact for a rational one."""
+    return tuple(sum(map(mul, row, v)) for row in matrix)
 
 
-def _apply_int(matrix, v):
-    return tuple(int(dot(row, v)) for row in matrix)
-
-
-def weyl_orbit(rs: RootSystemData, lam):
-    """All pairs (w(lambda), w) over the Weyl group, deduplicated by point."""
-    lam = vec(lam)
+def _weyl_orbit(rs: RootSystemData, lam):
+    """All pairs (w(lambda), w) over the Weyl group, deduplicated by
+    point; exact, since coadjoint_orbit hands it a checked lambda."""
     n = len(lam)
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     seen = {lam: ident}
@@ -94,7 +92,7 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     Fixed points are the Weyl orbit; the point w(lambda) carries the
     weights -w(alpha) over the positive roots alpha not fixing lambda.
     """
-    lam = vec(lam)
+    lam = vec(lam, "lambda must be integers or Fractions", GalleryError)
     for alpha in rs.positive_roots:
         if dot(lam, alpha) < 0:
             raise GalleryError("lambda is not dominant")
@@ -102,26 +100,18 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     if not active:
         raise GalleryError("degenerate orbit: lambda is Weyl invariant")
     components = []
-    for point, w in weyl_orbit(rs, lam):
-        weights = tuple(tuple(-x for x in _apply_int(w, alpha)) for alpha in active)
+    for point, w in _weyl_orbit(rs, lam):
+        weights = tuple(tuple(-x for x in _apply(w, alpha)) for alpha in active)
         components.append(point_component(point, weights))
     ambient = len(lam)
     return HamSpec(name, ambient, len(active), tuple(components))
 
 
-def _integer_vectors(vectors, what: str) -> list[tuple[int, ...]]:
-    """The vectors as tuples of ints.  Any other entry, a bool, a float
-    or a Fraction included, is refused, never coerced."""
-    vectors = [tuple(v) for v in vectors]
-    if any(isinstance(x, bool) or not isinstance(x, int) for v in vectors for x in v):
-        raise GalleryError(f"{what} must be integer vectors, got {vectors!r}")
-    return vectors
-
-
 def sphere_product(factor_weights, torus_rank: int, name: str = "sphere-product") -> HamSpec:
     """Product of rotating two-spheres; the momentum map adds the
     weighted heights.  Fixed points are the pole combinations."""
-    factors = _integer_vectors(factor_weights, "factor weights")
+    what = "factor weights must be integer vectors"
+    factors = [exact(w, what, error=GalleryError) for w in factor_weights]
     for w in factors:
         if len(w) != torus_rank:
             raise GalleryError("factor weight length differs from the torus rank")
@@ -170,7 +160,8 @@ def projective_space(coord_weights, name: str = "projective-space") -> HamSpec:
     larger is outside the data model.  The weight of coordinate j seen
     from the fixed locus at weight w is w_j - w.
     """
-    ws = _integer_vectors(coord_weights, "coordinate weights")
+    what = "coordinate weights must be integer vectors"
+    ws = [exact(w, what, error=GalleryError) for w in coord_weights]
     if len(ws) < 2:
         raise GalleryError("projective space needs at least two coordinates")
     r = len(ws[0])

@@ -27,13 +27,12 @@ from a vertex and those whose vertex cone V4 refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import Optional
 
-from tquot.exactq import Vector, is_zero, primitive, rank, vec
+from tquot.exactq import Vector, exact, is_zero, primitive, rank, vec
 from tquot.polytope import FaceLattice, RationalPolytope, convex_hull, facet_incidence
 
 POINT = "point"
@@ -56,27 +55,18 @@ class FixedComponent:
         return self.kind == SURFACE
 
 
-def _exact(values, what: str, kinds=int) -> tuple:
-    """The values as a tuple if each is of kinds; a bool never is.  Nothing is coerced."""
-    values = tuple(values)
-    if any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
-        raise SpecError(f"{what}, got {values!r}")
-    return values
-
-
-def _moment(values) -> Vector:
-    return vec(_exact(values, "a moment must be integers or Fractions", (int, Fraction)))
+_MOMENT = "a moment must be integers or Fractions"
 
 
 def point_component(moment, weights) -> FixedComponent:
-    weights = tuple(_exact(w, "weights must be integers") for w in weights)
-    return FixedComponent(POINT, _moment(moment), weights)
+    weights = tuple(exact(w, "weights must be integers", error=SpecError) for w in weights)
+    return FixedComponent(POINT, vec(moment, _MOMENT, SpecError), weights)
 
 
 def surface_component(genus, moment, weights) -> FixedComponent:
-    weights = tuple(_exact(w, "weights must be integers") for w in weights)
-    [genus] = _exact((genus,), "a genus must be integers")
-    return FixedComponent(SURFACE, _moment(moment), weights, genus=genus)
+    weights = tuple(exact(w, "weights must be integers", error=SpecError) for w in weights)
+    [genus] = exact((genus,), "a genus must be integers", error=SpecError)
+    return FixedComponent(SURFACE, vec(moment, _MOMENT, SpecError), weights, genus=genus)
 
 
 @dataclass(frozen=True)

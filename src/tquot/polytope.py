@@ -17,11 +17,12 @@ and the bitmasks of their contacts in the projected coordinates, the
 vertices as the points where the facets through them meet alone, then
 each facet's ambient conormal as the primitive integer vector normal to
 its contacts and to the hull normals.  The face lattice runs on
-vertex-facet bitmasks, and the cone test `in_cone` fraction-free
-(`exactq.eliminate`).  Only the vertices and the facet offsets are
-Fractions.  A face is its dimension, its vertex indices and the facets
-containing it; the lattice adds the cover pairs and the edge directions
-at each vertex.
+vertex-facet bitmasks, and the cone test `in_cone` reads the facets
+through the origin of one more hull.  Only the vertices and the facet
+offsets are Fractions.  A face is its dimension, its vertex indices and
+the facets containing it; the lattice adds the cover pairs and the edge
+directions at each vertex.  Points come in through `exactq.vec`, so an
+entry that is not an int or a Fraction raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,21 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import Optional
 
-from tquot.exactq import (
-    Vector,
-    clear_denominators,
-    eliminate,
-    integral,
-    nullspace,
-    primitive,
-    solve_fraction_free,
-    vec,
-)
+from tquot.exactq import Vector, clear_denominators, eliminate, nullspace, primitive, vec
 
 # a facet is (conormal, offset) meaning <conormal, x> >= offset
 Facet = tuple[tuple[int, ...], Fraction]
@@ -68,8 +59,8 @@ class RationalPolytope:
         return face_lattice(self)
 
     def off_hull(self, w) -> Optional[tuple[int, ...]]:
-        """The first hull normal the integer vector w meets with nonzero,
-        or None when w lies in the polytope's directions."""
+        """The first hull normal the vector w meets with nonzero, or
+        None when w lies in the polytope's directions."""
         return next((n for n in self.normals if sum(map(mul, n, w))), None)
 
     def zero_facets(self, w) -> int:
@@ -262,16 +253,21 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
         lower = []
         for f in level:
             _, vs, containing = found[f]
-            meets = {f & g for i, g in enumerate(on) if i not in containing and f & g}
+            # each meet, with the facets G that meet F in it
+            meets: dict[int, set[int]] = {}
+            for i, g in enumerate(on):
+                if i not in containing and f & g:
+                    meets.setdefault(f & g, set()).add(i)
             below[f] = []
             # a set no larger than the ones kept is maximal iff none of
-            # them holds it
+            # them holds it.  A facet h of F is held by the facets that
+            # hold F and by those that meet F in h: one that met F in
+            # more would make a meet larger than h
             for h in sorted(meets, key=int.bit_count, reverse=True):
                 if all(h & k != h for k in below[f]):
                     below[f].append(h)
                     if h not in found:
-                        held = frozenset(i for i, g in enumerate(on) if g & h == h)
-                        found[h] = (dim, tuple(v for v in vs if h >> v & 1), held)
+                        found[h] = (dim, tuple(v for v in vs if h >> v & 1), containing | meets[h])
                         lower.append(h)
         level = lower
 
@@ -295,19 +291,13 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
 def in_cone(target, generators) -> bool:
     """Exact membership of a vector in the cone spanned by generators.
 
-    Caratheodory: the vector lies in the cone iff it is a nonnegative
-    combination of some linearly independent subset.  Every vector is
-    first scaled by a positive integer to an integer vector, and each
-    subset is solved fraction-free.
+    That cone is the tangent cone at the origin of the hull of the
+    origin and the generators, so the vector lies in it iff it lies in
+    the hull's directions and meets the conormal of every facet through
+    the origin with >= 0.
     """
-    target = integral(target)
-    if not any(target):
-        return True
-    gens = [integral(g) for g in generators]
-    bound = min(len(gens), len(target))
-    for k in range(1, bound + 1):
-        for subset in combinations(gens, k):
-            solution = solve_fraction_free(subset, target)
-            if solution is not None and all(x * solution[1] >= 0 for x in solution[0]):
-                return True
-    return False
+    target = vec(target)
+    hull = convex_hull([(0,) * len(target), *generators])
+    return hull.off_hull(target) is None and all(
+        sum(map(mul, n, target)) >= 0 for n, offset in hull.facets if offset == 0
+    )

@@ -4,13 +4,14 @@ These are the routines as they were before the polytope layer and the
 exact linear algebra moved to fraction-free integer arithmetic: rank,
 determinant, affine span and coordinates by rational elimination, the
 C(N, d) brute-force hull on top of them, the span-membership parallel
-test, the Caratheodory cone test with a rational subset solve, and the
-cone equality by the integer Caratheodory test `in_cone`, which decided
-the vertex-cone check V4 before it read facet inequalities.  Then the
-face layer as it was before it went by covers and integer readings: the
-face lattice by pairwise closure of the facet vertex sets with all-pairs
-containment, the edge directions by a scan of every face, V4 by the
-facet inequalities of the weight cone, the face readings by Fraction
+test, the Caratheodory cone test with a rational subset solve (which
+`in_cone` ran with an integer solve before it read the facets of a
+hull), and on it the cone equality, which decided the vertex-cone check
+V4 before it read facet inequalities.  Then the face layer as it was
+before it went by covers and integer readings: the face lattice by
+pairwise closure of the facet vertex sets with all-pairs containment,
+the edge directions by a scan of every face, V4 by the membership of
+each edge direction in the weight cone, the face readings by Fraction
 membership of the moments and span membership of the weights, V5
 ranking the parallel weights of every reading, and V2 and V4 as they
 were before they read the face readings, each with its own dict keyed
@@ -59,7 +60,7 @@ from tquot.exactq import (
     sparse_rank_and_factors,
     vec,
 )
-from tquot.exactq import eliminate, rank
+from tquot.exactq import rank
 from tquot.hamspace import (
     CheckResult,
     FaceReading,
@@ -69,7 +70,7 @@ from tquot.hamspace import (
     stratify,
     validate,
 )
-from tquot.polytope import Face, _facets, facet_incidence, in_cone
+from tquot.polytope import Face, facet_incidence
 from tquot.simplicial import (
     _TORUS_TRIANGLES,
     HomologyProfile,
@@ -250,12 +251,14 @@ def brute_force_hull(points) -> OracleHull:
 
 
 def fraction_in_cone(target, generators) -> bool:
-    """Caratheodory cone membership with a Fraction subset solve."""
+    """Caratheodory cone membership with a Fraction subset solve.  An
+    independent subset has at most as many members as the rank of the
+    generators."""
     target = vec(target)
     if is_zero(target):
         return True
     gens = [vec(g) for g in generators]
-    for k in range(1, min(len(gens), len(target)) + 1):
+    for k in range(1, fraction_rank(gens) + 1):
         for subset in combinations(gens, k):
             if fraction_rank(subset) != k:
                 continue
@@ -267,10 +270,11 @@ def fraction_in_cone(target, generators) -> bool:
 
 def cones_equal(gens_a, gens_b) -> bool:
     """Do the two families generate the same cone?  Each member of one
-    must lie in the cone of the other, by the Caratheodory subset search
-    of `in_cone`: the vertex-cone test V4 ran before it read facet
-    inequalities."""
-    return all(in_cone(g, gens_b) for g in gens_a) and all(in_cone(g, gens_a) for g in gens_b)
+    must lie in the cone of the other, by `fraction_in_cone`: the
+    vertex-cone test V4 ran before it read facet inequalities."""
+    return all(fraction_in_cone(g, gens_b) for g in gens_a) and all(
+        fraction_in_cone(g, gens_a) for g in gens_b
+    )
 
 
 # the oracle's face lattice: the faces as face_lattice gives them, every
@@ -352,10 +356,9 @@ def scanned_tangent_cone(p, v):
 
 def weight_cone_witness(poly, v, weights):
     """The vertex-cone check V4 as it was before it read extreme rays:
-    after the facet inequalities at v, every edge direction must satisfy
-    the facet inequalities of the weight cone, the facets through 0 of
-    the hull of 0 and the weights, in the pivot coordinates of their
-    span."""
+    after the facet inequalities at v, every edge direction must lie in
+    the weight cone, here by the Caratheodory search of
+    `fraction_in_cone`, which builds no hull."""
     at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
     for w in weights:
         for n in poly.normals:
@@ -365,17 +368,12 @@ def weight_cone_witness(poly, v, weights):
             if dot(n, w) < 0:
                 return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
     edges = scanned_tangent_cone(poly, v)
-    pivots, _ = eliminate([list(w) for w in weights])
-    if len(pivots) < poly.dim:
-        e = next(e for e in edges if rank([*weights, e]) > len(pivots))
+    span = rank(weights)
+    if span < poly.dim:
+        e = next(e for e in edges if rank([*weights, e]) > span)
         return f"edge direction {_parens(e)} is outside the span of the weights"
-    if not edges:
-        return None
-    points = dict.fromkeys([(0,) * len(pivots), *(tuple(w[j] for j in pivots) for w in weights)])
-    cone = [n for n, c, _ in _facets(list(points), len(pivots)) if c == 0]
     for e in edges:
-        projected = [e[j] for j in pivots]
-        if any(dot(n, projected) < 0 for n in cone):
+        if not fraction_in_cone(e, weights):
             return f"edge direction {_parens(e)} is not in the weight cone"
     return None
 

@@ -426,6 +426,27 @@ def test_cli_invalid_spec_exits_1(tmp_path, capsys, doc, argv, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "genera, check", [((2, 3), "V7-surface-genus"), ((-1, -1), "V1-structural")],
+    ids=["several", "negative"],
+)
+def test_cli_skip_validation_refuses_surface_genera(tmp_path, capsys, genera, check):
+    """With nothing short the verdict reads the one genus of the fixed
+    surfaces; several genera or a negative one is data that no action
+    can have, refused by V7 or V1 first when validation runs."""
+    doc = spec_to_json(gallery.build("sigma-g-x-s2"))
+    for comp, genus in zip(doc["fixed_components"], genera):
+        comp["genus"] = genus
+    path = tmp_path / "genera.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--skip-validation")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid spec: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["check"] == check
+
+
 def test_cli_missing_component_key_names_its_path(tmp_path, capsys):
     doc = spec_to_json(gallery.build("cp2-s1"))
     del doc["fixed_components"][1]["moment"]

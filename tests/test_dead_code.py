@@ -33,7 +33,6 @@ UNCALLED = {
     "exactq.smith_normal_form.<locals>.swap_rows": "part of smith_normal_form",
     "exactq.identity_matrix": "smith_normal_form's starting U and V",
     "polytope.in_cone": "perfbench/spans.py wraps it; the cone test of the public API",
-    "exactq.solve_fraction_free": "in_cone's subset solve",
     "simplicial.barycentric_pair": "collapse_fibers' branch for a sub that is not full, which"
     " verification never takes; perfbench/spans.py wraps it and acceptance C5 pins the branch",
     "simplicial.HomologyProfile.reduced_trivial": "acceptance pin",
@@ -89,6 +88,11 @@ def run_corpus(tmp: Path) -> None:
         (tmp / f"{name}.json").write_text(text, encoding="utf-8")
         assert _main("classify", str(tmp / f"{name}.json")) == 2
     vertex = doc["fixed_components"][0]
+    # a weight entry that the builder refuses and the parser names
+    vertex["weights"][0][0] = True
+    (tmp / "bool.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert _main("classify", str(tmp / "bool.json")) == 2
+    vertex["weights"][0][0] = 1
     vertex["weights"] = [[-x for x in w] for w in vertex["weights"]]  # fails V4
     (tmp / "invalid.json").write_text(json.dumps(doc), encoding="utf-8")
     for fmt in ("json", "text"):

@@ -2,14 +2,16 @@
 
 The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
-of validate, which decides the vertex cones without the Caratheodory
-search of in_cone; the components over each face come from one
+of validate, which decides the vertex cones without the cone test
+in_cone; the components over each face come from one
 component x facet incidence, which V2 shares.  A span is ranked at
 most once: by V3 or V5 only where V4 has not accepted the vertex cone,
 and never in the hull.  Verify collapses the model once and reduces
 it and the short locus, not the join again when the join is the model.
-The counting tests wrap the builders in every tquot namespace that
-holds them; the oracle keeps the dot-product membership test the
+The parser leaves the numbers of a spec to the component builders, so
+each passes the one test of the rule, `exactq.exact`, once.  The
+counting tests wrap the builders in every tquot namespace that holds
+them; the oracle keeps the dot-product membership test the
 incidence replaced.
 """
 
@@ -97,9 +99,8 @@ def test_skip_validation_runs_no_validation(tmp_path, capsys, passes):
 
 @pytest.mark.parametrize("name", gallery.names())
 def test_classify_builds_one_hull_and_runs_no_cone_search(monkeypatch, name):
-    # V4 reads facet inequalities, so the Caratheodory subset search of
-    # in_cone stays off the hot path, and the weight cones it builds do
-    # not count as hulls
+    # V4 reads facet inequalities, so in_cone, which builds a hull of
+    # the weights, stays off the hot path
     spec = gallery.build(name)
     calls = _counter(monkeypatch, polytope, ("convex_hull", "in_cone"))
     classify(spec)
@@ -129,6 +130,21 @@ def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):
     assert calls["rank"] == 0
     assert classify(spec).validation.ok
     assert calls["rank"] == 0
+
+
+def test_load_spec_checks_each_number_once(tmp_path, monkeypatch):
+    # the parser leaves the numbers to the component builders: one test
+    # of the rule per weight row, per moment and per genus, and one each
+    # for torus_rank and half_dim
+    half = Fraction(1, 2)
+    spec = gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
+    path = tmp_path / "a3.json"
+    dump_spec(spec, str(path))
+    calls = _counter(monkeypatch, exactq, ("exact",))
+    assert cli.load_spec(str(path)) == spec
+    rows = sum(len(c.weights) for c in spec.components)
+    genera = sum(c.is_surface for c in spec.components)
+    assert calls["exact"] == rows + len(spec.components) + genera + 2 == 24 * 6 + 24 + 2
 
 
 def test_verify_collapses_once_and_reduces_model_and_short_locus(tmp_path, capsys, monkeypatch):

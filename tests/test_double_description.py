@@ -5,8 +5,9 @@ edge directions as the extreme rays of the tangent cone.  Where the
 brute-force hull is out of reach (the A4 regular orbit has C(120, 4) =
 8 214 570 candidates), the face counts are checked against theory.  V4
 is compared with the Caratheodory cone equality it once replaced, and
-its witnesses with those of the weight-cone facet test it replaced
-since (tests/oracles.py), at every vertex of every specimen, under
+its witnesses with those of the weight-cone test it replaced since,
+which the oracle decides by Caratheodory membership of each edge
+direction, without a hull (tests/oracles.py), at every vertex of every specimen, under
 seeded sign changes and merges of the weights.  The hull's own
 differential tests against the brute-force oracle are in
 test_fraction_free.py; here the contact masks it keeps are checked
@@ -111,8 +112,9 @@ _WITNESSES = ("affine hull", "violates", "outside the span", "not in the weight 
 
 
 def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
-    # V4 by extreme rays names the same witness as V4 by the facet
-    # inequalities of the weight cone, on the draws above and on merges
+    # V4 by extreme rays names the same witness as V4 by membership of
+    # the edge directions in the weight cone, on the draws above and on
+    # merges
     rng = random.Random(1996)
     kinds = []
     for spec in [*polytope_specimens(), a4_regular]:

@@ -6,6 +6,7 @@ import pytest
 from oracles import fraction_coords, lattice_membership
 from oracles import fraction_det as det
 from tquot.exactq import (
+    exact,
     identity_matrix,
     matmul,
     primitive,
@@ -14,6 +15,15 @@ from tquot.exactq import (
     sparse_rank_and_factors,
     vec,
 )
+from tquot.gallery import (
+    GalleryError,
+    coadjoint_orbit,
+    projective_space,
+    root_system,
+    sphere_product,
+)
+from tquot.hamspace import SpecError, point_component, surface_component
+from tquot.polytope import convex_hull, in_cone
 
 
 def e(i, n):
@@ -178,3 +188,47 @@ def test_echelon_membership_roundtrip():
     combo = tuple(Fraction(3, 2) * a - 2 * b for a, b in zip(*basis))
     assert lattice_membership(combo, basis)
     assert fraction_coords(combo, basis) == (Fraction(3, 2), Fraction(-2))
+
+
+# Every public entry that takes numbers applies the one rule of exactq.exact:
+# (entry, call on one value, the exception it raises, whether a Fraction is allowed)
+RULE = [
+    ("point weight", lambda x: point_component((0,), ((x,), (-1,))), SpecError, False),
+    ("point moment", lambda x: point_component((x,), ((1,), (-1,))), SpecError, True),
+    ("surface weight", lambda x: surface_component(0, (0,), ((x,),)), SpecError, False),
+    ("surface moment", lambda x: surface_component(0, (x,), ((1,),)), SpecError, True),
+    ("surface genus", lambda x: surface_component(x, (0,), ((1,),)), SpecError, False),
+    ("convex_hull", lambda x: convex_hull([[x, 0], [1, 0], [0, 1]]), ValueError, True),
+    ("in_cone", lambda x: in_cone((x, 0), [(1, 0)]), ValueError, True),
+    ("sphere_product", lambda x: sphere_product([(x,)], 1), GalleryError, False),
+    ("projective_space", lambda x: projective_space([(x,), (0,), (0,)]), GalleryError, False),
+    ("coadjoint_orbit", lambda x: coadjoint_orbit(root_system("A", 2), (x, 0, -1)), GalleryError, True),
+    ("smith_normal_form", lambda x: smith_normal_form([[x, 0], [0, 3]]), ValueError, False),
+]
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("entry, call, error, _", RULE, ids=[r[0] for r in RULE])
+def test_public_entries_refuse_what_they_cannot_hold_exactly(entry, call, error, _, value):
+    with pytest.raises(error) as refused:
+        call(value)
+    assert type(refused.value) is error
+
+
+@pytest.mark.parametrize("entry, call, error, rational", RULE, ids=[r[0] for r in RULE])
+def test_public_entries_keep_ints_and_allowed_fractions(entry, call, error, rational):
+    call(2)
+    if rational:
+        call(Fraction(1, 2))
+    else:
+        with pytest.raises(error):
+            call(Fraction(1, 2))
+
+
+def test_exact_coerces_nothing():
+    assert exact([1, -2], "ints") == (1, -2)
+    assert exact((Fraction(1, 2), 3), "rationals", (int, Fraction)) == (Fraction(1, 2), 3)
+    with pytest.raises(SpecError, match=r"ints, got \(1, 2.0\)"):
+        exact([1, 2.0], "ints", error=SpecError)
+    assert (Fraction(1, 10), 0) in convex_hull([[Fraction(1, 10), 0], [1, 0], [0, 1]]).vertices
+    assert smith_normal_form([[2, 0], [0, 3]])[1] == [[1, 0], [0, 6]]

@@ -14,7 +14,6 @@ from oracles import (
     brute_force_hull,
     closure_face_lattice,
     containment,
-    fraction_coords,
     fraction_det,
     fraction_in_cone,
     fraction_rank,
@@ -27,12 +26,10 @@ from oracles import (
 )
 from tquot import gallery
 from tquot.exactq import (
-    clear_denominators,
     dot,
     nullspace,
     primitive,
     rank,
-    solve_fraction_free,
 )
 from tquot.polytope import convex_hull, in_cone
 
@@ -314,37 +311,4 @@ def test_nullspace_is_primitive_basis_and_cofactor_vector():
                 for j in range(ncols)
             ]
             assert basis[0] in (primitive(minors), tuple(-x for x in primitive(minors)))
-
-
-def _fractions(solution):
-    """A fraction-free solution as Fractions, or None."""
-    if solution is None:
-        return None
-    numerators, denominator = solution
-    return tuple(Fraction(x, denominator) for x in numerators)
-
-
-def test_solves_match_fraction_gauss_jordan():
-    rng = random.Random(73)
-    solved = 0
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        columns = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n))]
-        target = tuple(rng.randint(-3, 3) for _ in range(n))
-        if rng.random() < 0.5:
-            target = tuple(sum(rng.randint(-2, 2) * c[j] for c in columns) for j in range(n))
-        result = solve_fraction_free(columns, target)
-        if fraction_rank(columns) < len(columns):
-            assert result is None
-            continue
-        expected = fraction_coords(target, columns)
-        assert _fractions(result) == expected
-        solved += expected is not None
-        # rational columns: one common scale clears the denominators of
-        # the system and leaves the coefficients unchanged
-        rational = [tuple(Fraction(x, rng.randint(1, 3)) for x in c) for c in columns]
-        ints, _ = clear_denominators([*rational, target])
-        scaled = solve_fraction_free(ints[:-1], ints[-1])
-        assert _fractions(scaled) == fraction_coords(target, rational)
-    assert solved > 100
 

@@ -7,13 +7,13 @@ from tquot import gallery
 from tquot.exactq import dot, vec
 from tquot.gallery import (
     GalleryError,
+    _weyl_orbit,
     blowup_example,
     coadjoint_orbit,
     projective_space,
     root_system,
     sphere_product,
     surface_times_sphere,
-    weyl_orbit,
 )
 from tquot.hamspace import stratify, validate
 
@@ -38,9 +38,9 @@ def test_root_system_b2():
 
 
 def test_weyl_orbit_sizes():
-    assert len(weyl_orbit(root_system("A", 2), (1, 0, -1))) == 6
-    assert len(weyl_orbit(root_system("A", 3), (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)))) == 6
-    assert len(weyl_orbit(root_system("B", 2), (1, 0))) == 4
+    assert len(_weyl_orbit(root_system("A", 2), (1, 0, -1))) == 6
+    assert len(_weyl_orbit(root_system("A", 3), (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)))) == 6
+    assert len(_weyl_orbit(root_system("B", 2), (1, 0))) == 4
 
 
 def test_coadjoint_orbit_gr2c4_structure():
