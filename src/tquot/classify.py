@@ -26,7 +26,7 @@ checks that ran instead of running them again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from tquot.hamspace import (
     HamSpec,
@@ -81,8 +81,7 @@ class StratificationOnly:
 Verdict = Union[Sphere, Disk, ProductPolytopeSurface, CollapsedProduct, StratificationOnly]
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     verdict: Verdict
     provenance: str
     stratification: StratifiedPolytope

@@ -284,7 +284,7 @@ def report_to_json(spec: HamSpec, report: TopologyReport) -> dict:
         "verdict": _verdict(report.verdict),
         "provenance": report.provenance,
         "join_presentation": report.join_presentation,
-        "annotation": entry.reported_quotient if entry else None,
+        "annotation": entry.reported_quotient if entry is not None else None,
         "complexity": sp.complexity,
         "polytope": {
             "ambient_dim": sp.polytope.ambient_dim,

@@ -7,8 +7,9 @@ the affine hull is described by its integer normals alone.
 
 A number that comes in is an int, never a bool, or where a rational
 is allowed a Fraction.  `exact` is the one test of that rule, and `vec`
-applies it to rational vectors; a float, a bool or a string such as
-"1/3" is refused, never coerced.
+and `integral` (so `rank`, `nullspace` and `primitive`) apply it to
+rational vectors; a float, a bool or a string such as "1/3" is refused,
+never coerced.
 
 Denominators are cleared at the entry of each routine that eliminates:
 `integral` scales a vector by the lcm of its denominators, and
@@ -62,9 +63,11 @@ def dot(a, b) -> Fraction:
 
 def integral(v) -> tuple[int, ...]:
     """v scaled by the lcm of its entries' denominators: an integer
-    vector with the same direction.  An integer vector is itself."""
+    vector with the same direction.  An integer vector is itself; an
+    entry that is not an int or a Fraction raises ValueError (`exact`)."""
     if all(type(x) is int for x in v):
         return tuple(v)
+    v = exact(v, "a vector must be integers or Fractions", (int, Fraction))
     factor = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (factor // x.denominator) for x in v)
 

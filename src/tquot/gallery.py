@@ -12,10 +12,9 @@ standard linear-action rules for moments and isotropy weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from tquot.exactq import dot, exact, matmul, vec
 from tquot.hamspace import (
@@ -29,8 +28,7 @@ class GalleryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     type_label: str
     rank: int
     positive_roots: tuple[tuple[int, ...], ...]
@@ -187,8 +185,7 @@ def projective_space(coord_weights, name: str = "projective-space") -> HamSpec:
     return HamSpec(name, r, n, tuple(components))
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
+class GalleryEntry(NamedTuple):
     name: str
     row: int
     summary: str

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tquot.exactq import Vector, exact, is_zero, primitive, rank, vec
 from tquot.polytope import FaceLattice, RationalPolytope, convex_hull, facet_incidence
@@ -89,10 +89,10 @@ class HamSpec:
         return read_faces(self, self.polytope)
 
 
-@dataclass(frozen=True)
-class FaceReading:
+class FaceReading(NamedTuple):
     """A component on a face, by its index in the spec: the complexity it
-    reads, its weights parallel to the face, and whether it is at a vertex."""
+    reads, its weights parallel to the face, and whether it is at a vertex.
+    The field `index` shadows `tuple.index`, which nothing calls."""
 
     index: int
     complexity: int
@@ -100,8 +100,7 @@ class FaceReading:
     at_vertex: bool
 
 
-@dataclass(frozen=True)
-class StratifiedPolytope:
+class StratifiedPolytope(NamedTuple):
     polytope: RationalPolytope
     lattice: FaceLattice
     face_complexity: dict
@@ -110,15 +109,13 @@ class StratifiedPolytope:
     complexity: int
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -133,8 +130,7 @@ class ValidationReport:
         return next((c.name for c in self.checks if not c.passed), None)
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
+class GeneralPositionReport(NamedTuple):
     per_component: tuple[bool, ...]
     overall: bool
 

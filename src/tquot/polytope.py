@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tquot.exactq import Vector, clear_denominators, eliminate, nullspace, primitive, vec
 
@@ -70,16 +70,14 @@ class RationalPolytope:
         return sum(1 << i for i, (n, _) in enumerate(self.facets) if not sum(map(mul, n, w)))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     id: int
     dim: int
     vertex_set: tuple[int, ...]
     facets: frozenset[int]  # indices of the facets containing the face
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(NamedTuple):
     faces: tuple[Face, ...]
     covers: tuple[tuple[int, int], ...]  # (a, b) when face a is a facet of face b, sorted
     # per vertex, the sorted primitive integer directions of its edges

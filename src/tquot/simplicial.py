@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from tquot.classify import ProductPolytopeSurface, StratificationOnly, TopologyReport
 from tquot.exactq import sparse_rank_and_factors
@@ -66,8 +65,7 @@ class SizeCapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class OrderedComplex:
+class OrderedComplex(NamedTuple):
     simplices: frozenset
 
     @staticmethod
@@ -107,8 +105,7 @@ class OrderedComplex:
         return tuple(sorted(s for s in self.simplices if s not in non_maximal))
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
@@ -457,16 +454,14 @@ def expected_homology(sub: OrderedComplex, genus: int) -> HomologyProfile:
     ).trimmed()
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(NamedTuple):
     name: str
     passed: bool
     computed: HomologyProfile
     expected: HomologyProfile
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     passed: bool
     checks: tuple[VerificationCheck, ...]
 

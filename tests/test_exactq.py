@@ -9,6 +9,7 @@ from tquot.exactq import (
     exact,
     identity_matrix,
     matmul,
+    nullspace,
     primitive,
     rank,
     smith_normal_form,
@@ -204,6 +205,9 @@ RULE = [
     ("projective_space", lambda x: projective_space([(x,), (0,), (0,)]), GalleryError, False),
     ("coadjoint_orbit", lambda x: coadjoint_orbit(root_system("A", 2), (x, 0, -1)), GalleryError, True),
     ("smith_normal_form", lambda x: smith_normal_form([[x, 0], [0, 3]]), ValueError, False),
+    ("rank", lambda x: rank([[x, 1]]), ValueError, True),
+    ("nullspace", lambda x: nullspace([[x, 1]], 2), ValueError, True),
+    ("primitive", lambda x: primitive([x, 2]), ValueError, True),
 ]
 
 

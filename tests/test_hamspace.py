@@ -482,7 +482,7 @@ def test_v6_along_covers_decides_as_along_all_containments():
         lattice = spec.polytope.lattice
         poly = replace(spec.polytope)
         # the copy's cached lattice, with every containment as a cover
-        poly.__dict__["lattice"] = replace(lattice, covers=containment(lattice))
+        poly.__dict__["lattice"] = lattice._replace(covers=containment(lattice))
         by_covers, by_pairs = validate(spec).checks, validate(spec, polytope=poly).checks
         assert [c.passed for c in by_covers] == [c.passed for c in by_pairs], spec
         assert by_covers[:5] == by_pairs[:5]
