@@ -2,15 +2,18 @@
 
 Spec files are JSON with exact rationals ("p/q" strings, bare integers
 allowed).  Exit codes: 0 success, 1 validation or verification failure
-or an invalid spec, 2 parse error, unknown name or unwritable export, 3
-internal error, 4 verification skipped.
+or an invalid spec, 2 parse error, unknown name, unwritable export or
+negative --max-simplices, 3 internal error, 4 verification skipped.
 
 Each command calls `classify` once and builds one JSON document, which
-`_emit` prints with sorted keys or renders as text from the document
-alone (`_text`).  Errors reach `main`, which maps them to exit codes; a
-validation failure is such a document for every command: the failed
-check, then every check.  `classify --skip-validation` refuses a
-malformed spec on stderr only.
+`_emit` prints with `json_text` or renders as text from the document
+alone (`_text`).  The JSON output, and each file `gallery export`
+writes, is the text `json.dumps` gives with sorted keys and an indent
+of 2: ASCII only, with \\uXXXX escapes, and every number an integer or
+a "p/q" string, never a float.  Errors reach `main`, which maps them
+to exit codes; a validation failure is such a document for every
+command: the failed check, then every check.  `classify
+--skip-validation` refuses a malformed spec on stderr only.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from tquot import gallery
 from tquot.classify import (
@@ -115,6 +119,40 @@ def _shown(value) -> str:
     return text
 
 
+def json_text(value, newline: str = "\n") -> str:
+    """value as the text `json.dumps` gives with sorted keys and an
+    indent of 2, without the pure-Python encoder that an indent makes it
+    run.  Only str keys, str, int, None, True, False, list, tuple and
+    dict are written; anything else, a float included, raises TypeError.
+    newline is the line break and indent of the enclosing level."""
+    kind = type(value)
+    # ints, the commonest leaves, are written in place to spare a call
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [int.__repr__(x) if type(x) is int else json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else json_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _fraction_from_json(value, at: str, j: int):
     """Entry j of the moment of component at: a JSON integer, returned as
     it is, or a "p/q" string, as a Fraction.  Its path is formatted only
@@ -186,6 +224,12 @@ def parse_spec(data) -> HamSpec:
         raise SpecFileError(f"malformed spec file: {exc.args[0]} is missing") from exc
     if not isinstance(name, str):
         raise SpecFileError(f"malformed spec file: name must be a string, got {_shown(name)}")
+    try:  # JSON admits a lone surrogate, which the text output could not encode
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SpecFileError(
+            f"malformed spec file: name must not hold a lone surrogate, got {_shown(name)}"
+        ) from None
     torus_rank = _integer(torus_rank, "torus_rank")
     if _integer(half_dim, "half_dim") < 1:
         raise SpecFileError(f"malformed spec file: half_dim must be at least 1, got {half_dim}")
@@ -245,7 +289,7 @@ def spec_to_json(spec: HamSpec) -> dict:
 
 
 def dump_spec(spec: HamSpec, path: str) -> None:
-    text = json.dumps(spec_to_json(spec), sort_keys=True, indent=2) + "\n"
+    text = json_text(spec_to_json(spec)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -349,7 +393,7 @@ def _text(doc: dict) -> str:
 
 
 def _emit(doc: dict, fmt: str) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2) if fmt == "json" else _text(doc))
+    print(json_text(doc) if fmt == "json" else _text(doc))
 
 
 def cmd_classify(args) -> int:
@@ -381,6 +425,8 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_simplices < 0:
+        raise SpecFileError(f"--max-simplices must be at least 0, got {args.max_simplices}")
     spec = load_spec(args.path)
     report = classify(spec)
     skipped = None
@@ -448,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=MAX_SIMPLICES,
         help="skip (exit 4) when the staircase product the model is collapsed from"
         " has more simplices; this bounds the product before the collapse, not the"
-        " smaller model homology runs on (gr2c4: product 3742, model 404)",
+        " smaller model homology runs on (gr2c4: product 3742, model 404); 0 skips"
+        " every verification, and a negative cap is refused (exit 2)",
     )
 
     return parser

@@ -589,6 +589,19 @@ def test_cli_verify_counts_the_product_before_building_it(tmp_path, capsys, name
     }
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_verify_negative_cap_is_refused(tmp_path, capsys, fmt):
+    path = tmp_path / "gr2c4.json"
+    dump_spec(gallery.build("gr2c4"), str(path))
+    code, out, err = run(capsys, "verify", str(path), "--format", fmt, "--max-simplices", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-simplices must be at least 0, got -5\n"
+    # 0 keeps its meaning: skip everything
+    code, out, _ = run(capsys, "verify", str(path), "--format", fmt, "--max-simplices", "0")
+    assert code == 4
+    assert "size cap exceeded: 3742 simplices (cap 0)" in out
+
+
 def test_cli_verify_validation_failure(tmp_path, capsys):
     spec = gallery.build("s2cubed")
     doc = spec_to_json(spec)
@@ -773,3 +786,27 @@ def test_python_m_tquot_malformed_file_is_parse_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "cannot read spec file" in proc.stderr
+
+
+def _surrogate_name_spec(tmp_path):
+    doc = spec_to_json(gallery.build("s2xs2-diag"))
+    doc["name"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps escapes it as \\ud800
+    return str(path)
+
+
+SURROGATE_REFUSED = 'error: malformed spec file: name must not hold a lone surrogate, got "\\ud800"\n'
+
+
+@pytest.mark.parametrize("op", ["classify", "verify"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_lone_surrogate_name_is_refused(tmp_path, capsys, op, fmt):
+    assert run(capsys, op, _surrogate_name_spec(tmp_path), "--format", fmt) == (2, "", SURROGATE_REFUSED)
+
+
+@pytest.mark.parametrize("op", ["classify", "verify"])
+def test_python_m_tquot_lone_surrogate_name_is_refused(tmp_path, op):
+    # in-process output goes to a StringIO, which never encodes; a real stdout does
+    proc = _python_m_tquot(op, _surrogate_name_spec(tmp_path), "--format", "text")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", SURROGATE_REFUSED)

@@ -5,12 +5,14 @@ stdout, the stderr and the exit code of `classify` and `verify` in json
 and text, and of `gallery show`.  It also holds the refusal paths: for
 every specimen, `classify` of its spec with one weight entry made a
 float, a boolean and a string, and for the specimens with a fixed
-surface, with a float genus; and one V4 failure, s2cubed with the
-weights at its first vertex negated.  A refactor must leave every one
-of them byte for byte unchanged; the test shows a unified diff of the
-first that moved.  To record new outputs after a deliberate change of
-the output, run `PYTHONPATH=src python tests/test_cli_golden.py` and
-review the diff of the data file.
+surface, with a float genus; one V4 failure, s2cubed with the weights
+at its first vertex negated; s2xs2-diag named by a lone surrogate and
+by a non-BMP character; and `verify` of gr2c4 under a negative cap and
+a cap of 0.  A refactor must leave every one of them byte for byte
+unchanged; the test shows a unified diff of the first that moved.  To
+record new outputs after a deliberate change of the output, run
+`PYTHONPATH=src python tests/test_cli_golden.py` and review the diff of
+the data file.
 """
 
 import contextlib
@@ -79,6 +81,21 @@ def outputs() -> dict:
             runs[f"classify s2cubed negated vertex weights --format {fmt}"] = _run(
                 "classify", path, "--format", fmt
             )
+        doc = spec_to_json(gallery.build("s2xs2-diag"))
+        for label, name in (("lone surrogate", "\ud800"), ("non-BMP", "\U0001d53d")):
+            doc["name"] = name
+            path = write("named", doc)
+            for command in ("classify", "verify"):
+                for fmt in ("json", "text"):
+                    runs[f"{command} s2xs2-diag named by a {label} --format {fmt}"] = _run(
+                        command, path, "--format", fmt
+                    )
+        path = write("gr2c4", spec_to_json(gallery.build("gr2c4")))
+        for cap in ("-5", "0"):
+            for fmt in ("json", "text"):
+                runs[f"verify gr2c4 --max-simplices {cap} --format {fmt}"] = _run(
+                    "verify", path, "--max-simplices", cap, "--format", fmt
+                )
     return runs
 
 
