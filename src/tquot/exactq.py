@@ -137,7 +137,9 @@ def rank(m) -> int:
 def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
     """A basis of primitive integer vectors n with m * n = 0.
 
-    One vector per non-pivot column of the fraction-free reduced form.
+    One vector per non-pivot column of the fraction-free reduced form,
+    its last nonzero entry, the one at that column, made positive: the
+    basis depends on the row space of m alone, not on its rows.
     For an (ncols-1) x ncols matrix of full rank that single vector is
     the cofactor vector (the signed maximal minors) over its content;
     the list is longer exactly when the rows are dependent.
@@ -153,7 +155,7 @@ def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
         n[free] = d
         for row, p in zip(rows, pivots):
             n[p] = -row[free]
-        g = gcd(*n)
+        g = gcd(*n) if d > 0 else -gcd(*n)
         basis.append(tuple(x // g for x in n))
     return basis
 

@@ -18,10 +18,12 @@ reads the moments outside and the carriers of each vertex off them, V4
 the components at the vertices, V5 every component on a face and
 stratification those at its vertices.  The readings are taken from the
 face whose relative interior holds each moment upward along the covers,
-so their cost follows the component-face incidences.  Each fact is
-proven once: V4 runs first, and V3 ranks the weights and V5 the
-parallel weights only of what V4 has not settled, the components away
-from a vertex and those whose vertex cone V4 refused.
+so their cost follows the component-face incidences, and that face is
+found by the facets at the moment, which the hull kept from its double
+description: no slack is tested.  Each fact is proven once: V4 runs
+first, and V3 ranks the weights and V5 the parallel weights only of
+what V4 has not settled, the components away from a vertex and those
+whose vertex cone V4 refused.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from tquot.exactq import Vector, exact, is_zero, primitive, rank, vec
-from tquot.polytope import FaceLattice, RationalPolytope, convex_hull, facet_incidence
+from tquot.polytope import FaceLattice, RationalPolytope, convex_hull
 
 POINT = "point"
 SURFACE = "surface"
@@ -142,11 +144,13 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
     The rule: weights parallel to the face, plus one for the implicit
     zero weight of a surface, minus dim F.  A moment inside the polytope
     lies in the relative interior of one face, its carrier, whose facets
-    are those tight at the moment (`facet_incidence`; a moment outside
-    lies on no face); the faces holding it are the carrier and the faces
-    above it along the covers.  A weight in the polytope's directions is
-    parallel to a face iff the facets whose conormal it meets with 0
-    hold every facet that contains the face, read on bitmasks.
+    are those at the moment (`RationalPolytope.facets_at`: the hull's
+    own contacts for the moments it was built from, slacks for those of
+    another polytope; a moment outside lies on no face); the faces
+    holding it are the carrier and the faces above it along the covers.
+    A weight in the polytope's directions is parallel to a face iff the
+    facets whose conormal it meets with 0 hold every facet that contains
+    the face, read on bitmasks.
     """
     faces = poly.lattice.faces
     above: list[list[int]] = [[] for _ in faces]
@@ -157,7 +161,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
     weights = dict.fromkeys(w for c in spec.components for w in c.weights)
     zeros = {w: poly.zero_facets(w) for w in weights if poly.off_hull(w) is None}
     rows: list[list[FaceReading]] = [[] for _ in faces]
-    tight = facet_incidence(poly, [c.moment for c in spec.components])
+    tight = poly.facets_at([c.moment for c in spec.components])
     for i, (comp, t) in enumerate(zip(spec.components, tight)):
         if t is None:
             continue

@@ -15,19 +15,22 @@ the facet offsets and a vertex by another.  From there the hull runs on
 integer points: the primitive normals of the affine hull, the facets
 and the bitmasks of their contacts in the projected coordinates, the
 vertices as the points where the facets through them meet alone, then
-each facet's ambient conormal as the primitive integer vector normal to
-its contacts and to the hull normals.  The face lattice runs on
-vertex-facet bitmasks, and the cone test `in_cone` reads the facets
-through the origin of one more hull.  Only the vertices and the facet
-offsets are Fractions.  A face is its dimension, its vertex indices and
-the facets containing it; the lattice adds the cover pairs and the edge
-directions at each vertex.  Points come in through `exactq.vec`, so an
-entry that is not an int or a Fraction raises ValueError.
+each facet's ambient conormal lifted from its projected normal by one
+map per hull.  The hull keeps what the contacts tell: the vertices on
+each facet as bitmasks, on which the face lattice runs, and the facets
+at each point it was built from, which the face readings take;
+`facet_incidence` finds them by slacks for any other point.  The cone
+test `in_cone` reads the facets through the origin of one more hull.
+Only the vertices and the facet offsets are Fractions.  A face is its
+dimension, its vertex indices and the facets containing it; the lattice
+adds the cover pairs and the edge directions at each vertex.  Points
+come in through `exactq.vec`, so an entry that is not an int or a
+Fraction raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -48,6 +51,13 @@ class RationalPolytope:
     # primitive integer normals of the affine hull, one per dimension
     # it lacks: the hull is cut out by <n, x> = <n, v> at any vertex v
     normals: tuple[tuple[int, ...], ...]
+    # per facet, the bitmask of the vertices on it
+    facet_vertices: tuple[int, ...]
+    # each distinct point the hull was built from -> its index, and by
+    # that index the facets it lies on; the same polytope built from
+    # other points is equal, so these are left out of equality
+    inputs: dict[Vector, int] = field(compare=False, repr=False)
+    contacts: tuple[frozenset[int], ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -62,6 +72,15 @@ class RationalPolytope:
         """The first hull normal the vector w meets with nonzero, or
         None when w lies in the polytope's directions."""
         return next((n for n in self.normals if sum(map(mul, n, w))), None)
+
+    def facets_at(self, points) -> list[Optional[frozenset[int]]]:
+        """For each point, the indices of the facets it lies on, or None
+        outside the polytope: read off the contacts for the points the
+        hull was built from, by `facet_incidence` for any other."""
+        at = [self.inputs.get(tuple(q)) for q in points]
+        missed = [q for q, i in zip(points, at) if i is None]
+        others = iter(facet_incidence(self, missed) if missed else ())
+        return [next(others) if i is None else self.contacts[i] for i in at]
 
     def zero_facets(self, w) -> int:
         """The bitmask of the facets whose conormal the integer vector w
@@ -102,50 +121,86 @@ def convex_hull(points) -> RationalPolytope:
     conormals are primitive integer vectors inside the direction space
     of the affine hull, signed so the polytope lies on the >= side.
     """
-    pts = list(dict.fromkeys(vec(p) for p in points))
+    inputs: dict[Vector, int] = {}
+    for p in points:
+        inputs.setdefault(vec(p), len(inputs))
+    pts = list(inputs)
     if not pts:
         raise ValueError("no points")
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed length")
     # the points scaled once to integers by a common factor; the normals
-    # of their affine hull; and the points projected onto the pivot
-    # coordinates of its directions, which is injective on the hull
+    # of their affine hull, each last nonzero on a column that is not a
+    # pivot of its directions; and the points projected onto the pivot
+    # coordinates, which is injective on the hull
     ints, scale = clear_denominators(pts)
     diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
     hull_normals = tuple(nullspace(diffs, ambient))
-    pivots, _ = eliminate(diffs)
+    free = {max(j for j, x in enumerate(n) if x) for n in hull_normals}
+    pivots = [j for j in range(ambient) if j not in free]
     d = len(pivots)
     if d == 0:
-        return RationalPolytope(ambient, (pts[0],), (), hull_normals)
+        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), inputs, (frozenset(),))
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
-    # each facet with its contacts, as the double description keeps them;
+    # each facet with its contacts, as the double description keeps them,
+    # its normal lifted to the ambient conormal, read at its first contact
+    lift = _lift(hull_normals, pivots, ambient)
+    supports = []
+    for n, _, mask in _facets(coords, d):
+        contact = [i for i in range(len(pts)) if mask >> i & 1]
+        w = lift(n)
+        supports.append((w, Fraction(sum(map(mul, w, ints[contact[0]])), scale), mask, contact))
+    supports.sort()  # by conormal, as no two facets share one
+
     # a point is a vertex iff the facets through it meet in it alone
-    supports = [
-        (mask, [i for i in range(len(pts)) if mask >> i & 1]) for _, _, mask in _facets(coords, d)
-    ]
     meet = [(1 << len(pts)) - 1] * len(pts)
-    for mask, contact in supports:
+    at: list[list[int]] = [[] for _ in pts]  # per point, the facets through it
+    for f, (_, _, mask, contact) in enumerate(supports):
         for i in contact:
             meet[i] &= mask
+            at[i].append(f)
     vertex_idx = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: pts[i])
-    vertices = tuple(pts[i] for i in vertex_idx)
+    bit = {i: 1 << v for v, i in enumerate(vertex_idx)}
+    return RationalPolytope(
+        ambient,
+        tuple(pts[i] for i in vertex_idx),
+        tuple((w, offset) for w, offset, _, _ in supports),
+        hull_normals,
+        tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
+        inputs,
+        tuple(map(frozenset, at)),
+    )
 
-    # the ambient conormal of a facet is normal to its contacts and lies
-    # in the affine hull's directions; a point off the facet signs it
-    facets = []
-    for mask, contact in supports:
-        q0 = ints[contact[0]]
-        rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
-        [w] = nullspace([*rows, *hull_normals], ambient)
-        level = sum(map(mul, w, q0))
-        off = next(i for i in range(len(ints)) if not mask >> i & 1)
-        if sum(map(mul, w, ints[off])) < level:
-            w, level = tuple(-x for x in w), -level
-        facets.append((w, Fraction(level, scale)))
-    facets.sort()
-    return RationalPolytope(ambient, vertices, tuple(facets), hull_normals)
+
+def _lift(hull_normals, pivots, ambient):
+    """The map from a facet normal in the pivot coordinates to its
+    ambient conormal, keeping the orientation.  The normal put back at
+    the pivot coordinates meets the affine hull's directions as it meets
+    their projection, and so does its part off the hull normals, which
+    lies in the directions; the conormal is its primitive multiple."""
+    basis = []  # the hull normals made mutually orthogonal, with their squares
+
+    def off(w):
+        for b, bb in basis:
+            t = sum(map(mul, w, b))
+            if t:
+                w = [bb * x - t * y for x, y in zip(w, b)]
+        g = gcd(*w)
+        return tuple(x // g for x in w)
+
+    for u in hull_normals:
+        u = off(u)
+        basis.append((u, sum(map(mul, u, u))))
+
+    def lift(n):
+        w = [0] * ambient
+        for j, x in zip(pivots, n):
+            w[j] = x
+        return off(w)
+
+    return lift
 
 
 def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int, int]]:
@@ -240,8 +295,6 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     polytope that do not contain F.  A face's dimension is its level.
     """
     nv = len(p.vertices)
-    incidence = facet_incidence(p, p.vertices)
-    on = [sum(1 << v for v, at in enumerate(incidence) if i in at) for i in range(len(p.facets))]
     top = (1 << nv) - 1
     # vertex mask -> (dim, vertex set, the facets containing the face)
     found = {top: (p.dim, tuple(range(nv)), frozenset())}
@@ -253,7 +306,7 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
             _, vs, containing = found[f]
             # each meet, with the facets G that meet F in it
             meets: dict[int, set[int]] = {}
-            for i, g in enumerate(on):
+            for i, g in enumerate(p.facet_vertices):
                 if i not in containing and f & g:
                     meets.setdefault(f & g, set()).add(i)
             below[f] = []

@@ -35,7 +35,11 @@ the Euler characteristic as an alternating count of simplices, which
 the package no longer needs, and the surfaces of higher genus by
 connected sums that copy the whole surface for each torus.  Last is
 the trichotomy for circle actions on four-manifolds, an independent
-decision for the cases it covers.
+decision for the cases it covers.  Next to the brute-force hull sits
+the double description hull as it was before it read every incidence
+off its contacts: one nullspace per facet conormal, signed by a point
+off the facet, and `facet_incidence` for the vertices on each facet and
+the facets at each point.
 Tests compare the package code against them; nothing in the package
 imports this module.
 """
@@ -53,8 +57,11 @@ from tquot.classify import (
     ValidationFailure,
 )
 from tquot.exactq import (
+    clear_denominators,
     dot,
+    eliminate,
     is_zero,
+    nullspace,
     primitive,
     smith_normal_form,
     sparse_rank_and_factors,
@@ -70,7 +77,7 @@ from tquot.hamspace import (
     stratify,
     validate,
 )
-from tquot.polytope import Face, facet_incidence
+from tquot.polytope import Face, RationalPolytope, _facets, facet_incidence
 from tquot.simplicial import (
     _TORUS_TRIANGLES,
     HomologyProfile,
@@ -248,6 +255,52 @@ def brute_force_hull(points) -> OracleHull:
         facets.append((w, lam * (dot(w0, base) + c)))
     facets.sort()
     return OracleHull(ambient, vertices, tuple(facets), basis)
+
+
+# the hull as convex_hull built it before it lifted the conormals: its
+# vertices and facets, each facet's vertex bitmask and each point's facets
+NullspaceHull = namedtuple("NullspaceHull", "vertices facets facet_vertices point_facets")
+
+
+def nullspace_hull(points) -> NullspaceHull:
+    """The double description's facets and contacts, each ambient
+    conormal by one nullspace: the primitive integer vector normal to
+    the facet's contacts and to the hull normals, signed by a point off
+    the facet.  The vertices on each facet and the facets at each point
+    come from `facet_incidence`, as the face lattice and the face
+    readings took them before they read the hull's contacts."""
+    pts = list(dict.fromkeys(vec(p) for p in points))
+    ambient = len(pts[0])
+    ints, scale = clear_denominators(pts)
+    diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
+    hull_normals = tuple(nullspace(diffs, ambient))
+    pivots, _ = eliminate(diffs)
+    vertices, facets = (pts[0],), []
+    if pivots:
+        coords = [tuple(q[j] for j in pivots) for q in ints]
+        supports = [
+            (mask, [i for i in range(len(pts)) if mask >> i & 1])
+            for _, _, mask in _facets(coords, len(pivots))
+        ]
+        meet = [(1 << len(pts)) - 1] * len(pts)
+        for mask, contact in supports:
+            for i in contact:
+                meet[i] &= mask
+        vertices = tuple(sorted(pts[i] for i, m in enumerate(meet) if m == 1 << i))
+        for mask, contact in supports:
+            q0 = ints[contact[0]]
+            rows = [[a - b for a, b in zip(ints[i], q0)] for i in contact[1:]]
+            [w] = nullspace([*rows, *hull_normals], ambient)
+            level = sum(a * b for a, b in zip(w, q0))
+            off = next(i for i in range(len(ints)) if not mask >> i & 1)
+            if sum(a * b for a, b in zip(w, ints[off])) < level:
+                w, level = tuple(-x for x in w), -level
+            facets.append((w, Fraction(level, scale)))
+        facets.sort()
+    poly = RationalPolytope(ambient, vertices, tuple(facets), hull_normals, (), {}, ())
+    on = facet_incidence(poly, vertices)
+    masks = tuple(sum(1 << v for v, at in enumerate(on) if i in at) for i in range(len(facets)))
+    return NullspaceHull(vertices, tuple(facets), masks, facet_incidence(poly, points))
 
 
 def fraction_in_cone(target, generators) -> bool:

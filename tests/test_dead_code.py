@@ -32,6 +32,9 @@ UNCALLED = {
     "exactq.smith_normal_form.<locals>.swap_cols": "part of smith_normal_form",
     "exactq.smith_normal_form.<locals>.swap_rows": "part of smith_normal_form",
     "exactq.identity_matrix": "smith_normal_form's starting U and V",
+    "polytope.facet_incidence": "the facets at a moment that the intended polytope P of"
+    " validate(spec, polytope=P) was not built from, such as one moved outside it; a hull reads"
+    " its own points' facets off its contacts, and the oracles build their masks with it",
     "polytope.in_cone": "perfbench/spans.py wraps it; the cone test of the public API",
     "simplicial.barycentric_pair": "collapse_fibers' branch for a sub that is not full, which"
     " verification never takes; perfbench/spans.py wraps it and acceptance C5 pins the branch",

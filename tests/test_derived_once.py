@@ -3,10 +3,12 @@
 The hull, the face lattice and the per-face complexity readings are
 cached on the spec and on the polytope, and classify is the one caller
 of validate, which decides the vertex cones without the cone test
-in_cone; the components over each face come from one
-component x facet incidence, which V2 shares.  A span is ranked at
+in_cone; the components over each face come from the facets at each
+moment, which V2 shares and the hull reads off its contacts, as the
+face lattice reads the vertices of each facet.  A span is ranked at
 most once: by V3 or V5 only where V4 has not accepted the vertex cone,
-and never in the hull.  Verify collapses the model once and reduces
+and never in the hull, which lifts its conormals without a nullspace
+per facet.  Verify collapses the model once and reduces
 it and the short locus, not the join again when the join is the model.
 The parser leaves the numbers of a spec to the component builders, so
 each passes the one test of the rule, `exactq.exact`, once.  The
@@ -110,12 +112,25 @@ def test_classify_builds_one_hull_and_runs_no_cone_search(monkeypatch, name):
 @pytest.mark.parametrize("skip_validation", [False, True], ids=["validated", "skipped"])
 @pytest.mark.parametrize("name", gallery.names())
 def test_classify_finds_the_facets_at_the_moments_once(monkeypatch, name, skip_validation):
-    # one incidence for the face lattice on the vertices, and one on the
-    # moments that V2 and the face readings share
+    # the double description finds them: the face lattice reads the
+    # vertices of each facet, and V2 and the face readings the facets at
+    # each moment, off the hull's contacts, with no slack test at all
     spec = gallery.build(name)
     calls = _counter(monkeypatch, polytope, ("facet_incidence",))
     classify(spec, skip_validation=skip_validation)
-    assert calls["facet_incidence"] == 2
+    assert calls["facet_incidence"] == 0
+
+
+def test_classify_lifts_the_conormals_without_a_nullspace_per_facet(monkeypatch):
+    # one nullspace for the hull normals and one per facet of the
+    # starting simplex of the double description, however many facets
+    # the hull ends with: the conormals are lifted from the normals
+    half = Fraction(1, 2)
+    spec = gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
+    calls = _counter(monkeypatch, exactq, ("nullspace",))
+    assert classify(spec).validation.ok
+    assert len(spec.polytope.facets) == 14
+    assert calls["nullspace"] == 1 + (spec.polytope.dim + 1) == 5
 
 
 def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):
