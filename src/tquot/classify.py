@@ -1,21 +1,22 @@
 """Topology of the quotient from the stratified momentum polytope.
 
-The decision tree for a validated spec:
+The decision tree for a validated spec, with the type of the `Verdict`
+record it gives:
 
 * complexity 0: the quotient is a disk of dimension n (orbital momentum
-  map is a homeomorphism onto the polytope).
+  map is a homeomorphism onto the polytope): "disk".
 * complexity 1 with every proper face short: the quotient is the
   (n+1)-sphere, presentable as the join of the polytope boundary with a
-  two-sphere.
+  two-sphere: "sphere".
 * complexity 1 with nothing short: the quotient is polytope x surface;
   the genus is read from the fixed surfaces (they all agree, and every
   vertex carries one, since an isolated fixed point at a vertex would
-  force a short vertex).
+  force a short vertex): "product-polytope-surface".
 * complexity 1 otherwise: the collapsed product (polytope x S^2 with
   the fibers over the short faces crushed), left unnamed except for the
   four-manifold special case of a single short endpoint, which is a
-  three-disk.
-* complexity >= 2: stratification only.
+  three-disk: "collapsed-product", or "disk".
+* complexity >= 2: stratification only: "stratification-only".
 
 `classify` is the one caller of `validate`: it validates the spec
 (unless told to skip), stratifies it, decides the verdict, and keeps
@@ -25,8 +26,7 @@ checks that ran instead of running them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from tquot.hamspace import (
     HamSpec,
@@ -47,38 +47,19 @@ class ValidationFailure(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Sphere:
-    dim: int
+class Verdict(NamedTuple):
+    """The topology of the quotient.  Each type sets only its own fields:
+    "sphere" and "disk" their dim, "product-polytope-surface" its genus,
+    "collapsed-product" its short_face_ids and the fiber "S2", and
+    "stratification-only" none.  The fields that are set are the
+    verdict's JSON; type comes first, so verdicts of different types
+    never compare equal."""
 
-
-@dataclass(frozen=True)
-class Disk:
-    dim: int
-
-
-@dataclass(frozen=True)
-class ProductPolytopeSurface:
-    genus: int
-
-
-@dataclass(frozen=True)
-class SphereFiber:
-    pass
-
-
-@dataclass(frozen=True)
-class CollapsedProduct:
-    short_face_ids: tuple[int, ...]
-    fiber: SphereFiber
-
-
-@dataclass(frozen=True)
-class StratificationOnly:
-    pass
-
-
-Verdict = Union[Sphere, Disk, ProductPolytopeSurface, CollapsedProduct, StratificationOnly]
+    type: str
+    dim: Optional[int] = None
+    genus: Optional[int] = None
+    short_face_ids: Optional[tuple[int, ...]] = None
+    fiber: Optional[str] = None
 
 
 class TopologyReport(NamedTuple):
@@ -114,11 +95,11 @@ def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
     proper = {f.id for f in sp.lattice.proper_faces()}
 
     if k == 0:
-        return Disk(n), "toric-disk"
+        return Verdict("disk", dim=n), "toric-disk"
     if k >= 2:
-        return StratificationOnly(), "stratification-only"
+        return Verdict("stratification-only"), "stratification-only"
     if proper and short >= proper:
-        return Sphere(n + 1), "boundary-short-sphere"
+        return Verdict("sphere", dim=n + 1), "boundary-short-sphere"
     if not short:
         genera = sorted({c.genus for c in spec.components if c.is_surface})
         if not genera:
@@ -126,7 +107,7 @@ def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
         # V1 and V7 refuse these first when validation runs
         if len(genera) > 1 or genera[0] < 0:
             raise SpecError(f"invalid spec: the fixed surfaces need one genus >= 0, got {genera}")
-        return ProductPolytopeSurface(genera[0]), "no-short-product"
+        return Verdict("product-polytope-surface", genus=genera[0]), "no-short-product"
 
     # partial collapse
     if n == 2 and sp.polytope.dim == 1 and len(short) == 1:
@@ -137,5 +118,6 @@ def _decide(spec: HamSpec, sp: StratifiedPolytope) -> tuple[Verdict, str]:
                 raise SpecError(
                     "invalid spec: a single fixed surface in a four-manifold must be a sphere"
                 )
-            return Disk(3), "four-manifold-endpoint-disk"
-    return CollapsedProduct(tuple(sorted(short)), SphereFiber()), "partial-collapse"
+            return Verdict("disk", dim=3), "four-manifold-endpoint-disk"
+    verdict = Verdict("collapsed-product", short_face_ids=tuple(sorted(short)), fiber="S2")
+    return verdict, "partial-collapse"

@@ -27,16 +27,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from tquot import gallery
-from tquot.classify import (
-    CollapsedProduct,
-    Disk,
-    ProductPolytopeSurface,
-    Sphere,
-    StratificationOnly,
-    TopologyReport,
-    ValidationFailure,
-    classify,
-)
+from tquot.classify import TopologyReport, ValidationFailure, classify
 from tquot.exactq import exact
 from tquot.hamspace import (
     HamSpec,
@@ -304,28 +295,21 @@ VERDICT_TEXT = {
 }
 
 
-def _verdict(verdict) -> dict:
-    if isinstance(verdict, Sphere):
-        return {"type": "sphere", "dim": verdict.dim}
-    if isinstance(verdict, Disk):
-        return {"type": "disk", "dim": verdict.dim}
-    if isinstance(verdict, ProductPolytopeSurface):
-        return {"type": "product-polytope-surface", "genus": verdict.genus}
-    if isinstance(verdict, CollapsedProduct):
-        return {"type": "collapsed-product", "short_face_ids": list(verdict.short_face_ids), "fiber": "S2"}
-    return {"type": "stratification-only"}
-
-
 def report_to_json(spec: HamSpec, report: TopologyReport) -> dict:
     sp = report.stratification
     entry = gallery.CATALOG.get(spec.name)
+    # the fields the verdict sets, its short faces as a list
+    verdict = {
+        k: list(v) if type(v) is tuple else v
+        for k, v in report.verdict._asdict().items() if v is not None
+    }
     faces = [
         {"id": f.id, "dim": f.dim, "vertices": list(f.vertex_set), "complexity": sp.face_complexity[f.id]}
         for f in sp.lattice.faces
     ]
     doc = {
         "name": spec.name,
-        "verdict": _verdict(report.verdict),
+        "verdict": verdict,
         "provenance": report.provenance,
         "join_presentation": report.join_presentation,
         "annotation": entry.reported_quotient if entry is not None else None,
@@ -430,7 +414,7 @@ def cmd_verify(args) -> int:
     spec = load_spec(args.path)
     report = classify(spec)
     skipped = None
-    if isinstance(report.verdict, StratificationOnly):
+    if report.verdict.type == "stratification-only":
         skipped = {"skipped": f"StratificationOnly: complexity {report.stratification.complexity}"}
     else:
         try:

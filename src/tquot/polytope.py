@@ -304,11 +304,12 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
         lower = []
         for f in level:
             _, vs, containing = found[f]
-            # each meet, with the facets G that meet F in it
+            # each meet, with the facets G that meet F in it; G holds F
+            # iff F's vertices lie in G's
             meets: dict[int, set[int]] = {}
             for i, g in enumerate(p.facet_vertices):
-                if i not in containing and f & g:
-                    meets.setdefault(f & g, set()).add(i)
+                if (m := f & g) and m != f:
+                    meets.setdefault(m, set()).add(i)
             below[f] = []
             # a set no larger than the ones kept is maximal iff none of
             # them holds it.  A facet h of F is held by the facets that

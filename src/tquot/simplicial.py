@@ -45,7 +45,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple
 
-from tquot.classify import ProductPolytopeSurface, StratificationOnly, TopologyReport
+from tquot.classify import TopologyReport
 from tquot.exactq import sparse_rank_and_factors
 from tquot.hamspace import StratifiedPolytope
 
@@ -487,12 +487,11 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     (`product_size`) over max_simplices raises SizeCapExceeded before
     the fiber or the model is built.
     """
-    if isinstance(report.verdict, StratificationOnly):
+    if report.verdict.type == "stratification-only":
         raise ValueError("nothing to verify: the verdict is stratification-only")
     sp = report.stratification
     full, sub = boundary_subcomplex_of_polytope(sp, sp.short_faces)
-    verdict = report.verdict
-    genus = verdict.genus if isinstance(verdict, ProductPolytopeSurface) else 0
+    genus = report.verdict.genus or 0
     if (size := product_size(full.face_numbers, surface_face_numbers(genus))) > max_simplices:
         raise SizeCapExceeded(size, max_simplices)
     fiber = surface_complex(genus)

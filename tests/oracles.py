@@ -49,13 +49,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from tquot.classify import (
-    Disk,
-    ProductPolytopeSurface,
-    Sphere,
-    TopologyReport,
-    ValidationFailure,
-)
+from tquot.classify import TopologyReport, ValidationFailure, Verdict
 from tquot.exactq import (
     clear_denominators,
     dot,
@@ -820,11 +814,11 @@ def classify_m4(spec) -> TopologyReport:
         raise SpecError("the trichotomy needs half_dim 2, effective rank 1, complexity 1")
     genera = [c.genus for c in spec.components if c.is_surface]
     if not genera:
-        verdict = Sphere(3)
+        verdict = Verdict("sphere", dim=3)
     elif genera == [0]:
-        verdict = Disk(3)
+        verdict = Verdict("disk", dim=3)
     elif len(genera) == 2 and genera[0] == genera[1]:
-        verdict = ProductPolytopeSurface(genera[0])
+        verdict = Verdict("product-polytope-surface", genus=genera[0])
     else:
         raise SpecError(f"invalid spec: fixed surfaces of genera {genera} in a four-manifold")
     return TopologyReport(verdict, "four-manifold-trichotomy", sp, validation)

@@ -21,15 +21,7 @@ from conftest import (
 from oracles import classify_m4, containment, supporting, vertex_coords
 from oracles import fraction_det as det
 from tquot import gallery
-from tquot.classify import (
-    CollapsedProduct,
-    Disk,
-    ProductPolytopeSurface,
-    Sphere,
-    SphereFiber,
-    StratificationOnly,
-    classify,
-)
+from tquot.classify import Verdict, classify
 from tquot.exactq import (
     dot,
     matmul,
@@ -70,17 +62,18 @@ def criterion(label):
 @criterion("C1 classification-table")
 def test_c1_table_reproduction(gallery_specs):
     start = time.monotonic()
-    assert classify(gallery_specs["gr2c4"]).verdict == Sphere(5)
-    assert classify(gallery_specs["flag-su3"]).verdict == Sphere(4)
-    assert classify(gallery_specs["so5-orbit"]).verdict == Sphere(4)
-    assert classify(gallery_specs["s2xs2-diag"]).verdict == Sphere(3)
-    assert classify(gallery_specs["cp2-s1"]).verdict == Disk(3)
+    assert classify(gallery_specs["gr2c4"]).verdict == Verdict("sphere", dim=5)
+    assert classify(gallery_specs["flag-su3"]).verdict == Verdict("sphere", dim=4)
+    assert classify(gallery_specs["so5-orbit"]).verdict == Verdict("sphere", dim=4)
+    assert classify(gallery_specs["s2xs2-diag"]).verdict == Verdict("sphere", dim=3)
+    assert classify(gallery_specs["cp2-s1"]).verdict == Verdict("disk", dim=3)
     for g in (0, 1, 2, 3):
-        assert classify(gallery.build("sigma-g-x-s2", genus=g)).verdict == ProductPolytopeSurface(g)
+        product = Verdict("product-polytope-surface", genus=g)
+        assert classify(gallery.build("sigma-g-x-s2", genus=g)).verdict == product
 
     report = classify(gallery_specs["s2cubed"])
     verdict = report.verdict
-    assert isinstance(verdict, CollapsedProduct) and verdict.fiber == SphereFiber()
+    assert verdict.type == "collapsed-product" and verdict.fiber == "S2"
     sp = report.stratification
     maximal = [
         fid
@@ -99,7 +92,7 @@ def test_c1_table_reproduction(gallery_specs):
     }
 
     cp5 = classify(gallery_specs["cp5-t3"])
-    assert cp5.verdict == StratificationOnly()
+    assert cp5.verdict == Verdict("stratification-only")
     assert cp5.stratification.complexity == 2
 
     elapsed = time.monotonic() - start
@@ -277,7 +270,7 @@ def test_c7_algebra_properties(gallery_specs):
 
 
 def _equivalent(a, b):
-    if isinstance(a, CollapsedProduct) and isinstance(b, CollapsedProduct):
+    if a.type == "collapsed-product" and b.type == "collapsed-product":
         return len(a.short_face_ids) == len(b.short_face_ids) and a.fiber == b.fiber
     return a == b
 

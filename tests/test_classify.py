@@ -4,18 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_unimodular as c8_unimodular, transform
 from oracles import classify_m4, containment, supporting
+from test_theorem import DRAWS, _draw, _transform
 from tquot import gallery
-from tquot.classify import (
-    CollapsedProduct,
-    Disk,
-    ProductPolytopeSurface,
-    Sphere,
-    SphereFiber,
-    StratificationOnly,
-    ValidationFailure,
-    classify,
-)
+from tquot.classify import ValidationFailure, Verdict, classify
+from tquot.cli import report_to_json
 from tquot.hamspace import (
     HamSpec,
     SpecError,
@@ -26,13 +20,13 @@ from tquot.hamspace import (
 
 
 EXPECTED_VERDICTS = {
-    "gr2c4": Sphere(5),
-    "flag-su3": Sphere(4),
-    "so5-orbit": Sphere(4),
-    "s2xs2-diag": Sphere(3),
-    "cp2-s1": Disk(3),
+    "gr2c4": Verdict("sphere", dim=5),
+    "flag-su3": Verdict("sphere", dim=4),
+    "so5-orbit": Verdict("sphere", dim=4),
+    "s2xs2-diag": Verdict("sphere", dim=3),
+    "cp2-s1": Verdict("disk", dim=3),
     "s2cubed": None,  # collapsed product, checked separately
-    "cp5-t3": StratificationOnly(),
+    "cp5-t3": Verdict("stratification-only"),
 }
 
 
@@ -45,16 +39,17 @@ def test_named_verdicts(gallery_specs):
 
 def test_product_verdicts():
     for g in (0, 1, 2, 3):
-        assert classify(gallery.build("sigma-g-x-s2", genus=g)).verdict == ProductPolytopeSurface(g)
-        assert classify(gallery.build("blowup-g", genus=g)).verdict == ProductPolytopeSurface(g)
+        product = Verdict("product-polytope-surface", genus=g)
+        assert classify(gallery.build("sigma-g-x-s2", genus=g)).verdict == product
+        assert classify(gallery.build("blowup-g", genus=g)).verdict == product
 
 
 def test_s2cubed_collapsed_product():
     spec = gallery.build("s2cubed")
     report = classify(spec)
     verdict = report.verdict
-    assert isinstance(verdict, CollapsedProduct)
-    assert verdict.fiber == SphereFiber()
+    assert verdict.type == "collapsed-product"
+    assert verdict.fiber == "S2"
     sp = report.stratification
     maximal_short = [
         fid
@@ -76,7 +71,7 @@ def test_toric_disk():
         (point_component((1,), ((-1,),)), point_component((-1,), ((1,),))),
     )
     report = classify(spec)
-    assert report.verdict == Disk(1)
+    assert report.verdict == Verdict("disk", dim=1)
     assert report.provenance == "toric-disk"
 
 
@@ -84,7 +79,7 @@ def test_trivial_action_on_surface_is_product():
     # momentum image a single point, complexity one
     spec = HamSpec("just-a-surface", 1, 1, (surface_component(2, (0,), ()),))
     report = classify(spec)
-    assert report.verdict == ProductPolytopeSurface(2)
+    assert report.verdict == Verdict("product-polytope-surface", genus=2)
 
 
 def test_classify_refuses_invalid():
@@ -106,11 +101,12 @@ def test_report_keeps_its_validation_and_join_presentation(gallery_specs):
 
 
 def test_m4_trichotomy(gallery_specs):
-    assert classify_m4(gallery_specs["s2xs2-diag"]).verdict == Sphere(3)
-    assert classify_m4(gallery_specs["cp2-s1"]).verdict == Disk(3)
+    assert classify_m4(gallery_specs["s2xs2-diag"]).verdict == Verdict("sphere", dim=3)
+    assert classify_m4(gallery_specs["cp2-s1"]).verdict == Verdict("disk", dim=3)
     for g in (0, 1, 2):
-        assert classify_m4(gallery.build("sigma-g-x-s2", genus=g)).verdict == ProductPolytopeSurface(g)
-        assert classify_m4(gallery.build("blowup-g", genus=g)).verdict == ProductPolytopeSurface(g)
+        product = Verdict("product-polytope-surface", genus=g)
+        assert classify_m4(gallery.build("sigma-g-x-s2", genus=g)).verdict == product
+        assert classify_m4(gallery.build("blowup-g", genus=g)).verdict == product
 
 
 def test_m4_agrees_with_classify():
@@ -149,7 +145,7 @@ def test_point_at_vertex_never_product(gallery_specs):
             continue
         verts = set(sp.polytope.vertices)
         if any(not c.is_surface and c.moment in verts for c in spec.components):
-            assert not isinstance(classify(spec).verdict, ProductPolytopeSurface), name
+            assert classify(spec).verdict.type != "product-polytope-surface", name
 
 
 def test_general_position_implies_sphere(gallery_specs):
@@ -159,7 +155,7 @@ def test_general_position_implies_sphere(gallery_specs):
         sp = stratify(spec)
         if sp.complexity == 1 and general_position(spec).overall:
             verdict = classify(spec).verdict
-            assert verdict == Sphere(spec.half_dim + 1), name
+            assert verdict == Verdict("sphere", dim=spec.half_dim + 1), name
 
 
 def random_unimodular(rng, r):
@@ -190,7 +186,7 @@ def transformed_spec(spec, u, shift, scl):
 
 
 def verdicts_equivalent(a, b):
-    if isinstance(a, CollapsedProduct) and isinstance(b, CollapsedProduct):
+    if a.type == "collapsed-product" and b.type == "collapsed-product":
         # face ids may be renumbered by the coordinate change
         return len(a.short_face_ids) == len(b.short_face_ids) and a.fiber == b.fiber
     return a == b
@@ -218,3 +214,55 @@ def test_component_permutation_invariance(gallery_specs):
         assert verdicts_equivalent(
             classify(shuffled).verdict, classify(spec).verdict
         ), name
+
+
+# the fields each verdict type sets besides its type, as Verdict's docstring gives them
+VERDICT_FIELDS = {
+    "sphere": {"dim"},
+    "disk": {"dim"},
+    "product-polytope-surface": {"genus"},
+    "collapsed-product": {"short_face_ids", "fiber"},
+    "stratification-only": set(),
+}
+
+
+def _verdict_specs():
+    """Every gallery specimen (the genus families at genus 0 to 3), each
+    under ten seeded C8 transforms, the theorem test's draws with their
+    transforms, and the toric CP^1, whose complexity is zero."""
+    for name in gallery.names():
+        genera = (0, 1, 2, 3) if gallery.CATALOG[name].parametrized else (None,)
+        for g in genera:
+            yield gallery.build(name, genus=g)
+    rng = random.Random(90210)
+    for name in gallery.names():
+        spec = gallery.build(name)
+        for _ in range(10):
+            r = spec.torus_rank
+            shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+            scl = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            yield transform(spec, c8_unimodular(rng, r), shift, scl)
+    rng = random.Random(20180417)
+    for _ in range(DRAWS):
+        _, spec = _draw(rng)
+        yield spec
+        yield _transform(rng, spec)
+    yield gallery.projective_space([(1,), (0,)])
+
+
+def test_each_verdict_sets_its_own_fields_and_is_its_json():
+    seen = set()
+    for spec in _verdict_specs():
+        report = classify(spec)
+        verdict = report.verdict
+        set_fields = {f for f in verdict._fields if getattr(verdict, f) is not None}
+        assert set_fields == {"type"} | VERDICT_FIELDS[verdict.type], (spec.name, verdict)
+        if verdict.type == "collapsed-product":
+            assert verdict.fiber == "S2" and type(verdict.short_face_ids) is tuple
+        expected = {f: getattr(verdict, f) for f in set_fields}
+        if "short_face_ids" in expected:
+            expected["short_face_ids"] = list(expected["short_face_ids"])
+        doc = report_to_json(spec, report)["verdict"]
+        assert doc == expected, (spec.name, verdict)
+        seen.add(verdict.type)
+    assert seen == set(VERDICT_FIELDS)

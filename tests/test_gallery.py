@@ -139,10 +139,10 @@ def test_projective_space_rejects_big_fixed_locus():
 
 
 def test_projective_space_cp1_toric():
-    from tquot.classify import Disk, classify
+    from tquot.classify import Verdict, classify
 
     spec = projective_space([(1,), (0,)])
-    assert classify(spec).verdict == Disk(1)
+    assert classify(spec).verdict == Verdict("disk", dim=1)
 
 
 def test_all_gallery_specs_validate(gallery_specs):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
-from tquot.classify import CollapsedProduct, Sphere, classify
+from tquot.classify import Verdict, classify
 from tquot.gallery import GalleryError, projective_space, sphere_product
 from tquot.hamspace import general_position
 from tquot.simplicial import verify_report
@@ -88,14 +88,14 @@ def _checked(spec):
     proper = {f.id for f in sp.lattice.proper_faces()}
     assert generic == (set(sp.short_faces) == proper)
     if generic:
-        assert report.verdict == Sphere(spec.half_dim + 1)
+        assert report.verdict == Verdict("sphere", dim=spec.half_dim + 1)
         assert report.provenance == "boundary-short-sphere"
     else:
         assert report.provenance in ("partial-collapse", "four-manifold-endpoint-disk")
     result = verify_report(report)
     assert result.passed
     verdict = report.verdict
-    if isinstance(verdict, CollapsedProduct):
+    if verdict.type == "collapsed-product":
         verdict = len(verdict.short_face_ids)  # face ids follow the vertex order
     faces = sorted((f.dim, sp.face_complexity[f.id]) for f in sp.lattice.faces)
     homology = [(c.name, c.computed) for c in result.checks]

@@ -12,8 +12,8 @@ list stays true.
 A record is immutable, copied with `_replace` and compares as a tuple:
 equal to any tuple with the same items.  The tests below pin what the
 program relies on: a record refuses assignment, records of one type
-compare field for field, and verdicts, which stay dataclasses, never
-equal a verdict of another type.
+compare field for field, and a verdict never equals a verdict of
+another type, since its type is its first field.
 """
 
 import dataclasses
@@ -24,15 +24,7 @@ import pytest
 
 import tquot
 from tquot import gallery
-from tquot.classify import (
-    CollapsedProduct,
-    Disk,
-    ProductPolytopeSurface,
-    Sphere,
-    SphereFiber,
-    StratificationOnly,
-    classify,
-)
+from tquot.classify import Verdict, classify
 from tquot.hamspace import CheckResult, general_position
 from tquot.polytope import Face
 from tquot.simplicial import HomologyProfile, homology, simplex_boundary_sphere, verify_report
@@ -45,15 +37,6 @@ DATACLASSES = {
     " an instance __dict__; perfbench/workloads.py and the tests copy it with dataclasses.replace",
     "polytope.RationalPolytope": "caches its face lattice with cached_property, which needs an"
     " instance __dict__; test_hamspace writes that cache",
-    "classify.Sphere": "a verdict: as a tuple, Sphere(5) would equal Disk(5)",
-    "classify.Disk": "a verdict: as a tuple, Disk(5) would equal Sphere(5)",
-    "classify.ProductPolytopeSurface": "a verdict: as a tuple, ProductPolytopeSurface(0) would"
-    " equal Sphere(0)",
-    "classify.SphereFiber": "a verdict's fiber: as a tuple, SphereFiber() would equal"
-    " StratificationOnly()",
-    "classify.CollapsedProduct": "a verdict: as a tuple, it would equal any pair of the same items",
-    "classify.StratificationOnly": "a verdict: as a tuple, StratificationOnly() would equal"
-    " SphereFiber()",
 }
 
 
@@ -84,6 +67,7 @@ def record_instances() -> list:
     verification = verify_report(report)
     return [
         report,
+        report.verdict,
         sp,
         sp.lattice,
         sp.lattice.top,
@@ -118,11 +102,11 @@ def test_records_refuse_assignment(record):
 
 
 def test_verdicts_of_different_types_never_compare_equal():
-    assert Sphere(3) != Disk(3)
-    assert ProductPolytopeSurface(0) != Sphere(0)
-    assert SphereFiber() != StratificationOnly()
-    assert CollapsedProduct((1,), SphereFiber()) != ((1,), SphereFiber())
-    assert Sphere(3) == Sphere(3) and Sphere(3) != Sphere(4)
+    assert Verdict("sphere", dim=3) != Verdict("disk", dim=3)
+    assert Verdict("product-polytope-surface", genus=0) != Verdict("sphere", dim=0)
+    assert Verdict("collapsed-product", short_face_ids=(1,), fiber="S2") != ((1,), "S2")
+    assert Verdict("sphere", dim=3) == Verdict("sphere", dim=3)
+    assert Verdict("sphere", dim=3) != Verdict("sphere", dim=4)
 
 
 def test_records_compare_field_for_field():
