@@ -19,10 +19,10 @@ and `nullspace` (for a corank-one matrix, the cofactor normal) on plain
 Python ints.  The Smith normal form works on ints too.  Sparse boundary
 matrices (`sparse_rank_and_factors`) are reduced by one sweep of unit
 pivots over their rows, and only what survives that sweep meets the
-dense Smith routine.  Homology coreduces a complex before it builds any
-matrix, so the sweep sees only the boundary among the cells that
-coreduction leaves: nothing for the sphere models of gr2c4 or CP^4, a
-few hundred cells for the genus-g product models.
+dense Smith routine.  Homology reduces a complex by coreductions and
+free faces before it builds any matrix, so the sweep sees only the
+boundary among the cells those leave: nothing for the sphere models of
+gr2c4 or CP^4, a few dozen cells for the genus-g product models.
 """
 
 from __future__ import annotations

@@ -27,22 +27,28 @@ the fiber itself when Q is empty, the triple suspension of Q when the
 fiber is the two-sphere (Milnor's join, Ann. Math. 63, 1956).  Only the
 small complex Q is ever put through homology for it.
 
-Integral homology runs in three stages.  Coreduction first: after one
-seed vertex is removed, a cell with a single face left in its boundary
-is removed together with that face, which changes no homology group
-(Mrozek & Batko, "Coreduction homology algorithm", DCG 42, 2009); the
-closed verification models shrink to a cell or a few hundred.  The
-boundary matrices restricted to the surviving cells then go through
-the unit-pivot sweep of `exactq.sparse_rank_and_factors`, and whatever
+Integral homology runs in three stages on a table of integer cell ids
+grouped by dimension.  Reduction first: after one seed vertex is
+removed, a cell with a single face left in its boundary is removed
+together with that face (Mrozek & Batko, "Coreduction homology
+algorithm", DCG 42, 2009), and where that stalls, a cell with a single
+coface left is removed together with that coface (a free face, an
+elementary collapse); neither changes a homology group (Kaczynski,
+Mrozek & Slusarek, Comput. Math. Appl. 35, 1998).  The closed
+verification models shrink to a cell or a few dozen.  The boundary
+matrices restricted to the surviving cells then go through the
+unit-pivot sweep of `exactq.sparse_rank_and_factors`, and whatever
 that leaves through the dense Smith normal form.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter, deque
-from itertools import combinations
+from itertools import chain, combinations, compress, product, repeat, starmap
 from math import comb
+from operator import add
 from typing import Iterable, NamedTuple
 
 from tquot.classify import TopologyReport
@@ -223,9 +229,7 @@ def join(k: OrderedComplex, l: OrderedComplex) -> OrderedComplex:
     ks = [tuple(pos_k[v] for v in s) for s in k.simplices]
     ls = [tuple(pos_l[w] for w in s) for s in l.simplices]
     out = set(ks) | set(ls)
-    for s in ks:
-        for t in ls:
-            out.add(s + t)
+    out.update(starmap(add, product(ks, ls)))
     return OrderedComplex(frozenset(out))
 
 
@@ -305,53 +309,79 @@ def collapse_fibers(
     return OrderedComplex.from_simplices(tops)
 
 
-def _coreduce(cells: list) -> tuple[list, list]:
-    """Boundary lists of the sorted cells, and which cells survive
-    coreduction.
+def _reduce(faces: list, cofaces: list) -> list:
+    """Which cells survive coreductions and free-face reductions.
 
-    faces[c][i] is cell c with its vertex i deleted.  The seed, cell 0
-    (the smallest vertex), is removed first; a FIFO queue then removes
-    each live cell that has exactly one live face together with that
-    face.  In a simplicial boundary that coefficient is +-1, so the pair
-    carries no homology, and the boundary restricted to the live cells
-    is that of a chain complex with the homology of the complex
-    relative to the seed (Mrozek & Batko, DCG 42, 2009).
+    faces[c] and cofaces[c] are the ids one dimension down and up.  The
+    seed, cell 0, is removed first.  A FIFO queue then takes each cell
+    whose live faces drop to exactly one and removes it with that face.
+    When the queue runs dry with more than one cell left, the live
+    cofaces are counted, once, and a stack takes each cell whose live
+    cofaces drop to exactly one and removes it with that coface; each
+    such pair may free coreductions again, so the two alternate until
+    neither applies.  In either pair the upper cell meets the lower one
+    in a coefficient +-1, and the upper cell has no other live face or
+    the lower one no other live coface, so the boundary restricted to
+    the live cells is that of a chain complex with the homology of the
+    complex relative to the seed.
     """
-    face_id = {s: c for c, s in enumerate(cells)}.__getitem__
-    # combinations deletes the last vertex first
-    faces = [
-        tuple(map(face_id, combinations(s, len(s) - 1)))[::-1] if len(s) > 1 else ()
-        for s in cells
-    ]
-    cofaces = [[] for _ in cells]
-    for c, fs in enumerate(faces):
-        for f in fs:
-            cofaces[f].append(c)
-    live = [True] * len(cells)
-    live_faces = [len(fs) for fs in faces]
-    queue = deque()
-
-    def remove(c):
-        live[c] = False
+    live = [True] * len(faces)
+    is_live = live.__getitem__
+    live_faces = list(map(len, faces))
+    live_cofaces = None  # counted once coreduction first stalls
+    live[0] = False
+    queue, free = deque(cofaces[0]), []  # the edges at the seed have one live face
+    for u in queue:
+        live_faces[u] = 1
+    while True:
+        while queue:
+            c = queue.popleft()
+            if live[c] and live_faces[c] == 1:
+                t = next(filter(is_live, faces[c]))
+                break
+        else:
+            if live_cofaces is None:
+                if sum(live) < 2:
+                    return live
+                live_cofaces = [0] * len(faces)
+                for f in chain.from_iterable(compress(faces, live)):
+                    live_cofaces[f] += 1
+                free = [f for f, n in enumerate(live_cofaces) if n == 1 and live[f]]
+            while free:
+                t = free.pop()
+                if live[t] and live_cofaces[t] == 1:
+                    c = next(filter(is_live, cofaces[t]))
+                    break
+            else:
+                return live
+        live[c] = live[t] = False
         for u in cofaces[c]:
-            if live[u]:
-                live_faces[u] -= 1
+            live_faces[u] -= 1
+            if live_faces[u] == 1:
                 queue.append(u)
-
-    remove(0)
-    while queue:
-        c = queue.popleft()
-        if live[c] and live_faces[c] == 1:
-            t = next(f for f in faces[c] if live[f])
-            remove(c)
-            remove(t)
-    return faces, live
+        for u in cofaces[t]:
+            live_faces[u] -= 1
+            if live_faces[u] == 1:
+                queue.append(u)
+        if live_cofaces is not None:
+            for f in faces[c]:
+                live_cofaces[f] -= 1
+                if live_cofaces[f] == 1:
+                    free.append(f)
+            for f in faces[t]:
+                live_cofaces[f] -= 1
+                if live_cofaces[f] == 1:
+                    free.append(f)
 
 
 def homology(k: OrderedComplex) -> HomologyProfile:
     """Integral simplicial homology, betti numbers and torsion.
 
-    Coreduction (`_coreduce`) first, then elimination: the boundary
+    The cells get ids ascending by dimension, lexicographic within one,
+    so cell 0 is the smallest vertex, the seed.  The faces of a d-cell
+    are read in `combinations` order, which deletes its last vertex
+    first: face i deletes vertex d - i and carries the sign (-1)^(d-i).
+    Reduction (`_reduce`) first, then elimination: the boundary
     restricted to the surviving cells goes, degree by degree, to
     `sparse_rank_and_factors` (a unit-pivot sweep, then the Smith
     residue).  Torsion in degree d is read from the invariant factors
@@ -359,23 +389,37 @@ def homology(k: OrderedComplex) -> HomologyProfile:
     """
     if not k.simplices:
         return HomologyProfile((), ())
-    cells = sorted(k.simplices)  # cell 0 is the smallest vertex, the seed
-    faces, live = _coreduce(cells)
-    dim = max(map(len, cells)) - 1
-    survivors: list[list[int]] = [[] for _ in range(dim + 1)]
+    cells = sorted(k.simplices)
+    cells.sort(key=len)
+    dim = len(cells[-1]) - 1
+    start = [bisect_left(cells, d + 1, key=len) for d in range(dim + 2)]  # first d-cell
+    face_id = dict(zip(cells, range(len(cells)))).__getitem__
+    faces = [()] * start[1]
+    for d in range(1, dim + 1):
+        group = cells[start[d] : start[d + 1]]
+        flat = map(face_id, chain.from_iterable(map(combinations, group, repeat(d))))
+        faces += zip(*[flat] * (d + 1))  # d + 1 consecutive ids per cell
+    cofaces = [[] for _ in cells]
+    for c in range(start[1], len(cells)):
+        for f in faces[c]:
+            cofaces[f].append(c)
+    live = _reduce(faces, cofaces)
+
+    survivors: list[list[int]] = []
     position = [0] * len(cells)
-    for c, s in enumerate(cells):
-        if live[c]:
-            group = survivors[len(s) - 1]
-            position[c] = len(group)
-            group.append(c)
+    for d in range(dim + 1):
+        group = list(compress(range(start[d], start[d + 1]), live[start[d] : start[d + 1]]))
+        for i, c in enumerate(group):
+            position[c] = i
+        survivors.append(group)
     ranks = [0] * (dim + 2)
     factors = [[] for _ in range(dim + 2)]
     for d in range(1, dim + 1):
+        signs = [(-1) ** (d - i) for i in range(d + 1)]
         entries = {
-            (position[f], col): -1 if i % 2 else 1
+            (position[f], col): sign
             for col, c in enumerate(survivors[d])
-            for i, f in enumerate(faces[c])
+            for f, sign in zip(faces[c], signs)
             if live[f]
         }
         nrows, ncols = len(survivors[d - 1]), len(survivors[d])

@@ -31,21 +31,23 @@ closure, the pulling triangulation on polytope vertices alone, in which
 the short locus is seldom full, and the unit-pivot elimination driven
 by a Markowitz heap.  Then comes integral homology by full elimination
 of every boundary matrix, as it was before coreduction ran first, and
-the Euler characteristic as an alternating count of simplices, which
-the package no longer needs, and the surfaces of higher genus by
-connected sums that copy the whole surface for each torus.  Last is
-the trichotomy for circle actions on four-manifolds, an independent
-decision for the cases it covers.  Next to the brute-force hull sits
-the double description hull as it was before it read every incidence
-off its contacts: one nullspace per facet conormal, signed by a point
-off the facet, and `facet_incidence` for the vertices on each facet and
-the facets at each point.
+by seed-vertex coreduction alone, as it was before the cells were
+grouped by dimension and free-face reductions took over where
+coreduction stalls, and the Euler characteristic as an alternating
+count of simplices, which the package no longer needs, and the
+surfaces of higher genus by connected sums that copy the whole
+surface for each torus.  Last is the trichotomy for circle actions
+on four-manifolds, an independent decision for the cases it covers.
+Next to the brute-force hull sits the double description hull as it
+was before it read every incidence off its contacts: one nullspace per
+facet conormal, signed by a point off the facet, and `facet_incidence`
+for the vertices on each facet and the facets at each point.
 Tests compare the package code against them; nothing in the package
 imports this module.
 """
 
 import heapq
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -800,6 +802,90 @@ def full_elimination_homology(k: OrderedComplex) -> HomologyProfile:
         tuple(x for x in factors[d + 1] if x > 1) for d in range(dim + 1)
     )
     return HomologyProfile(betti, torsion)
+
+
+def _coreduce(cells: list) -> tuple[list, list]:
+    """Boundary lists of the sorted cells, and which cells survive
+    coreduction.
+
+    faces[c][i] is cell c with its vertex i deleted.  The seed, cell 0
+    (the smallest vertex), is removed first; a FIFO queue then removes
+    each live cell that has exactly one live face together with that
+    face.  In a simplicial boundary that coefficient is +-1, so the pair
+    carries no homology, and the boundary restricted to the live cells
+    is that of a chain complex with the homology of the complex
+    relative to the seed (Mrozek & Batko, DCG 42, 2009).
+    """
+    face_id = {s: c for c, s in enumerate(cells)}.__getitem__
+    # combinations deletes the last vertex first
+    faces = [
+        tuple(map(face_id, combinations(s, len(s) - 1)))[::-1] if len(s) > 1 else ()
+        for s in cells
+    ]
+    cofaces = [[] for _ in cells]
+    for c, fs in enumerate(faces):
+        for f in fs:
+            cofaces[f].append(c)
+    live = [True] * len(cells)
+    live_faces = [len(fs) for fs in faces]
+    queue = deque()
+
+    def remove(c):
+        live[c] = False
+        for u in cofaces[c]:
+            if live[u]:
+                live_faces[u] -= 1
+                queue.append(u)
+
+    remove(0)
+    while queue:
+        c = queue.popleft()
+        if live[c] and live_faces[c] == 1:
+            t = next(f for f in faces[c] if live[f])
+            remove(c)
+            remove(t)
+    return faces, live
+
+
+def coreduced_homology(k: OrderedComplex) -> HomologyProfile:
+    """Integral simplicial homology, betti numbers and torsion.
+
+    Coreduction (`_coreduce`) first, then elimination: the boundary
+    restricted to the surviving cells goes, degree by degree, to
+    `sparse_rank_and_factors` (a unit-pivot sweep, then the Smith
+    residue).  Torsion in degree d is read from the invariant factors
+    one degree up, and the removed seed is added back to H_0.
+    """
+    if not k.simplices:
+        return HomologyProfile((), ())
+    cells = sorted(k.simplices)  # cell 0 is the smallest vertex, the seed
+    faces, live = _coreduce(cells)
+    dim = max(map(len, cells)) - 1
+    survivors: list[list[int]] = [[] for _ in range(dim + 1)]
+    position = [0] * len(cells)
+    for c, s in enumerate(cells):
+        if live[c]:
+            group = survivors[len(s) - 1]
+            position[c] = len(group)
+            group.append(c)
+    ranks = [0] * (dim + 2)
+    factors = [[] for _ in range(dim + 2)]
+    for d in range(1, dim + 1):
+        entries = {
+            (position[f], col): -1 if i % 2 else 1
+            for col, c in enumerate(survivors[d])
+            for i, f in enumerate(faces[c])
+            if live[f]
+        }
+        nrows, ncols = len(survivors[d - 1]), len(survivors[d])
+        ranks[d], factors[d] = sparse_rank_and_factors(entries, nrows, ncols)
+
+    betti = [len(survivors[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
+    betti[0] += 1  # the seed
+    torsion = tuple(
+        tuple(x for x in factors[d + 1] if x > 1) for d in range(dim + 1)
+    )
+    return HomologyProfile(tuple(betti), torsion)
 
 
 def classify_m4(spec) -> TopologyReport:

@@ -4,15 +4,17 @@ collapse_fibers builds the model from the staircase paths over the
 vertices outside the crushed part without building the product, and
 counts the product from face numbers only for the size cap;
 sparse_rank_and_factors sweeps the rows once for unit pivots, and
-homology coreduces the model before anything reaches that sweep;
-the polytope is triangulated by coning so that the short locus is full
-in it; tests/oracles.py keeps the close-then-map collapse, the full
-product closure, the pulling triangulation on polytope vertices alone
-(whose short locus takes the barycentric branch of the collapse), the
-Markowitz-heap elimination and the homology that eliminates every
-boundary matrix in full.  Every test runs both on the same inputs and
-requires equal answers; the collapse is also compared on seeded random
-bases with the subcomplexes they induce on random vertex subsets.
+homology reduces the model by coreductions and free faces before
+anything reaches that sweep; the polytope is triangulated by coning so
+that the short locus is full in it; tests/oracles.py keeps the
+close-then-map collapse, the full product closure, the pulling
+triangulation on polytope vertices alone (whose short locus takes the
+barycentric branch of the collapse), the Markowitz-heap elimination,
+the homology that eliminates every boundary matrix in full and the
+homology that coreduces from the seed vertex alone.  Every test runs
+both on the same inputs and requires equal answers; the collapse is
+also compared on seeded random bases with the subcomplexes they induce
+on random vertex subsets.
 """
 
 import random
@@ -23,6 +25,7 @@ import oracles
 from conftest import RP2
 from oracles import (
     close_then_map_collapse,
+    coreduced_homology,
     euler_characteristic,
     full_elimination_homology,
     heap_rank_and_factors,
@@ -165,7 +168,7 @@ def test_boundary_matrices_match_heap_elimination(monkeypatch):
         seen.append(len(entries))
         return result
 
-    # coreduction leaves almost nothing for the sweep, so the comparison
+    # the reductions leave almost nothing for the sweep, so the comparison
     # runs on the full boundary matrices the oracle homology assembles
     monkeypatch.setattr(oracles, "sparse_rank_and_factors", both)
     monkeypatch.setattr(simplicial, "homology", full_elimination_homology)
@@ -231,17 +234,19 @@ def test_coned_specimens_cover_both_kinds():
     assert empty == {True, False}
 
 
-def reduced_by_sweep(monkeypatch, k):
+def reduced_by_sweep(monkeypatch, k, oracle=False):
     """Homology of k, with the cells and boundary entries that reach the
-    sweep: survivors of coreduction, counted from the matrix shapes."""
+    sweep: survivors of the reductions, counted from the matrix shapes.
+    With oracle, the same for `oracles.coreduced_homology`."""
     sizes = []
 
     def counted(entries, nrows, ncols):
         sizes.append((nrows, ncols, len(entries)))
         return sparse_rank_and_factors(entries, nrows, ncols)
 
-    monkeypatch.setattr(simplicial, "sparse_rank_and_factors", counted)
-    profile = homology(k)
+    module, kernel = (oracles, coreduced_homology) if oracle else (simplicial, homology)
+    monkeypatch.setattr(module, "sparse_rank_and_factors", counted)
+    profile = kernel(k)
     cells = sizes[0][0] + sum(ncols for _, ncols, _ in sizes) if sizes else len(k.simplices)
     return profile, cells, sum(nnz for _, _, nnz in sizes)
 
@@ -266,12 +271,56 @@ def test_coreduction_leaves_one_cell(name, monkeypatch):
         assert (cells, nnz) == (1, 0)
 
 
+# (cells, boundary entries) that reach the sweep from each model; the
+# reduction order decides them, so a change to it fails here first
+SWEEP_SIZES = {
+    "blowup-g": (17, 18),
+    "blowup-g-0": (1, 0),
+    "blowup-g-1": (17, 18),
+    "blowup-g-2": (37, 40),
+    "blowup-g-3": (55, 60),
+    "cp2-s1": (0, 0),
+    "cp4-t3": (1, 0),
+    "flag-su3": (1, 0),
+    "gr2c4": (1, 0),
+    "s2cubed": (1, 0),
+    "s2xs2-diag": (1, 0),
+    "sigma-g-x-s2": (17, 18),
+    "sigma-g-x-s2-0": (1, 0),
+    "sigma-g-x-s2-1": (17, 18),
+    "sigma-g-x-s2-2": (37, 40),
+    "sigma-g-x-s2-3": (55, 60),
+    "so5-orbit": (1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REPORTS))
+def test_sweep_sizes_are_pinned(name, monkeypatch):
+    model = collapse_fibers(*model_pair(MODEL_REPORTS[name]))
+    _, cells, nnz = reduced_by_sweep(monkeypatch, model)
+    _, oracle_cells, oracle_nnz = reduced_by_sweep(monkeypatch, model, oracle=True)
+    assert (cells, nnz) == SWEEP_SIZES[name]
+    assert cells <= oracle_cells and nnz <= oracle_nnz
+
+
 def test_genus_models_keep_work_for_the_sweep(monkeypatch):
     for genus in range(1, 4):
-        model = collapse_fibers(*model_pair(MODEL_REPORTS[f"sigma-g-x-s2-{genus}"]))
+        name = f"sigma-g-x-s2-{genus}"
+        model = collapse_fibers(*model_pair(MODEL_REPORTS[name]))
         profile, cells, nnz = reduced_by_sweep(monkeypatch, model)
         assert profile.betti == (1, 2 * genus, 1, 0)
-        assert 100 < cells < model.simplex_count and nnz > 0
+        assert (cells, nnz) == SWEEP_SIZES[name]
+        assert cells < model.simplex_count and nnz > 0
+        assert cells <= reduced_by_sweep(monkeypatch, model, oracle=True)[1]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REPORTS))
+def test_homology_matches_coreduction_oracle(name):
+    report = MODEL_REPORTS[name]
+    base, sub, fiber = model_pair(report)
+    barycentric = collapse_fibers(*oracle_pair(report))
+    for k in (collapse_fibers(base, sub, fiber), barycentric, join(sub, fiber), sub):
+        assert homology(k) == coreduced_homology(k) == full_elimination_homology(k)
 
 
 def random_complex(rng):
@@ -308,3 +357,18 @@ def test_random_complexes_match_full_elimination(monkeypatch):
         assert profile == full_elimination_homology(k)
         components.add(profile.betti[0])
     assert {1, 2, 3} <= components
+
+
+def test_small_complexes_match_coreduction_oracle(monkeypatch):
+    special = [OrderedComplex(frozenset()), OrderedComplex.from_simplices([(0,)]), RP2]
+    special += [surface_complex(g) for g in range(7)]
+    rng = random.Random(24)
+    fewer = 0
+    for k in special + [random_complex(rng) for _ in range(2000)]:
+        profile, cells, _ = reduced_by_sweep(monkeypatch, k)
+        oracle_profile, oracle_cells, _ = reduced_by_sweep(monkeypatch, k, oracle=True)
+        assert profile == oracle_profile == full_elimination_homology(k)
+        assert cells <= oracle_cells
+        fewer += cells < oracle_cells
+    # free faces act where coreduction stalls, on many of the draws
+    assert fewer >= 200
