@@ -16,10 +16,12 @@ Denominators are cleared at the entry of each routine that eliminates:
 `clear_denominators` scales a whole family by one common lcm.  One
 fraction-free (Bareiss) elimination, `eliminate`, then serves `rank`
 and `nullspace` (for a corank-one matrix, the cofactor normal) on plain
-Python ints.  The Smith normal form works on ints too.  Sparse boundary
-matrices (`sparse_rank_and_factors`) are reduced by one sweep of unit
-pivots over their rows, and only what survives that sweep meets the
-dense Smith routine.  Homology reduces a complex by coreductions and
+Python ints.  The Smith normal form works on ints too, taking the
+smallest nonzero entry left as its pivot and taking it anew after every
+remainder.  Sparse boundary matrices
+(`sparse_rank_and_factors`) are reduced by one sweep of unit pivots
+over their rows, and only the rows that sweep leaves meet the dense
+Smith routine.  Homology reduces a complex by coreductions and
 free faces before it builds any matrix, so the sweep sees only the
 boundary among the cells those leave: nothing for the sphere models of
 gr2c4 or CP^4, a few dozen cells for the genus-g product models.
@@ -160,10 +162,6 @@ def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def identity_matrix(n) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def matmul(a, b) -> list[list]:
     if not a or not b:
         return [list(row) for row in a] if not b else []
@@ -180,92 +178,49 @@ def smith_normal_form(a):
     ValueError.
 
     Returns (u, d, v) with d = u*a*v, u and v unimodular, and d diagonal
-    with nonnegative entries d1 | d2 | ... .  Pivots are chosen as the
-    smallest nonzero absolute value in the remaining block, which keeps
-    coefficient growth tame in practice.
+    with nonnegative entries d1 | d2 | ... .  Position t takes as its
+    pivot the smallest nonzero |entry| of the block below and right of
+    (t, t), ties broken by row and then column, and reduces the pivot's
+    column and row by floor quotients.  A remainder is smaller than the
+    pivot, so the pivot is simply picked again.  So it is when the pivot
+    does not divide some entry of the block: that entry's row is added
+    to row t, whose reduction then leaves a remainder.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     d = [list(exact(row, "a matrix must be integers")) for row in a]
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        best = None
-        for i in range(t, nrows):
-            row = d[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+    while t < min(nrows, ncols):
+        live = [(abs(x), i, j) for i in range(t, nrows) for j in range(t, ncols) if (x := d[i][j])]
+        if not live:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-        while True:
-            restart = False
-            for i in range(t + 1, nrows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        add_row(t, i, -q)
-                    if d[i][t]:
-                        # remainder beats the pivot; promote it
-                        swap_rows(t, i)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, ncols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        add_col(t, j, -q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-            if restart:
-                continue
-            pivot = d[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                row = d[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
+        _, i, j = min(live)
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        for row in d + v:  # d and v share their column indices
+            row[t], row[j] = row[j], row[t]
+        p = d[t][t]
+        for i in range(t + 1, nrows):
+            if q := d[i][t] // p:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, ncols):
+            if q := d[t][j] // p:
+                for row in d + v:
+                    row[j] -= q * row[t]
+        if any(d[i][t] for i in range(t + 1, nrows)) or any(d[t][t + 1 :]):
+            continue
+        i = next((i for i in range(t + 1, nrows) if any(x % p for x in d[i])), None)
+        if i is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+            continue
+        if p < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-    for i in range(limit):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
     return u, d, v
 
 
@@ -275,9 +230,10 @@ def sparse_rank_and_factors(entries, nrows, ncols):
     entries maps (row, col) -> nonzero int.  The rows are swept once, in
     index order: a row with a unit entry is eliminated on the unit whose
     column has the fewest entries, which needs no division and keeps
-    fill-in low on boundary matrices.  Whatever survives the sweep is
-    handed to the dense Smith routine.  Returns (rank, factors) with the
-    full divisibility chain (including leading 1s).
+    fill-in low on boundary matrices.  Each such pivot is an invariant
+    factor 1, and the rows the sweep leaves go to the dense Smith
+    routine.  Returns (rank, factors) with the full divisibility chain
+    (including leading 1s).
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -286,7 +242,7 @@ def sparse_rank_and_factors(entries, nrows, ncols):
             rows.setdefault(i, {})[j] = val
             cols.setdefault(j, set()).add(i)
 
-    unit_count = 0
+    factors = []
     for pi in sorted(rows):
         prow = rows[pi]
         units = [j for j, x in prow.items() if x in (1, -1)]
@@ -308,21 +264,11 @@ def sparse_rank_and_factors(entries, nrows, ncols):
                 else:
                     del row[j]
                     cols[j].discard(i)
-        unit_count += 1
+        factors.append(1)
 
-    factors = [1] * unit_count
-    rk = unit_count
-    live_rows = sorted(i for i, row in rows.items() if row)
-    if live_rows:
-        live_cols = sorted({j for row in rows.values() for j in row})
-        col_index = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for k, i in enumerate(live_rows):
-            for j, x in rows[i].items():
-                dense[k][col_index[j]] = x
+    live_cols = sorted({j for row in rows.values() for j in row})
+    if live_cols:
+        dense = [[row.get(j, 0) for j in live_cols] for row in rows.values() if row]
         _, diag, _ = smith_normal_form(dense)
-        for k in range(min(len(dense), len(dense[0]))):
-            if diag[k][k]:
-                factors.append(diag[k][k])
-                rk += 1
-    return rk, factors
+        factors += [diag[k][k] for k in range(min(len(dense), len(live_cols))) if diag[k][k]]
+    return len(factors), factors

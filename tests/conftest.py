@@ -20,6 +20,19 @@ RP2 = OrderedComplex.from_simplices(
 )
 
 
+def moore_space(n):
+    """A two-complex with H_1 = Z/n: the circle a_0 a_1 a_2, a ring
+    r_0 ... r_(3n-1) that wraps it n times through an annulus, and the
+    cone over the ring from the apex c."""
+    a = [i % 3 for i in range(3 * n + 1)]
+    r = [3 + i % (3 * n) for i in range(3 * n + 1)]
+    c = 3 + 3 * n
+    triangles = []
+    for i in range(3 * n):
+        triangles += [(a[i], a[i + 1], r[i]), (a[i + 1], r[i], r[i + 1]), (c, r[i], r[i + 1])]
+    return OrderedComplex.from_simplices(tuple(sorted(t)) for t in triangles)
+
+
 @pytest.fixture(scope="session")
 def gallery_specs():
     """One built spec per catalog entry, default genus for the families."""

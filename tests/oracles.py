@@ -42,6 +42,11 @@ Next to the brute-force hull sits the double description hull as it
 was before it read every incidence off its contacts: one nullspace per
 facet conormal, signed by a point off the facet, and `facet_incidence`
 for the vertices on each facet and the facets at each point.
+The invariant factors of an integer matrix come from its determinantal
+divisors, the gcds of its minors, with no elimination of its own, and
+the Smith normal form is kept as it was before it re-picked its pivot
+after each remainder: it promotes the remainder in place, and its U and
+V grow to thousands of digits on 12 x 12 matrices.
 Tests compare the package code against them; nothing in the package
 imports this module.
 """
@@ -50,12 +55,14 @@ import heapq
 from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from tquot.classify import TopologyReport, ValidationFailure, Verdict
 from tquot.exactq import (
     clear_denominators,
     dot,
     eliminate,
+    exact,
     is_zero,
     nullspace,
     primitive,
@@ -176,6 +183,32 @@ def fraction_det(m) -> Fraction:
                 f = rows[i][col] / pr[col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
     return sign * result
+
+
+def minor_invariant_factors(a) -> list[int]:
+    """The nonzero invariant factors of an integer matrix: d_k = D_k /
+    D_(k-1), where D_k is the gcd of all k x k minors (`fraction_det`)
+    and D_0 = 1, for each k up to the rank."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    factors, prev = [], 1
+    for k in range(1, min(nrows, ncols) + 1):
+        dk = gcd(
+            *(
+                int(fraction_det([[a[i][j] for j in cs] for i in rs]))
+                for rs in combinations(range(nrows), k)
+                for cs in combinations(range(ncols), k)
+            )
+        )
+        if not dk:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return factors
+
+
+def identity_matrix(n) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def lattice_membership(v, basis) -> bool:
@@ -695,6 +728,100 @@ def pulled_boundary_subcomplex(sp, face_ids):
     full = OrderedComplex.from_simplices(tri[lattice.top.id])
     sub = OrderedComplex.from_simplices(s for fid in ids for s in tri[fid])
     return full, sub
+
+
+def promoting_smith_normal_form(a):
+    """Smith normal form of an integer matrix; any other entry raises
+    ValueError.
+
+    Returns (u, d, v) with d = u*a*v, u and v unimodular, and d diagonal
+    with nonnegative entries d1 | d2 | ... .  Pivots are chosen as the
+    smallest nonzero absolute value in the remaining block, and a
+    remainder that beats the pivot is swapped in as the new pivot.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    d = [list(exact(row, "a matrix must be integers")) for row in a]
+    u = identity_matrix(nrows)
+    v = identity_matrix(ncols)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        best = None
+        for i in range(t, nrows):
+            row = d[i]
+            for j in range(t, ncols):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        while True:
+            restart = False
+            for i in range(t + 1, nrows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    if q:
+                        add_row(t, i, -q)
+                    if d[i][t]:
+                        # remainder beats the pivot; promote it
+                        swap_rows(t, i)
+                        restart = True
+            if restart:
+                continue
+            for j in range(t + 1, ncols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    if q:
+                        add_col(t, j, -q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+            if restart:
+                continue
+            pivot = d[t][t]
+            offender = None
+            for i in range(t + 1, nrows):
+                row = d[i]
+                for j in range(t + 1, ncols):
+                    if row[j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        t += 1
+    for i in range(limit):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return u, d, v
 
 
 def heap_rank_and_factors(entries, nrows, ncols):

@@ -27,11 +27,6 @@ SRC = Path(tquot.__file__).parent
 UNCALLED = {
     "exactq.smith_normal_form": "runs on the residue the unit-pivot sweep leaves, which no"
     " gallery model has; perfbench/spans.py wraps it and acceptance C7 pins its U and V",
-    "exactq.smith_normal_form.<locals>.add_col": "part of smith_normal_form",
-    "exactq.smith_normal_form.<locals>.add_row": "part of smith_normal_form",
-    "exactq.smith_normal_form.<locals>.swap_cols": "part of smith_normal_form",
-    "exactq.smith_normal_form.<locals>.swap_rows": "part of smith_normal_form",
-    "exactq.identity_matrix": "smith_normal_form's starting U and V",
     "polytope.facet_incidence": "the facets at a moment that the intended polytope P of"
     " validate(spec, polytope=P) was not built from, such as one moved outside it; a hull reads"
     " its own points' facets off its contacts, and the oracles build their masks with it",

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_coords, lattice_membership
+from oracles import (
+    fraction_coords,
+    lattice_membership,
+    minor_invariant_factors,
+    promoting_smith_normal_form,
+)
 from oracles import fraction_det as det
 from tquot.exactq import (
     exact,
-    identity_matrix,
     matmul,
     nullspace,
     primitive,
@@ -35,8 +39,11 @@ def vdiff(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+I3 = [list(e(i, 3)) for i in range(3)]
+
+
 def test_rank_identity():
-    assert rank(identity_matrix(3)) == 3
+    assert rank(I3) == 3
 
 
 def test_rank_dependent_rows():
@@ -109,10 +116,10 @@ def test_primitive():
 
 
 def test_snf_identity():
-    u, d, v = smith_normal_form(identity_matrix(3))
-    assert d == identity_matrix(3)
-    assert u == identity_matrix(3)
-    assert v == identity_matrix(3)
+    u, d, v = smith_normal_form(I3)
+    assert d == I3
+    assert u == I3
+    assert v == I3
 
 
 def test_snf_worked_example():
@@ -182,6 +189,65 @@ def test_sparse_rank_and_factors_matches_dense():
         diag = sorted(d[i][i] for i in range(min(nr, nc)) if d[i][i])
         assert rk == len(diag)
         assert sorted(factors) == diag
+
+
+def random_integer_matrix(rng, side):
+    """Up to side x side, entries up to 1, 3 or 40 in absolute value,
+    with up to two rows or columns zeroed."""
+    nr, nc = rng.randint(1, side), rng.randint(1, side)
+    bound = rng.choice((1, 3, 40))
+    a = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            a[rng.randrange(nr)] = [0] * nc
+        else:
+            j = rng.randrange(nc)
+            for row in a:
+                row[j] = 0
+    return a
+
+
+def check_invariant_factors(a, expected):
+    diag = check_snf_contract(a)
+    assert [x for x in diag if x] == expected
+    entries = {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+    assert sparse_rank_and_factors(entries, len(a), len(a[0])) == (len(expected), expected)
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(25)
+    shapes, torsion = set(), 0
+    for _ in range(500):
+        a = random_integer_matrix(rng, 6)
+        expected = minor_invariant_factors(a)
+        check_invariant_factors(a, expected)
+        old = promoting_smith_normal_form(a)[1]
+        assert [old[k][k] for k in range(len(expected))] == expected
+        shapes.add((len(a) > len(a[0])) - (len(a) < len(a[0])))
+        torsion += any(x > 1 for x in expected)
+    assert shapes == {-1, 0, 1} and torsion > 100
+
+
+def test_snf_matches_promoting_routine():
+    rng = random.Random(26)
+    for _ in range(500):
+        a = random_integer_matrix(rng, 8)
+        old = promoting_smith_normal_form(a)[1]
+        check_invariant_factors(a, [old[k][k] for k in range(min(len(a), len(a[0]))) if old[k][k]])
+
+
+@pytest.mark.parametrize(
+    "pool, seed", [(range(-3, 4), 1), ((0, 0, 0, 0, 1, -1, 2), 2)], ids=["dense", "sparse"]
+)
+def test_snf_transforms_stay_small(pool, seed):
+    # promoting each remainder in place (promoting_smith_normal_form) grows
+    # U and V to thousands of digits on draws like these
+    rng = random.Random(seed)
+    for _ in range(3):
+        a = [[rng.choice(pool) for _ in range(20)] for _ in range(20)]
+        u, d, v = smith_normal_form(a)
+        assert matmul(matmul(u, a), v) == d
+        assert max(abs(x) for row in u + v for x in row) < 10**199  # under 200 digits
 
 
 def test_echelon_membership_roundtrip():

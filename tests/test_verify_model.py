@@ -22,7 +22,7 @@ import random
 import pytest
 
 import oracles
-from conftest import RP2
+from conftest import RP2, moore_space
 from oracles import (
     close_then_map_collapse,
     coreduced_homology,
@@ -32,7 +32,7 @@ from oracles import (
     pulled_boundary_subcomplex,
     staircase_closure,
 )
-from tquot import gallery, simplicial
+from tquot import exactq, gallery, simplicial
 from tquot.classify import classify
 from tquot.exactq import sparse_rank_and_factors
 from tquot.simplicial import (
@@ -346,6 +346,26 @@ def test_special_complexes_match_full_elimination(monkeypatch):
         assert reduced_by_sweep(monkeypatch, k)[0] == full_elimination_homology(k)
     assert homology(RP2).torsion == ((), (2,), ())
     assert homology(OrderedComplex.from_simplices([(0,), (1,), (2,)])).betti == (3,)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_moore_space_torsion_reaches_smith(monkeypatch, n):
+    residues = []
+    smith = exactq.smith_normal_form
+
+    def recorded(a):
+        residues.append(a)
+        return smith(a)
+
+    monkeypatch.setattr(exactq, "smith_normal_form", recorded)
+    m = moore_space(n)
+    profile = homology(m)
+    assert residues
+    assert profile.torsion == ((), (n,), ())
+    assert profile == full_elimination_homology(m) == coreduced_homology(m)
+    expected = expected_homology(m, 0)
+    assert expected.betti == (1, 0, 0, 0, 0)
+    assert expected.torsion == ((), (), (), (), (n,))
 
 
 def test_random_complexes_match_full_elimination(monkeypatch):
