@@ -35,13 +35,16 @@ from operator import mul
 
 Vector = tuple[Fraction, ...]
 
+_PLAIN = {int: {int}, (int, Fraction): {int, Fraction}}  # kinds -> the types passed at once
+
 
 def exact(values, what: str, kinds=int, error=ValueError) -> tuple:
     """The values as a tuple if each is of kinds; a bool never is.
     Anything else raises error with what and the values: nothing is
     coerced.  The one test of the rule for numbers that come in."""
     values = tuple(values)
-    if any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
+    plain = set(map(type, values)) <= _PLAIN.get(kinds, set())
+    if not plain and any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
         raise error(f"{what}, got {values!r}")
     return values
 
@@ -53,10 +56,6 @@ def vec(values, what: str = "a vector must be integers or Fractions", error=Valu
         x if isinstance(x, Fraction) else Fraction(x)
         for x in exact(values, what, (int, Fraction), error)
     )
-
-
-def is_zero(v) -> bool:
-    return all(x == 0 for x in v)
 
 
 def dot(a, b) -> Fraction:

@@ -12,11 +12,11 @@ weights at a vertex component of F parallel to F (plus one for the
 implicit zero of a surface) minus dim F.  Stratification groups the
 faces by that number; the complexity-zero faces form the short locus.
 
-The polytope and one reading of the face complexity per face and
-component on it (`read_faces`) are cached on the spec and shared: V2
-reads the moments outside and the carriers of each vertex off them, V4
-the components at the vertices, V5 every component on a face and
-stratification those at its vertices.  The readings are taken from the
+The polytope, one entry per distinct weight (`read_weights`) and one
+reading of the face complexity per face and component on it
+(`read_faces`) are cached on the spec and shared: the readings, V3 and
+V4 look each weight up, and V2, V4, V5 and stratification read the
+components on faces off the readings.  The readings are taken from the
 face whose relative interior holds each moment upward along the covers,
 so their cost follows the component-face incidences, and that face is
 found by the facets at the moment, which the hull kept from its double
@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
 from typing import NamedTuple, Optional
 
-from tquot.exactq import Vector, exact, is_zero, primitive, rank, vec
+from tquot.exactq import Vector, exact, primitive, rank, vec
 from tquot.polytope import FaceLattice, RationalPolytope, convex_hull
 
 POINT = "point"
@@ -86,9 +85,14 @@ class HamSpec:
         return convex_hull([c.moment for c in self.components])
 
     @cached_property
+    def weight_table(self) -> dict:
+        """read_weights over self.polytope, built on first use."""
+        return read_weights(self.polytope, *(c.weights for c in self.components))
+
+    @cached_property
     def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
         """read_faces over self.polytope, built on first use."""
-        return read_faces(self, self.polytope)
+        return read_faces(self, self.polytope, self.weight_table)
 
 
 class FaceReading(NamedTuple):
@@ -137,7 +141,19 @@ class GeneralPositionReport(NamedTuple):
     overall: bool
 
 
-def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceReading, ...]]:
+def read_weights(poly: RationalPolytope, *families) -> dict:
+    """Each distinct weight of the families -> (the first hull normal it
+    meets with nonzero or None, the bitmasks of the facets it meets with 0
+    and with < 0, its primitive ray or None when zero); off the hull the
+    masks are empty and the ray None, since every reader stops there."""
+    return {
+        w: (n, 0, 0, None) if (n := poly.off_hull(w)) else
+        (None, *poly.facet_signs(w), primitive(w) if any(w) else None)
+        for w in set().union(*families)
+    }
+
+
+def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, tuple[FaceReading, ...]]:
     """Face id -> a reading for each component whose moment lies on the
     face, in component order.
 
@@ -150,7 +166,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
     holding it are the carrier and the faces above it along the covers.
     A weight in the polytope's directions is parallel to a face iff the
     facets whose conormal it meets with 0 hold every facet that contains
-    the face, read on bitmasks.
+    the face, read on bitmasks off table, the spec's `read_weights` over poly.
     """
     faces = poly.lattice.faces
     above: list[list[int]] = [[] for _ in faces]
@@ -158,8 +174,6 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
         above[a].append(b)
     carrier = {f.facets: f.id for f in faces}
     masks = [sum(1 << i for i in f.facets) for f in faces]
-    weights = dict.fromkeys(w for c in spec.components for w in c.weights)
-    zeros = {w: poly.zero_facets(w) for w in weights if poly.off_hull(w) is None}
     rows: list[list[FaceReading]] = [[] for _ in faces]
     tight = poly.facets_at([c.moment for c in spec.components])
     for i, (comp, t) in enumerate(zip(spec.components, tight)):
@@ -167,7 +181,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope) -> dict[int, tuple[FaceRea
             continue
         level = [carrier[t]]  # then the faces one dimension up, level by level
         vertex = faces[level[0]].dim == 0
-        own = [(w, zeros[w]) for w in comp.weights if w in zeros]
+        own = [(w, table[w][1]) for w in comp.weights if table[w][0] is None]
         while level:
             for f in level:
                 m = masks[f]
@@ -224,7 +238,7 @@ def general_position(spec: HamSpec) -> GeneralPositionReport:
     d = spec.polytope.dim
     per = []
     for comp in spec.components:
-        ok = not comp.is_surface and all(not is_zero(w) for w in comp.weights)
+        ok = not comp.is_surface and all(map(any, comp.weights))
         if ok:
             size = min(d, len(comp.weights))
             for subset in combinations(comp.weights, size):
@@ -250,28 +264,28 @@ def _parens(v) -> str:
     return f"({', '.join(map(str, v))})"
 
 
-def _tangent_cone_witness(poly: RationalPolytope, v: int, weights) -> Optional[str]:
+def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table) -> Optional[str]:
     """Why the weights do not generate the tangent cone of poly at
-    vertex v, or None when they do.
+    vertex v, or None when they do, read off their `read_weights` table.
 
     The weights lie in the tangent cone iff each lies in the polytope's
-    directions and meets the conormal of every facet at v with >= 0.
+    directions and meets no conormal of a facet at v negatively.
     The tangent cone is pointed and its extreme rays are the edge
     directions at v, so then the two cones are equal iff every edge
-    direction is a positive multiple of a weight.  An edge direction
-    that is not lies outside the span of the weights when they do not
-    span the polytope's directions, and outside their cone otherwise.
+    direction is the ray of a weight.  An edge direction that is not
+    lies outside the span of the weights when they do not span the
+    polytope's directions, and outside their cone otherwise.
     """
     # the dim-0 faces come first in the lattice, in vertex order
-    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    at_v = sum(1 << i for i in poly.lattice.faces[v].facets)
     for w in weights:
-        n = poly.off_hull(w)
+        n, _, negative, _ = table[w]
         if n is not None:
             return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
-        for n in at_v:
-            if sum(map(mul, n, w)) < 0:
-                return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
-    rays = {primitive(w) for w in weights if any(w)}
+        if m := negative & at_v:
+            n = poly.facets[(m & -m).bit_length() - 1][0]  # the lowest facet it violates
+            return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
+    rays = {table[w][3] for w in weights}
     missed = [e for e in poly.lattice.edges[v] if e not in rays]
     if not missed:
         return None
@@ -307,7 +321,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
         for w in comp.weights:
             if len(w) != spec.torus_rank:
                 problems.append(f"component {idx}: weight length != torus_rank")
-        if any(is_zero(w) for w in comp.weights):
+        if not all(map(any, comp.weights)):
             problems.append(f"component {idx}: zero isotropy weight")
         expected = spec.half_dim - (1 if comp.is_surface else 0)
         if len(comp.weights) != expected:
@@ -325,7 +339,8 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     poly = spec.polytope if polytope is None else polytope
     lattice = poly.lattice
     d = poly.dim
-    readings = spec.face_readings if polytope is None else read_faces(spec, poly)
+    table = spec.weight_table if polytope is None else read_weights(poly, *(c.weights for c in spec.components))
+    readings = spec.face_readings if polytope is None else read_faces(spec, poly, table)
 
     # V2: every moment lies in the polytope, and every vertex of the
     # polytope carries exactly one component (vertex preimages are
@@ -352,11 +367,10 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # positive multiple of each edge direction at its vertex among them,
     # so they span those directions and V3 need not rank them
     problems = []
-    coned, unconed = set(), set()  # the components at a vertex that pass it and fail it
+    coned = set()  # the components at a vertex that pass it
     for idx, v in sorted((r.index, v) for v in range(len(poly.vertices)) for r in readings[v]):
-        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights)
+        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights, table)
         if witness:
-            unconed.add(idx)
             problems.append(f"component {idx} at vertex {v}: {witness}")
         else:
             coned.add(idx)
@@ -367,7 +381,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     for idx, comp in enumerate(spec.components):
         if idx in coned:
             continue
-        off = [(w, n) for w in comp.weights if (n := poly.off_hull(w))]
+        off = [(w, n) for w in comp.weights if (n := table[w][0])]
         if off:
             w, n = off[0]
             problems.append(
@@ -387,9 +401,10 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     fc: dict[int, int] = {}
     for f in lattice.faces:
         over = readings[f.id]
-        if not any(r.at_vertex for r in over):
+        index, values, _, vertex = zip(*over) if over else ((), (), (), ())
+        if not any(vertex):
             continue  # V2's finding
-        values = {r.complexity for r in over}
+        values = set(values)
         if len(values) > 1:
             problems.append(
                 f"face {f.vertex_set}: components disagree on complexity {sorted(values)}"
@@ -400,8 +415,8 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(f"face {f.vertex_set}: negative complexity")
             continue
         fc[f.id] = value
-        unsettled = (r for r in over if not r.at_vertex or r.index in unconed)
-        if any(rank(r.parallel) != f.dim for r in unsettled):
+        unsettled = (r for r in over if r.index not in coned)
+        if not coned.issuperset(index) and any(rank(r.parallel) != f.dim for r in unsettled):
             problems.append(
                 f"face {f.vertex_set}: parallel weights do not span the face directions"
             )

@@ -82,11 +82,16 @@ class RationalPolytope:
         others = iter(facet_incidence(self, missed) if missed else ())
         return [next(others) if i is None else self.contacts[i] for i in at]
 
-    def zero_facets(self, w) -> int:
-        """The bitmask of the facets whose conormal the integer vector w
-        meets with 0.  A w in the polytope's directions is parallel to a
-        face iff these hold the facets containing the face."""
-        return sum(1 << i for i, (n, _) in enumerate(self.facets) if not sum(map(mul, n, w)))
+    def facet_signs(self, w) -> tuple[int, int]:
+        """The bitmasks of the facets whose conormal the integer vector w
+        meets with 0 and with < 0, in one pass over the facets."""
+        zero = negative = 0
+        for i, (n, _) in enumerate(self.facets):
+            if not (s := sum(map(mul, n, w))):
+                zero |= 1 << i
+            elif s < 0:
+                negative |= 1 << i
+        return zero, negative
 
 
 class Face(NamedTuple):

@@ -15,7 +15,9 @@ each edge direction in the weight cone, the face readings by Fraction
 membership of the moments and span membership of the weights, V5
 ranking the parallel weights of every reading, and V2 and V4 as they
 were before they read the face readings, each with its own dict keyed
-by the vertices' Fraction coordinates.  Then the face readings as they
+by the vertices' Fraction coordinates; that V4 tests every weight slot
+at every vertex anew, by hull normals, facet conormals and primitive
+rays, as it did before it read a table of the distinct weights.  Then the face readings as they
 were taken before they walked up from each moment's carrier face, every
 face against every component, and V3 ranking every component, also
 those whose vertex cone V4 accepts.  `vertex_coords` and `supporting`
@@ -56,6 +58,7 @@ from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from tquot.classify import TopologyReport, ValidationFailure, Verdict
 from tquot.exactq import (
@@ -63,7 +66,6 @@ from tquot.exactq import (
     dot,
     eliminate,
     exact,
-    is_zero,
     nullspace,
     primitive,
     smith_normal_form,
@@ -76,7 +78,6 @@ from tquot.hamspace import (
     FaceReading,
     SpecError,
     _parens,
-    _tangent_cone_witness,
     stratify,
     validate,
 )
@@ -93,6 +94,10 @@ from tquot.simplicial import (
 
 def vsub(a, b):
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+
+
+def is_zero(v) -> bool:
+    return all(x == 0 for x in v)
 
 
 class Echelon:
@@ -460,6 +465,38 @@ def weight_cone_witness(poly, v, weights):
     return None
 
 
+def slotwise_tangent_cone_witness(poly: RationalPolytope, v: int, weights):
+    """Why the weights do not generate the tangent cone of poly at
+    vertex v, or None when they do.
+
+    The weights lie in the tangent cone iff each lies in the polytope's
+    directions and meets the conormal of every facet at v with >= 0.
+    The tangent cone is pointed and its extreme rays are the edge
+    directions at v, so then the two cones are equal iff every edge
+    direction is a positive multiple of a weight.  An edge direction
+    that is not lies outside the span of the weights when they do not
+    span the polytope's directions, and outside their cone otherwise.
+    """
+    # the dim-0 faces come first in the lattice, in vertex order
+    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    for w in weights:
+        n = poly.off_hull(w)
+        if n is not None:
+            return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
+        for n in at_v:
+            if sum(map(mul, n, w)) < 0:
+                return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
+    rays = {primitive(w) for w in weights if any(w)}
+    missed = [e for e in poly.lattice.edges[v] if e not in rays]
+    if not missed:
+        return None
+    span = rank(weights)
+    if span < poly.dim:
+        e = next(e for e in missed if rank([*weights, e]) > span)
+        return f"edge direction {_parens(e)} is outside the span of the weights"
+    return f"edge direction {_parens(missed[0])} is not in the weight cone"
+
+
 def fraction_readings(spec, poly):
     """The face readings by Fraction membership of each moment among the
     face's vertices and span membership of each weight in the face's
@@ -578,7 +615,7 @@ def dict_v4(spec, poly):
         v = vertex_index.get(comp.moment)
         if v is None:
             continue
-        witness = _tangent_cone_witness(poly, v, comp.weights)
+        witness = slotwise_tangent_cone_witness(poly, v, comp.weights)
         if witness:
             problems.append(f"component {idx} at vertex {v}: {witness}")
     return CheckResult("V4-vertex-cone", not problems, "; ".join(problems))

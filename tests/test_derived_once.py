@@ -147,6 +147,29 @@ def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):
     assert calls["rank"] == 0
 
 
+@pytest.mark.parametrize(
+    "build, slots, distinct",
+    [
+        (lambda: gallery.coadjoint_orbit(gallery.root_system("A", 3), (3, 1, -1, -3)), 144, 12),
+        (lambda: gallery.coadjoint_orbit(gallery.root_system("A", 4), (3, 3, -2, -2, -2)), 60, 20),
+    ],
+    ids=["a3-regular", "gr2c5"],
+)
+def test_classify_weighs_each_distinct_weight_once(monkeypatch, build, slots, distinct):
+    # the weight table meets each distinct weight with the hull normals
+    # and the facets once; V3, V4 and the face readings look it up, so
+    # no weight slot at a vertex is weighed again
+    spec = build()
+    assert sum(len(c.weights) for c in spec.components) == slots
+    seen = []
+    off_hull = polytope.RationalPolytope.off_hull
+    monkeypatch.setattr(
+        polytope.RationalPolytope, "off_hull", lambda poly, w: seen.append(w) or off_hull(poly, w)
+    )
+    assert classify(spec).validation.ok
+    assert len(seen) == len(set(seen)) == distinct
+
+
 def test_load_spec_checks_each_number_once(tmp_path, monkeypatch):
     # the parser leaves the numbers to the component builders: one test
     # of the rule per weight row, per moment and per genus, and one each
@@ -198,7 +221,7 @@ def test_incidence_matches_dot_product_membership():
     pairs = 0
     for spec in polytope_specimens():
         poly = spec.polytope
-        readings = read_faces(spec, poly)
+        readings = read_faces(spec, poly, spec.weight_table)
         for face in poly.lattice.faces:
             carriers = tuple(r.index for r in readings[face.id])
             expected = tuple(

@@ -24,7 +24,7 @@ from oracles import cones_equal, weight_cone_witness
 from tquot import classify, gallery
 from tquot.classify import Verdict
 from tquot.exactq import clear_denominators, eliminate, vec
-from tquot.hamspace import _tangent_cone_witness
+from tquot.hamspace import _tangent_cone_witness, read_weights
 from tquot.polytope import _facets
 
 
@@ -87,7 +87,7 @@ def test_vertex_cone_matches_cone_equality_oracle():
             v = poly.vertices.index(comp.moment)
             edges = poly.lattice.edges[v]
             for weights in _sign_changes(rng, comp.weights):
-                ok = _tangent_cone_witness(poly, v, weights) is None
+                ok = _tangent_cone_witness(poly, v, weights, read_weights(poly, weights)) is None
                 assert ok == cones_equal(weights, edges), (spec.name, v, weights)
                 decisions.append(ok)
     assert decisions.count(True) > 60 and decisions.count(False) > 150
@@ -125,7 +125,7 @@ def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
             if v is None:
                 continue
             for weights in _sign_changes(rng, comp.weights) + _merges(rng, comp.weights):
-                witness = _tangent_cone_witness(poly, v, weights)
+                witness = _tangent_cone_witness(poly, v, weights, read_weights(poly, weights))
                 assert witness == weight_cone_witness(poly, v, weights), (spec.name, v, weights)
                 kinds.append(witness and next(k for k in _WITNESSES if k in witness))
     # every kind of witness, and none, is drawn

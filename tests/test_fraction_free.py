@@ -210,7 +210,7 @@ def test_parallel_matches_span_membership():
         assert face.dim == len(basis)
         mask = sum(1 << i for i in face.facets)
         for w in weights:
-            answer = poly.off_hull(w) is None and mask & poly.zero_facets(w) == mask
+            answer = poly.off_hull(w) is None and mask & poly.facet_signs(w)[0] == mask
             assert answer == lattice_membership(w, basis), (face.vertex_set, w)
             answers.append(answer)
     assert len(answers) == 22896

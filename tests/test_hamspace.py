@@ -34,6 +34,7 @@ from tquot.hamspace import (
     general_position,
     point_component,
     read_faces,
+    read_weights,
     stratify,
     surface_component,
     validate,
@@ -443,7 +444,7 @@ def test_read_faces_matches_fraction_oracle():
     failing_v5 = 0
     for spec in _readings_cases():
         poly = spec.polytope
-        assert read_faces(spec, poly) == fraction_readings(spec, poly), spec.name
+        assert read_faces(spec, poly, spec.weight_table) == fraction_readings(spec, poly), spec.name
         failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).failed}
     assert failing_v5 > 5
 
@@ -647,7 +648,8 @@ def test_carrier_walk_and_v3_match_the_oracles_that_test_every_pair():
     carriers, v3_details = Counter(), Counter()
     for variant, spec, poly in cases:
         given = spec.polytope if poly is None else poly
-        readings = read_faces(spec, given)
+        table = read_weights(given, *(c.weights for c in spec.components))
+        readings = read_faces(spec, given, table)
         assert readings == every_face_readings(spec, given), (variant, spec.name)
         [v3] = [c for c in validate(spec, polytope=poly).checks if c.name == "V3-weight-span"]
         assert v3 == ranked_v3(spec, given), (variant, spec.name)
