@@ -5,11 +5,11 @@ runs in arbitrary precision and no floats appear anywhere.  Of the
 polytope layer, only the vertices and the facet offsets stay Fractions;
 the affine hull is described by its integer normals alone.
 
-A number that comes in is an int, never a bool, or where a rational
-is allowed a Fraction.  `exact` is the one test of that rule, and `vec`
+A number that comes in has the type int, or where a rational is
+allowed Fraction.  `exact` is the one test of that rule, and `vec`
 and `integral` (so `rank`, `nullspace` and `primitive`) apply it to
-rational vectors; a float, a bool or a string such as "1/3" is refused,
-never coerced.
+rational vectors; a float, a bool, an IntEnum member or a string such
+as "1/3" is refused, never coerced.
 
 Denominators are cleared at the entry of each routine that eliminates:
 `integral` scales a vector by the lcm of its denominators, and
@@ -35,16 +35,11 @@ from operator import mul
 
 Vector = tuple[Fraction, ...]
 
-_PLAIN = {int: {int}, (int, Fraction): {int, Fraction}}  # kinds -> the types passed at once
-
-
-def exact(values, what: str, kinds=int, error=ValueError) -> tuple:
-    """The values as a tuple if each is of kinds; a bool never is.
-    Anything else raises error with what and the values: nothing is
-    coerced.  The one test of the rule for numbers that come in."""
+def exact(values, what: str, kinds=(int,), error=ValueError) -> tuple:
+    """The values as a tuple if the type of each is one of kinds, never a
+    bool nor another subclass; else error with what and the values."""
     values = tuple(values)
-    plain = set(map(type, values)) <= _PLAIN.get(kinds, set())
-    if not plain and any(isinstance(x, bool) or not isinstance(x, kinds) for x in values):
+    if not set(map(type, values)).issubset(kinds):
         raise error(f"{what}, got {values!r}")
     return values
 

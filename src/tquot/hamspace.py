@@ -87,7 +87,7 @@ class HamSpec:
     @cached_property
     def weight_table(self) -> dict:
         """read_weights over self.polytope, built on first use."""
-        return read_weights(self.polytope, *(c.weights for c in self.components))
+        return read_weights(self, self.polytope)
 
     @cached_property
     def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
@@ -141,15 +141,23 @@ class GeneralPositionReport(NamedTuple):
     overall: bool
 
 
-def read_weights(poly: RationalPolytope, *families) -> dict:
-    """Each distinct weight of the families -> (the first hull normal it
-    meets with nonzero or None, the bitmasks of the facets it meets with 0
-    and with < 0, its primitive ray or None when zero); off the hull the
-    masks are empty and the ray None, since every reader stops there."""
+class WeightReading(NamedTuple):
+    """A weight against a polytope: the first hull normal it meets with
+    nonzero, the bitmasks of the facets it meets with 0 and with < 0, its
+    primitive ray.  Off the hull, where readers stop, masks 0 and no ray."""
+
+    normal: Optional[tuple[int, ...]]
+    zero: int
+    negative: int
+    ray: Optional[tuple[int, ...]]
+
+
+def read_weights(spec: HamSpec, poly: RationalPolytope) -> dict[tuple[int, ...], WeightReading]:
+    """Each distinct weight of the spec -> its reading against poly."""
     return {
-        w: (n, 0, 0, None) if (n := poly.off_hull(w)) else
-        (None, *poly.facet_signs(w), primitive(w) if any(w) else None)
-        for w in set().union(*families)
+        w: WeightReading(n, 0, 0, None) if (n := poly.off_hull(w)) else
+        WeightReading(None, *poly.facet_signs(w), primitive(w) if any(w) else None)
+        for w in {w for c in spec.components for w in c.weights}
     }
 
 
@@ -181,7 +189,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, 
             continue
         level = [carrier[t]]  # then the faces one dimension up, level by level
         vertex = faces[level[0]].dim == 0
-        own = [(w, table[w][1]) for w in comp.weights if table[w][0] is None]
+        own = [(w, table[w].zero) for w in comp.weights if table[w].normal is None]
         while level:
             for f in level:
                 m = masks[f]
@@ -279,13 +287,12 @@ def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table) -> Opt
     # the dim-0 faces come first in the lattice, in vertex order
     at_v = sum(1 << i for i in poly.lattice.faces[v].facets)
     for w in weights:
-        n, _, negative, _ = table[w]
-        if n is not None:
+        if (n := table[w].normal) is not None:
             return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"
-        if m := negative & at_v:
+        if m := table[w].negative & at_v:
             n = poly.facets[(m & -m).bit_length() - 1][0]  # the lowest facet it violates
             return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
-    rays = {table[w][3] for w in weights}
+    rays = {table[w].ray for w in weights}
     missed = [e for e in poly.lattice.edges[v] if e not in rays]
     if not missed:
         return None
@@ -339,7 +346,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     poly = spec.polytope if polytope is None else polytope
     lattice = poly.lattice
     d = poly.dim
-    table = spec.weight_table if polytope is None else read_weights(poly, *(c.weights for c in spec.components))
+    table = spec.weight_table if polytope is None else read_weights(spec, poly)
     readings = spec.face_readings if polytope is None else read_faces(spec, poly, table)
 
     # V2: every moment lies in the polytope, and every vertex of the
@@ -381,7 +388,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     for idx, comp in enumerate(spec.components):
         if idx in coned:
             continue
-        off = [(w, n) for w in comp.weights if (n := table[w][0])]
+        off = [(w, n) for w in comp.weights if (n := table[w].normal)]
         if off:
             w, n = off[0]
             problems.append(
@@ -401,10 +408,9 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     fc: dict[int, int] = {}
     for f in lattice.faces:
         over = readings[f.id]
-        index, values, _, vertex = zip(*over) if over else ((), (), (), ())
-        if not any(vertex):
+        if not any(r.at_vertex for r in over):
             continue  # V2's finding
-        values = set(values)
+        values = {r.complexity for r in over}
         if len(values) > 1:
             problems.append(
                 f"face {f.vertex_set}: components disagree on complexity {sorted(values)}"
@@ -416,7 +422,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             continue
         fc[f.id] = value
         unsettled = (r for r in over if r.index not in coned)
-        if not coned.issuperset(index) and any(rank(r.parallel) != f.dim for r in unsettled):
+        if any(rank(r.parallel) != f.dim for r in unsettled):
             problems.append(
                 f"face {f.vertex_set}: parallel weights do not span the face directions"
             )

@@ -15,6 +15,7 @@ against the slacks, on the moments and on the weight cones of the draws.
 """
 
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -76,6 +77,13 @@ def _sign_changes(rng, weights):
     return out
 
 
+def _witness(spec, poly, v, weights):
+    """The V4 witness for the weights at vertex v, read off the weight
+    table of the spec with one component that carries them."""
+    one = replace(spec, components=(replace(spec.components[0], weights=weights),))
+    return _tangent_cone_witness(poly, v, weights, read_weights(one, poly))
+
+
 def test_vertex_cone_matches_cone_equality_oracle():
     rng = random.Random(1996)
     decisions = []
@@ -87,7 +95,7 @@ def test_vertex_cone_matches_cone_equality_oracle():
             v = poly.vertices.index(comp.moment)
             edges = poly.lattice.edges[v]
             for weights in _sign_changes(rng, comp.weights):
-                ok = _tangent_cone_witness(poly, v, weights, read_weights(poly, weights)) is None
+                ok = _witness(spec, poly, v, weights) is None
                 assert ok == cones_equal(weights, edges), (spec.name, v, weights)
                 decisions.append(ok)
     assert decisions.count(True) > 60 and decisions.count(False) > 150
@@ -125,7 +133,7 @@ def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
             if v is None:
                 continue
             for weights in _sign_changes(rng, comp.weights) + _merges(rng, comp.weights):
-                witness = _tangent_cone_witness(poly, v, weights, read_weights(poly, weights))
+                witness = _witness(spec, poly, v, weights)
                 assert witness == weight_cone_witness(poly, v, weights), (spec.name, v, weights)
                 kinds.append(witness and next(k for k in _WITNESSES if k in witness))
     # every kind of witness, and none, is drawn

@@ -26,8 +26,9 @@ from oracles import (
     supporting,
     vertex_coords,
 )
+from test_theorem import DRAWS, _draw, _transform
 from tquot import gallery
-from tquot.exactq import vec
+from tquot.exactq import dot, primitive, vec
 from tquot.hamspace import (
     HamSpec,
     SpecError,
@@ -583,16 +584,92 @@ def _coverage_cases():
         yield "moved-given", with_component(spec, i, replace(comps[i], moment=moved)), poly
 
 
+def _weight_specs():
+    """Every gallery specimen with the genus families at genus 0..3, the
+    A3 and A4 regular orbits and Gr(2,5)."""
+    specs = []
+    for name in gallery.names():
+        genera = range(4) if gallery.CATALOG[name].parametrized else [None]
+        specs.extend(gallery.build(name, genus=g) for g in genera)
+    a3, a4, f = gallery.root_system("A", 3), gallery.root_system("A", 4), Fraction(1, 5)
+    specs.append(gallery.coadjoint_orbit(a3, (3, 1, -1, -3)))
+    specs.append(gallery.coadjoint_orbit(a4, (2, 1, 0, -1, -2)))
+    specs.append(gallery.coadjoint_orbit(a4, (3 * f, 3 * f, -2 * f, -2 * f, -2 * f)))
+    return specs
+
+
+def _weight_cases():
+    """(variant, spec, polytope) over _weight_specs and the seeded draws
+    of test_theorem.py with their transforms: each as given and, against
+    its own polytope, with the weights at every vertex component negated,
+    one of them moved off the affine hull (where the polytope has a hull
+    normal), one dropped and one doubled.  V4 reads the weights off the
+    spec's table of distinct weights; these change which weights it holds."""
+    specs, draws, rng = _weight_specs(), random.Random(20180417), random.Random(1982)
+    for _ in range(DRAWS):
+        _, spec = _draw(draws)
+        specs += [spec, _transform(draws, spec)]
+    for spec in specs:
+        poly = spec.polytope
+
+        def at_vertices(change):
+            comps = tuple(
+                replace(c, weights=change(c.weights)) if c.moment in poly.vertices and c.weights else c
+                for c in spec.components
+            )
+            return replace(spec, components=comps)
+
+        def one(change):
+            def at(weights):
+                i = rng.randrange(len(weights))
+                return weights[:i] + change(weights[i]) + weights[i + 1 :]
+
+            return at
+
+        yield "given", spec, None
+        yield "negated-all", at_vertices(_negated), poly
+        if poly.normals:
+            n = poly.normals[0]
+            yield "off-hull", at_vertices(one(lambda w: (tuple(a + b for a, b in zip(w, n)),))), poly
+        yield "weight-dropped", at_vertices(one(lambda w: ())), poly
+        yield "weight-doubled", at_vertices(one(lambda w: (tuple(2 * x for x in w),))), poly
+
+
+@pytest.mark.parametrize("spec", _weight_specs(), ids=lambda s: s.name)
+def test_weight_table_matches_fraction_dot_products(spec):
+    poly = spec.polytope
+    table = spec.weight_table
+    assert set(table) == {w for c in spec.components for w in c.weights}
+    for w, (normal, zero, negative, ray) in table.items():
+        assert normal == next((n for n in poly.normals if dot(n, w)), None)
+        signs = [dot(n, w) for n, _ in poly.facets]
+        if normal is None:
+            assert zero == sum(1 << i for i, s in enumerate(signs) if s == 0)
+            assert negative == sum(1 << i for i, s in enumerate(signs) if s < 0)
+            assert ray == (primitive(w) if any(w) else None)
+        else:
+            assert (zero, negative, ray) == (0, 0, None)
+    assert read_weights(spec, poly) == table
+
+
+# a phrase of each kind of V4 witness
+_WITNESSES = ("affine hull", "violates", "outside the span", "not in the weight cone")
+
+
 def test_v2_and_v4_match_the_dict_oracles():
     v2_kinds = {"lies outside": 0, "has no component": 0, "carries": 0}
+    v4_kinds = dict.fromkeys((None, *_WITNESSES), 0)
     reordered = 0
-    for variant, spec, poly in _coverage_cases():
+    for variant, spec, poly in [*_coverage_cases(), *_weight_cases()]:
         checks = {c.name: c for c in validate(spec, polytope=poly).checks}
         given = spec.polytope if poly is None else poly
         assert checks["V2-vertex-coverage"] == dict_v2(spec, given), (variant, spec.name)
         assert checks["V4-vertex-cone"] == dict_v4(spec, given), (variant, spec.name)
         for kind in v2_kinds:
             v2_kinds[kind] += kind in checks["V2-vertex-coverage"].detail
+        v4 = checks["V4-vertex-cone"].detail
+        for witness in v4.split("; ") if v4 else [None]:
+            v4_kinds[witness and next(k for k in _WITNESSES if k in witness)] += 1
         if variant == "reversed":
             # V4 fails at every vertex component, listed in component order
             vertex_of = [
@@ -601,6 +678,8 @@ def test_v2_and_v4_match_the_dict_oracles():
             assert checks["V4-vertex-cone"].detail.count("component") == len(vertex_of) > 1
             reordered += vertex_of != sorted(vertex_of)
     assert all(v2_kinds.values()), v2_kinds
+    # every kind of V4 witness, and none, is met
+    assert min(v4_kinds.values()) > 50, v4_kinds
     assert reordered > 0
 
 
@@ -648,8 +727,7 @@ def test_carrier_walk_and_v3_match_the_oracles_that_test_every_pair():
     carriers, v3_details = Counter(), Counter()
     for variant, spec, poly in cases:
         given = spec.polytope if poly is None else poly
-        table = read_weights(given, *(c.weights for c in spec.components))
-        readings = read_faces(spec, given, table)
+        readings = read_faces(spec, given, read_weights(spec, given))
         assert readings == every_face_readings(spec, given), (variant, spec.name)
         [v3] = [c for c in validate(spec, polytope=poly).checks if c.name == "V3-weight-span"]
         assert v3 == ranked_v3(spec, given), (variant, spec.name)

@@ -33,8 +33,9 @@ from tquot.simplicial import HomologyProfile, homology, simplex_boundary_sphere,
 DATACLASSES = {
     "hamspace.FixedComponent": "perfbench/workloads.py and the tests copy it with"
     " dataclasses.replace",
-    "hamspace.HamSpec": "caches its polytope and face readings with cached_property, which needs"
-    " an instance __dict__; perfbench/workloads.py and the tests copy it with dataclasses.replace",
+    "hamspace.HamSpec": "caches its polytope, weight table and face readings with cached_property,"
+    " which needs an instance __dict__; perfbench/workloads.py and the tests copy it with"
+    " dataclasses.replace",
     "polytope.RationalPolytope": "caches its face lattice with cached_property, which needs an"
     " instance __dict__; test_hamspace writes that cache",
 }
@@ -74,6 +75,7 @@ def record_instances() -> list:
         report.validation,
         report.validation.checks[0],
         spec.face_readings[sp.lattice.top.id][0],
+        next(iter(spec.weight_table.values())),
         general_position(spec),
         verification,
         verification.checks[0],
