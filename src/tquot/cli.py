@@ -12,8 +12,9 @@ writes, is the text `json.dumps` gives with sorted keys and an indent
 of 2: ASCII only, with \\uXXXX escapes, and every number an integer or
 a "p/q" string, never a float.  Errors reach `main`, which maps them
 to exit codes; a validation failure is such a document for every
-command: the failed check, then every check.  `classify
---skip-validation` refuses a malformed spec on stderr only.
+command: the failed check, then every check.  A skipped `verify`
+(exit 4) prints its JSON as one compact line instead.
+`classify --skip-validation` refuses a malformed spec on stderr only.
 """
 
 from __future__ import annotations

@@ -29,8 +29,6 @@ class GalleryError(ValueError):
 
 
 class RootSystemData(NamedTuple):
-    type_label: str
-    rank: int
     positive_roots: tuple[tuple[int, ...], ...]
     weyl_generators: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -52,12 +50,12 @@ def root_system(type_label: str, rank: int) -> RootSystemData:
             for j in range(i + 1, n)
         )
         gens = tuple(_permutation_matrix(n, i, i + 1) for i in range(n - 1))
-        return RootSystemData(f"A{rank}", rank, roots, gens)
+        return RootSystemData(roots, gens)
     if type_label == "B" and rank == 2:
         roots = ((1, -1), (0, 1), (1, 0), (1, 1))
         swap = ((0, 1), (1, 0))
         flip = ((1, 0), (0, -1))
-        return RootSystemData("B2", 2, roots, (swap, flip))
+        return RootSystemData(roots, (swap, flip))
     raise GalleryError(f"unsupported root system {type_label}{rank}")
 
 

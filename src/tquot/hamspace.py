@@ -110,7 +110,6 @@ class StratifiedPolytope(NamedTuple):
     polytope: RationalPolytope
     lattice: FaceLattice
     face_complexity: dict
-    delta_k: dict
     short_faces: tuple[int, ...]
     complexity: int
 
@@ -127,10 +126,6 @@ class ValidationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failed(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def first_failed(self) -> Optional[str]:
         return next((c.name for c in self.checks if not c.passed), None)
@@ -201,7 +196,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, 
 
 
 def stratify(spec: HamSpec) -> StratifiedPolytope:
-    """Complexity label for every face, grouped into the strata.
+    """Complexity label for every face, and the short faces (complexity 0) by id.
 
     A face's complexity is read at the components whose moment is a
     vertex of the face; every face has one because vertex preimages are
@@ -227,11 +222,8 @@ def stratify(spec: HamSpec) -> StratifiedPolytope:
             raise SpecError(f"invalid spec: negative face complexity on face {f.vertex_set}")
     if fc[lattice.top.id] != k:
         raise SpecError("invalid spec: top-face complexity disagrees with the action complexity")
-    delta_k: dict = {}
-    for fid, val in sorted(fc.items()):
-        delta_k.setdefault(val, []).append(fid)
-    delta_k = {key: tuple(ids) for key, ids in delta_k.items()}
-    return StratifiedPolytope(poly, lattice, fc, delta_k, delta_k.get(0, ()), k)
+    short = tuple(sorted(fid for fid, val in fc.items() if val == 0))
+    return StratifiedPolytope(poly, lattice, fc, short, k)
 
 
 def general_position(spec: HamSpec) -> GeneralPositionReport:

@@ -43,7 +43,6 @@ that leaves through the dense Smith normal form.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import Counter, deque
 from itertools import chain, combinations, compress, product, repeat, starmap
@@ -115,18 +114,6 @@ class HomologyProfile(NamedTuple):
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    @property
-    def reduced_trivial(self) -> bool:
-        return (
-            len(self.betti) >= 1
-            and self.betti[0] == 1
-            and all(b == 0 for b in self.betti[1:])
-            and all(not t for t in self.torsion)
-        )
-
-    def betti_padded(self, length: int) -> tuple[int, ...]:
-        return self.betti + (0,) * (length - len(self.betti))
-
     def trimmed(self) -> "HomologyProfile":
         """The same groups without trailing zero degrees (degree 0 kept)."""
         n = len(self.betti)
@@ -155,10 +142,12 @@ def surface_complex(g: int) -> OrderedComplex:
 
     Genus zero is the tetrahedron boundary; genus one the seven-vertex
     torus; higher genus an iterated connected sum of tori.  Each torus
-    is glued on along the largest triangle so far, which a heap of the
-    negated triangles keeps, onto its own largest triangle; its other
-    vertices are numbered after all the vertices so far, in order, and
-    both triangles are removed.
+    is glued on along the largest triangle so far, L = (l0, l1, l2),
+    onto its own largest triangle (a, b, c); its other vertices are
+    numbered after all the vertices so far, in order, and both
+    triangles are removed.  The next L is the torus's largest image:
+    every older triangle is at most L, and its other triangle on (b, c)
+    becomes (l1, l2, f) > L with a fresh vertex f.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
@@ -166,20 +155,16 @@ def surface_complex(g: int) -> OrderedComplex:
         return simplex_boundary_sphere(3)
     torus = OrderedComplex.from_simplices(_TORUS_TRIANGLES)
     simplices = set(torus.simplices)
-    heap = sorted(tuple(-v for v in t) for t in _TORUS_TRIANGLES)  # sorted, so a heap
-    glued = max(_TORUS_TRIANGLES)
+    largest = glued = max(_TORUS_TRIANGLES)
     rest = [v for v in range(7) if v not in glued]
     for fresh in range(7, 4 * g + 3, 4):
-        largest = tuple(-v for v in heapq.heappop(heap))
         simplices.discard(largest)
         mapping = dict(zip(glued, largest))
         mapping.update(zip(rest, range(fresh, fresh + 4)))
         for s in torus.simplices:
             if s != glued:
                 simplices.add(tuple(sorted(mapping[v] for v in s)))
-        for t in _TORUS_TRIANGLES:
-            if t != glued:
-                heapq.heappush(heap, tuple(-x for x in sorted(mapping[v] for v in t)))
+        largest = max(tuple(sorted(mapping[v] for v in t)) for t in _TORUS_TRIANGLES if t != glued)
     return OrderedComplex(frozenset(simplices))
 
 

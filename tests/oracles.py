@@ -38,7 +38,9 @@ grouped by dimension and free-face reductions took over where
 coreduction stalls, and the Euler characteristic as an alternating
 count of simplices, which the package no longer needs, and the
 surfaces of higher genus by connected sums that copy the whole
-surface for each torus.  Last is the trichotomy for circle actions
+surface for each torus, and by one set with a heap of the triangles,
+as they were built before the largest triangle was read off the newest
+torus.  Last is the trichotomy for circle actions
 on four-manifolds, an independent decision for the cases it covers.
 Next to the brute-force hull sits the double description hull as it
 was before it read every incidence off its contacts: one nullspace per
@@ -647,6 +649,32 @@ def summed_surface(g: int) -> OrderedComplex:
     for _ in range(g - 1):
         acc = _connected_sum(acc, torus)
     return acc
+
+
+def heap_surface_complex(g: int) -> OrderedComplex:
+    """surface_complex as it was built before it kept a running largest
+    triangle: a heap of the negated triangles finds the largest one."""
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    if g == 0:
+        return simplex_boundary_sphere(3)
+    torus = OrderedComplex.from_simplices(_TORUS_TRIANGLES)
+    simplices = set(torus.simplices)
+    heap = sorted(tuple(-v for v in t) for t in _TORUS_TRIANGLES)  # sorted, so a heap
+    glued = max(_TORUS_TRIANGLES)
+    rest = [v for v in range(7) if v not in glued]
+    for fresh in range(7, 4 * g + 3, 4):
+        largest = tuple(-v for v in heapq.heappop(heap))
+        simplices.discard(largest)
+        mapping = dict(zip(glued, largest))
+        mapping.update(zip(rest, range(fresh, fresh + 4)))
+        for s in torus.simplices:
+            if s != glued:
+                simplices.add(tuple(sorted(mapping[v] for v in s)))
+        for t in _TORUS_TRIANGLES:
+            if t != glued:
+                heapq.heappush(heap, tuple(-x for x in sorted(mapping[v] for v in t)))
+    return OrderedComplex(frozenset(simplices))
 
 
 def euler_characteristic(k: OrderedComplex) -> int:

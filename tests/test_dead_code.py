@@ -1,4 +1,5 @@
-"""No function in the package goes uncalled without a reason.
+"""No function in the package goes uncalled, and no record field
+unread, without a reason.
 
 A fixed command-line corpus runs under `sys.setprofile`, which sees the
 call of every Python function.  Its specs are built inside the profiled
@@ -8,8 +9,15 @@ compiling the sources; those the corpus never called must be exactly
 the ones in UNCALLED, each with its reason.  The test fails when code
 goes dead without being listed, and when a listed function is called
 again or no longer exists, so that the list stays true.
+
+A record is a `NamedTuple` class or a dataclass in `src/tquot`, and its
+fields are the annotated names of its class body, found with `ast`.
+Each must be read as an attribute, `x.field`, somewhere in `src/tquot`
+or `perfbench/`, or be listed in UNREAD with its reason; as with
+UNCALLED, a listed field that is read again or gone fails the test.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -22,6 +30,7 @@ import tquot
 from tquot import cli
 
 SRC = Path(tquot.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # functions the corpus does not call, by module and qualified name
 UNCALLED = {
@@ -33,11 +42,16 @@ UNCALLED = {
     "polytope.in_cone": "perfbench/spans.py wraps it; the cone test of the public API",
     "simplicial.barycentric_pair": "collapse_fibers' branch for a sub that is not full, which"
     " verification never takes; perfbench/spans.py wraps it and acceptance C5 pins the branch",
-    "simplicial.HomologyProfile.reduced_trivial": "acceptance pin",
-    "simplicial.HomologyProfile.betti_padded": "acceptance pin",
-    "hamspace.ValidationReport.failed": "acceptance pin",
     "simplicial.OrderedComplex.simplex_count": "perfbench/spans.py reads the model size with it",
     "hamspace.general_position": "public API: the general-position test of a spec",
+}
+
+# record fields read as no attribute, by module, class and field
+UNREAD = {
+    "classify.Verdict.short_face_ids": "written to JSON by `report_to_json` via `_asdict()`",
+    "classify.Verdict.fiber": "written to JSON by `report_to_json` via `_asdict()`",
+    "hamspace.GeneralPositionReport.per_component": "public result of `general_position`",
+    "hamspace.GeneralPositionReport.overall": "public result of `general_position`",
 }
 
 
@@ -114,3 +128,37 @@ def test_uncalled_functions_are_the_listed_ones(tmp_path):
     uncalled = {name for key, name in defined().items() if key not in called}
     assert sorted(uncalled - UNCALLED.keys()) == [], "uncalled, and not in UNCALLED"
     assert sorted(UNCALLED.keys() - uncalled) == [], "in UNCALLED, but called or gone"
+
+
+def record_fields() -> set:
+    """"module.class.field" of every field of a NamedTuple class or a
+    dataclass in the package sources."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            marks = node.bases + [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not {getattr(m, "id", getattr(m, "attr", None)) for m in marks} & {"NamedTuple", "dataclass"}:
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    found.add(f"{path.stem}.{node.name}.{stmt.target.id}")
+    return found
+
+
+def attributes_read() -> set:
+    """Every attribute name loaded as x.name in the package or perfbench/."""
+    return {
+        node.attr
+        for path in sorted([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_unread_record_fields_are_the_listed_ones():
+    read = attributes_read()
+    unread = {name for name in record_fields() if name.rsplit(".", 1)[1] not in read}
+    assert sorted(unread - UNREAD.keys()) == [], "unread, and not in UNREAD"
+    assert sorted(UNREAD.keys() - unread) == [], "in UNREAD, but read or gone"

@@ -159,8 +159,8 @@ def test_face_complexity_direct_call():
 def test_stratify_toric():
     sp = stratify(toric_cp1())
     assert sp.complexity == 0
-    assert set(sp.short_faces) == {f.id for f in sp.lattice.faces}
-    assert sp.delta_k == {0: tuple(sorted(f.id for f in sp.lattice.faces))}
+    assert sp.face_complexity == {f.id: 0 for f in sp.lattice.faces}
+    assert sp.short_faces == tuple(sorted(f.id for f in sp.lattice.faces))
 
 
 def test_stratify_gr2c4_boundary_short():
@@ -188,8 +188,8 @@ def test_stratify_short_downward_closed(gallery_specs):
 def test_delta_leq_k_downward_closed(gallery_specs):
     for name, spec in gallery_specs.items():
         sp = stratify(spec)
-        for k in sp.delta_k:
-            leq = {fid for kk, ids in sp.delta_k.items() if kk <= k for fid in ids}
+        for k in set(sp.face_complexity.values()):
+            leq = {fid for fid, kk in sp.face_complexity.items() if kk <= k}
             for a, b in containment(sp.lattice):
                 if b in leq:
                     assert a in leq, name
@@ -247,7 +247,7 @@ def test_point_at_vertex_forces_short(gallery_specs):
 def test_validate_all_gallery(gallery_specs):
     for name, spec in gallery_specs.items():
         report = validate(spec)
-        assert report.ok, (name, report.first_failed(), report.failed)
+        assert report.ok, (name, report.first_failed(), [c for c in report.checks if not c.passed])
 
 
 def test_validate_flipped_weight_sign_fails_v4_only():
@@ -258,7 +258,7 @@ def test_validate_flipped_weight_sign_fails_v4_only():
         c, weights=tuple((0, 1) if w == (0, -1) else w for w in c.weights)
     )
     report = validate(with_component(spec, i, flipped))
-    assert [f.name for f in report.failed] == ["V4-vertex-cone"]
+    assert [check.name for check in report.checks if not check.passed] == ["V4-vertex-cone"]
 
 
 def test_validate_negated_vertex_surface_fails_v4_only():
@@ -275,7 +275,7 @@ def test_validate_negated_vertex_surface_fails_v4_only():
             c = spec.components[i]
             negated = replace(c, weights=tuple(tuple(-x for x in w) for w in c.weights))
             report = validate(with_component(spec, i, negated))
-            assert [f.name for f in report.failed] == ["V4-vertex-cone"], (name, i)
+            assert [check.name for check in report.checks if not check.passed] == ["V4-vertex-cone"], (name, i)
 
 
 def test_validate_deleted_vertex_component_fails_v2_only():
@@ -283,7 +283,7 @@ def test_validate_deleted_vertex_component_fails_v2_only():
     poly = moment_polytope(spec)
     mutated = without_component(spec, component_at(spec, (2, 1)))
     report = validate(mutated, polytope=poly)
-    assert [f.name for f in report.failed] == ["V2-vertex-coverage"]
+    assert [c.name for c in report.checks if not c.passed] == ["V2-vertex-coverage"]
 
 
 def test_validate_wrong_weight_count_fails_v1_first():
@@ -342,8 +342,8 @@ def test_validate_moment_outside_given_polytope_fails_v2(moment):
     segment = HamSpec("segment", 2, 1, ends)
     extra = replace(segment, components=ends + (point_component(moment, ((1, 1),)),))
     report = validate(extra, polytope=segment.polytope)
-    assert [f.name for f in report.failed] == ["V2-vertex-coverage"]
-    [v2] = report.failed
+    assert [c.name for c in report.checks if not c.passed] == ["V2-vertex-coverage"]
+    [v2] = [c for c in report.checks if not c.passed]
     assert v2.detail == f"component 2: moment ({moment[0]}, {moment[1]}) lies outside the polytope"
 
 
@@ -446,7 +446,7 @@ def test_read_faces_matches_fraction_oracle():
     for spec in _readings_cases():
         poly = spec.polytope
         assert read_faces(spec, poly, spec.weight_table) == fraction_readings(spec, poly), spec.name
-        failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).failed}
+        failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).checks if not c.passed}
     assert failing_v5 > 5
 
 
