@@ -175,8 +175,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, 
     above: list[list[int]] = [[] for _ in faces]
     for a, b in poly.lattice.covers:
         above[a].append(b)
-    carrier = {f.facets: f.id for f in faces}
-    masks = [sum(1 << i for i in f.facets) for f in faces]
+    carrier = {f.facets: f.id for f in faces}  # the top face by 0
     rows: list[list[FaceReading]] = [[] for _ in faces]
     tight = poly.facets_at([c.moment for c in spec.components])
     for i, (comp, t) in enumerate(zip(spec.components, tight)):
@@ -187,7 +186,7 @@ def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, 
         own = [(w, table[w].zero) for w in comp.weights if table[w].normal is None]
         while level:
             for f in level:
-                m = masks[f]
+                m = faces[f].facets
                 parallel = tuple(w for w, z in own if m & z == m)
                 k = len(parallel) + comp.is_surface - faces[f].dim
                 rows[f].append(FaceReading(i, k, parallel, vertex))
@@ -277,7 +276,7 @@ def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table) -> Opt
     polytope's directions, and outside their cone otherwise.
     """
     # the dim-0 faces come first in the lattice, in vertex order
-    at_v = sum(1 << i for i in poly.lattice.faces[v].facets)
+    at_v = poly.lattice.faces[v].facets
     for w in weights:
         if (n := table[w].normal) is not None:
             return f"weight {_parens(w)} leaves the affine hull (normal {_parens(n)})"

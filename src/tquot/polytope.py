@@ -16,14 +16,15 @@ integer points: the primitive normals of the affine hull, the facets
 and the bitmasks of their contacts in the projected coordinates, the
 vertices as the points where the facets through them meet alone, then
 each facet's ambient conormal lifted from its projected normal by one
-map per hull.  The hull keeps what the contacts tell: the vertices on
-each facet as bitmasks, on which the face lattice runs, and the facets
-at each point it was built from, which the face readings take;
-`facet_incidence` finds them by slacks for any other point.  The cone
-test `in_cone` reads the facets through the origin of one more hull.
-Only the vertices and the facet offsets are Fractions.  A face is its
-dimension, its vertex indices and the facets containing it; the lattice
-adds the cover pairs and the edge directions at each vertex.  Points
+map per hull.  The hull keeps what the contacts tell, as bitmasks: the
+vertices on each facet, on which the face lattice runs, and the facets
+at each point it was built from (bit i for `facets[i]`, as in every set
+of facets here), which the face readings take; `facet_incidence` finds
+them by slacks for any other point.  The cone test `in_cone` reads the
+facets through the origin of one more hull.  Only the vertices and the
+facet offsets are Fractions.  A face is its dimension, its vertex
+indices and the facets containing it; the lattice adds the cover pairs
+and the edge directions at each vertex.  Points
 come in through `exactq.vec`, so an entry that is not an int or a
 Fraction raises ValueError.
 """
@@ -54,10 +55,10 @@ class RationalPolytope:
     # per facet, the bitmask of the vertices on it
     facet_vertices: tuple[int, ...]
     # each distinct point the hull was built from -> its index, and by
-    # that index the facets it lies on; the same polytope built from
-    # other points is equal, so these are left out of equality
+    # that index the bitmask of the facets it lies on; the same polytope
+    # built from other points is equal, so these are left out of equality
     inputs: dict[Vector, int] = field(compare=False, repr=False)
-    contacts: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    contacts: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -73,8 +74,8 @@ class RationalPolytope:
         None when w lies in the polytope's directions."""
         return next((n for n in self.normals if sum(map(mul, n, w))), None)
 
-    def facets_at(self, points) -> list[Optional[frozenset[int]]]:
-        """For each point, the indices of the facets it lies on, or None
+    def facets_at(self, points) -> list[Optional[int]]:
+        """For each point, the bitmask of the facets it lies on, or None
         outside the polytope: read off the contacts for the points the
         hull was built from, by `facet_incidence` for any other."""
         at = [self.inputs.get(tuple(q)) for q in points]
@@ -98,7 +99,7 @@ class Face(NamedTuple):
     id: int
     dim: int
     vertex_set: tuple[int, ...]
-    facets: frozenset[int]  # indices of the facets containing the face
+    facets: int  # bitmask of the facets containing the face: bit i for facets[i]
 
 
 class FaceLattice(NamedTuple):
@@ -146,7 +147,7 @@ def convex_hull(points) -> RationalPolytope:
     pivots = [j for j in range(ambient) if j not in free]
     d = len(pivots)
     if d == 0:
-        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), inputs, (frozenset(),))
+        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), inputs, (0,))
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
     # each facet with its contacts, as the double description keeps them,
@@ -161,11 +162,11 @@ def convex_hull(points) -> RationalPolytope:
 
     # a point is a vertex iff the facets through it meet in it alone
     meet = [(1 << len(pts)) - 1] * len(pts)
-    at: list[list[int]] = [[] for _ in pts]  # per point, the facets through it
+    at = [0] * len(pts)  # per point, the bitmask of the facets through it
     for f, (_, _, mask, contact) in enumerate(supports):
         for i in contact:
             meet[i] &= mask
-            at[i].append(f)
+            at[i] |= 1 << f
     vertex_idx = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: pts[i])
     bit = {i: 1 << v for v, i in enumerate(vertex_idx)}
     return RationalPolytope(
@@ -175,7 +176,7 @@ def convex_hull(points) -> RationalPolytope:
         hull_normals,
         tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
         inputs,
-        tuple(map(frozenset, at)),
+        tuple(at),
     )
 
 
@@ -267,8 +268,8 @@ def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int, int]]:
     return facets
 
 
-def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]]]:
-    """For each point, the indices of the facets it lies on, or None
+def facet_incidence(p: RationalPolytope, points) -> list[Optional[int]]:
+    """For each point, the bitmask of the facets it lies on, or None
     when the point is outside the polytope: off its affine hull, or
     beneath one of its facets.
 
@@ -285,7 +286,7 @@ def facet_incidence(p: RationalPolytope, points) -> list[Optional[frozenset[int]
         inside = all(x >= 0 for x in slack) and all(
             sum(map(mul, n, q)) == h for n, h in zip(p.normals, hull)
         )
-        incidence.append(frozenset(i for i, x in enumerate(slack) if x == 0) if inside else None)
+        incidence.append(sum(1 << i for i, x in enumerate(slack) if x == 0) if inside else None)
     return incidence
 
 
@@ -301,8 +302,8 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     """
     nv = len(p.vertices)
     top = (1 << nv) - 1
-    # vertex mask -> (dim, vertex set, the facets containing the face)
-    found = {top: (p.dim, tuple(range(nv)), frozenset())}
+    # vertex mask -> (dim, vertex set, the bitmask of the facets containing the face)
+    found = {top: (p.dim, tuple(range(nv)), 0)}
     below: dict[int, list[int]] = {}  # vertex mask -> the masks of its facets
     level = [top]
     for dim in range(p.dim - 1, -1, -1):
@@ -311,10 +312,10 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
             _, vs, containing = found[f]
             # each meet, with the facets G that meet F in it; G holds F
             # iff F's vertices lie in G's
-            meets: dict[int, set[int]] = {}
+            meets: dict[int, int] = {}
             for i, g in enumerate(p.facet_vertices):
                 if (m := f & g) and m != f:
-                    meets.setdefault(m, set()).add(i)
+                    meets[m] = meets.get(m, 0) | 1 << i
             below[f] = []
             # a set no larger than the ones kept is maximal iff none of
             # them holds it.  A facet h of F is held by the facets that

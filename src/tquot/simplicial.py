@@ -43,9 +43,8 @@ that leaves through the dense Smith normal form.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque
-from itertools import chain, combinations, compress, product, repeat, starmap
+from itertools import accumulate, chain, combinations, compress, product, repeat, starmap
 from math import comb
 from operator import add
 from typing import Iterable, NamedTuple
@@ -374,10 +373,12 @@ def homology(k: OrderedComplex) -> HomologyProfile:
     """
     if not k.simplices:
         return HomologyProfile((), ())
-    cells = sorted(k.simplices)
-    cells.sort(key=len)
-    dim = len(cells[-1]) - 1
-    start = [bisect_left(cells, d + 1, key=len) for d in range(dim + 2)]  # first d-cell
+    by_length: dict[int, list] = {}
+    for s in k.simplices:
+        by_length.setdefault(len(s), []).append(s)
+    groups = [sorted(by_length[n]) for n in range(1, max(by_length) + 1)]
+    cells, dim = list(chain.from_iterable(groups)), len(groups) - 1
+    start = list(accumulate(map(len, groups), initial=0))  # the id of the first d-cell
     face_id = dict(zip(cells, range(len(cells)))).__getitem__
     faces = [()] * start[1]
     for d in range(1, dim + 1):
@@ -442,7 +443,7 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
     selected_vertices = {f.vertex_set[0] for f in map(lattice.face, ids) if f.dim == 0}
 
     tri: dict[int, set] = {}
-    for f in sorted(lattice.faces, key=lambda f: f.dim):
+    for f in lattice.faces:  # by dimension, as face_lattice orders them
         if f.dim == 0:
             tri[f.id] = {(f.vertex_set[0],)}
             continue
@@ -456,7 +457,7 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
             if apex in lattice.face(gid).vertex_set:
                 continue
             for s in tri[gid]:
-                cells.add(tuple(sorted(set(s) | {apex})))
+                cells.add(tuple(sorted((*s, apex))))
         tri[f.id] = cells
     full = OrderedComplex.from_simplices(tri[lattice.top.id])
     sub = OrderedComplex.from_simplices(s for fid in ids for s in tri[fid])

@@ -58,9 +58,10 @@ imports this module.
 import heapq
 from collections import deque, namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import and_, mul
 
 from tquot.classify import TopologyReport, ValidationFailure, Verdict
 from tquot.exactq import (
@@ -100,6 +101,11 @@ def vsub(a, b):
 
 def is_zero(v) -> bool:
     return all(x == 0 for x in v)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of a facet bitmask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Echelon:
@@ -335,7 +341,7 @@ def nullspace_hull(points) -> NullspaceHull:
         facets.sort()
     poly = RationalPolytope(ambient, vertices, tuple(facets), hull_normals, (), {}, ())
     on = facet_incidence(poly, vertices)
-    masks = tuple(sum(1 << v for v, at in enumerate(on) if i in at) for i in range(len(facets)))
+    masks = tuple(sum(1 << v for v, at in enumerate(on) if at >> i & 1) for i in range(len(facets)))
     return NullspaceHull(vertices, tuple(facets), masks, facet_incidence(poly, points))
 
 
@@ -384,7 +390,7 @@ def supporting(poly, face):
     of any of its vertices.  None for the polytope itself."""
     if not face.facets:
         return None
-    conormal = primitive([sum(c) for c in zip(*(poly.facets[i][0] for i in face.facets))])
+    conormal = primitive([sum(c) for c in zip(*(poly.facets[i][0] for i in bits(face.facets)))])
     return conormal, dot(conormal, poly.vertices[face.vertex_set[0]])
 
 
@@ -395,7 +401,7 @@ def closure_face_lattice(p) -> OracleLattice:
     incidence = facet_incidence(p, p.vertices)
     sets = {frozenset(range(nv))}
     for i in range(len(p.facets)):
-        sets.add(frozenset(v for v, on in enumerate(incidence) if i in on))
+        sets.add(frozenset(v for v, on in enumerate(incidence) if on >> i & 1))
     worklist = list(sets)
     while worklist:
         s = worklist.pop()
@@ -407,8 +413,8 @@ def closure_face_lattice(p) -> OracleLattice:
     described = []
     for s in sets:
         vs = tuple(sorted(s))
-        containing = frozenset.intersection(*(incidence[v] for v in vs))
-        normals = p.normals + tuple(p.facets[i][0] for i in sorted(containing))
+        containing = reduce(and_, (incidence[v] for v in vs))
+        normals = p.normals + tuple(p.facets[i][0] for i in bits(containing))
         described.append((p.ambient_dim - rank(normals), vs, containing))
     described.sort(key=lambda t: (t[0], t[1]))
     faces, hyperplanes = [], []
@@ -416,8 +422,8 @@ def closure_face_lattice(p) -> OracleLattice:
         if len(vs) == nv and dim == p.dim:
             hyperplanes.append(None)
         else:
-            total = [sum(column) for column in zip(*(p.facets[i][0] for i in containing))]
-            total_off = sum(p.facets[i][1] for i in containing)
+            total = [sum(column) for column in zip(*(p.facets[i][0] for i in bits(containing)))]
+            total_off = sum(p.facets[i][1] for i in bits(containing))
             conormal = primitive(total)
             lam = next(Fraction(a, b) for a, b in zip(conormal, total) if b)
             hyperplanes.append((conormal, lam * total_off))
@@ -448,7 +454,7 @@ def weight_cone_witness(poly, v, weights):
     after the facet inequalities at v, every edge direction must lie in
     the weight cone, here by the Caratheodory search of
     `fraction_in_cone`, which builds no hull."""
-    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    at_v = [poly.facets[i][0] for i in bits(poly.lattice.faces[v].facets)]
     for w in weights:
         for n in poly.normals:
             if dot(n, w):
@@ -480,7 +486,7 @@ def slotwise_tangent_cone_witness(poly: RationalPolytope, v: int, weights):
     span the polytope's directions, and outside their cone otherwise.
     """
     # the dim-0 faces come first in the lattice, in vertex order
-    at_v = [poly.facets[i][0] for i in sorted(poly.lattice.faces[v].facets)]
+    at_v = [poly.facets[i][0] for i in bits(poly.lattice.faces[v].facets)]
     for w in weights:
         n = poly.off_hull(w)
         if n is not None:
@@ -510,7 +516,7 @@ def fraction_readings(spec, poly):
         _, basis = fraction_solve_affine(coords)
         row = []
         for i, (comp, t) in enumerate(zip(spec.components, tight)):
-            if t is not None and f.facets <= t:
+            if t is not None and f.facets & t == f.facets:
                 parallel = tuple(w for w in comp.weights if lattice_membership(w, basis))
                 k = len(parallel) + comp.is_surface - f.dim
                 row.append(FaceReading(i, k, parallel, comp.moment in coords))
@@ -522,13 +528,13 @@ def every_face_readings(spec, poly):
     """The face readings as read_faces took them before it walked up from
     each moment's carrier face: every face against every component, the
     facets tight at the moment and the zero facets of each weight as
-    sets."""
+    bitmasks."""
     tight = facet_incidence(poly, [c.moment for c in spec.components])
     vertices = set(poly.vertices)
     at_vertex = [c.moment in vertices for c in spec.components]
     weights = dict.fromkeys(w for c in spec.components for w in c.weights)
     zeros = {
-        w: frozenset(i for i, (n, _) in enumerate(poly.facets) if not dot(n, w))
+        w: sum(1 << i for i, (n, _) in enumerate(poly.facets) if not dot(n, w))
         for w in weights
         if poly.off_hull(w) is None
     }
@@ -536,8 +542,10 @@ def every_face_readings(spec, poly):
     for f in poly.lattice.faces:
         row = []
         for i, (comp, t, vertex) in enumerate(zip(spec.components, tight, at_vertex)):
-            if t is not None and f.facets <= t:
-                parallel = tuple(w for w in comp.weights if w in zeros and f.facets <= zeros[w])
+            if t is not None and f.facets & t == f.facets:
+                parallel = tuple(
+                    w for w in comp.weights if w in zeros and f.facets & zeros[w] == f.facets
+                )
                 k = len(parallel) + comp.is_surface - f.dim
                 row.append(FaceReading(i, k, parallel, vertex))
         readings[f.id] = tuple(row)

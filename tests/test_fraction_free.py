@@ -208,7 +208,7 @@ def test_parallel_matches_span_membership():
     for poly, face, weights in _faces_and_weights():
         _, basis = fraction_solve_affine(vertex_coords(poly, face))
         assert face.dim == len(basis)
-        mask = sum(1 << i for i in face.facets)
+        mask = face.facets
         for w in weights:
             answer = poly.off_hull(w) is None and mask & poly.facet_signs(w)[0] == mask
             assert answer == lattice_membership(w, basis), (face.vertex_set, w)
@@ -221,11 +221,11 @@ def test_facet_contacts_match_fraction_dot():
     for spec in polytope_specimens():
         poly = spec.polytope
         for face in poly.lattice.faces:
-            tight = {
-                i
+            tight = sum(
+                1 << i
                 for i, (conormal, offset) in enumerate(poly.facets)
                 if all(dot(conormal, v) == offset for v in vertex_coords(poly, face))
-            }
+            )
             assert face.facets == tight, (spec.name, face.vertex_set)
 
 

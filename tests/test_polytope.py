@@ -211,7 +211,7 @@ def test_facet_incidence_refuses_points_off_the_affine_hull():
     p = convex_hull([(0, 0), (1, 1)])
     assert p.facets == (((-1, -1), -2), ((1, 1), 0))
     inner = (Fraction(1, 2), Fraction(1, 2))
-    assert facet_incidence(p, [(0, 0), (1, 1), inner]) == [{1}, {0}, set()]
+    assert facet_incidence(p, [(0, 0), (1, 1), inner]) == [0b10, 0b01, 0]
     # beyond an end on the line, and off the line inside both half-spaces
     assert facet_incidence(p, [(3, 3), (2, -1), (0, 1)]) == [None, None, None]
 
