@@ -156,17 +156,6 @@ def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def matmul(a, b) -> list[list]:
-    if not a or not b:
-        return [list(row) for row in a] if not b else []
-    cols_b = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols_b)]
-        for row in a
-    ]
-
-
 def smith_normal_form(a):
     """Smith normal form of an integer matrix; any other entry raises
     ValueError.

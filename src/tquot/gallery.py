@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
-from tquot.exactq import dot, exact, matmul, vec
+from tquot.exactq import dot, exact, vec
 from tquot.hamspace import (
     HamSpec,
     point_component,
@@ -64,21 +64,20 @@ def _apply(matrix, v):
     return tuple(sum(map(mul, row, v)) for row in matrix)
 
 
-def _weyl_orbit(rs: RootSystemData, lam):
-    """All pairs (w(lambda), w) over the Weyl group, deduplicated by
-    point; exact, since coadjoint_orbit hands it a checked lambda."""
-    n = len(lam)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    seen = {lam: ident}
-    frontier = [(lam, ident)]
+def _weyl_orbit(rs: RootSystemData, lam, roots):
+    """All pairs (w(lambda), the images w(alpha) of the roots) over the
+    Weyl group, deduplicated by point; exact, since coadjoint_orbit
+    hands it a checked lambda.  A new point w'(lambda) = g(w(lambda))
+    takes its images from its parent's: w'(alpha) = g(w(alpha))."""
+    seen = {lam: tuple(roots)}
+    frontier = [lam]
     while frontier:
-        point, w = frontier.pop()
+        point = frontier.pop()
         for g in rs.weyl_generators:
             gp = _apply(g, point)
             if gp not in seen:
-                gw = matmul(g, w)
-                seen[gp] = gw
-                frontier.append((gp, gw))
+                seen[gp] = tuple(_apply(g, a) for a in seen[point])
+                frontier.append(gp)
     return sorted(seen.items())
 
 
@@ -96,8 +95,8 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     if not active:
         raise GalleryError("degenerate orbit: lambda is Weyl invariant")
     components = []
-    for point, w in _weyl_orbit(rs, lam):
-        weights = tuple(tuple(-x for x in _apply(w, alpha)) for alpha in active)
+    for point, images in _weyl_orbit(rs, lam, active):
+        weights = tuple(tuple(-x for x in a) for a in images)
         components.append(point_component(point, weights))
     ambient = len(lam)
     return HamSpec(name, ambient, len(active), tuple(components))

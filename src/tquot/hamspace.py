@@ -16,14 +16,15 @@ The polytope, one entry per distinct weight (`read_weights`) and one
 reading of the face complexity per face and component on it
 (`read_faces`) are cached on the spec and shared: the readings, V3 and
 V4 look each weight up, and V2, V4, V5 and stratification read the
-components on faces off the readings.  The readings are taken from the
-face whose relative interior holds each moment upward along the covers,
-so their cost follows the component-face incidences, and that face is
-found by the facets at the moment, which the hull kept from its double
-description: no slack is tested.  Each fact is proven once: V4 runs
-first, and V3 ranks the weights and V5 the parallel weights only of
-what V4 has not settled, the components away from a vertex and those
-whose vertex cone V4 refused.
+components on faces off the readings.  The readings walk up from the
+face whose relative interior holds each moment, through the inverse of
+the lattice's `below`, so their cost follows the component-face
+incidences; that face is found by the facets at the moment, which the
+hull keeps per point in the order given (`contacts`), so a classify
+tests no slack.  Each fact is proven once: V4 runs first, and V3 ranks
+the weights and V5 the parallel weights only of what V4 has not
+settled, the components away from a vertex and those whose vertex cone
+V4 refused.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from tquot.exactq import Vector, exact, primitive, rank, vec
-from tquot.polytope import FaceLattice, RationalPolytope, convex_hull
+from tquot.polytope import FaceLattice, RationalPolytope, convex_hull, facet_incidence
 
 POINT = "point"
 SURFACE = "surface"
@@ -92,7 +93,7 @@ class HamSpec:
     @cached_property
     def face_readings(self) -> dict[int, tuple[FaceReading, ...]]:
         """read_faces over self.polytope, built on first use."""
-        return read_faces(self, self.polytope, self.weight_table)
+        return read_faces(self, self.polytope, self.weight_table, self.polytope.contacts)
 
 
 class FaceReading(NamedTuple):
@@ -156,28 +157,30 @@ def read_weights(spec: HamSpec, poly: RationalPolytope) -> dict[tuple[int, ...],
     }
 
 
-def read_faces(spec: HamSpec, poly: RationalPolytope, table: dict) -> dict[int, tuple[FaceReading, ...]]:
+def read_faces(
+    spec: HamSpec, poly: RationalPolytope, table: dict, tight: Sequence[Optional[int]]
+) -> dict[int, tuple[FaceReading, ...]]:
     """Face id -> a reading for each component whose moment lies on the
     face, in component order.
 
     The rule: weights parallel to the face, plus one for the implicit
-    zero weight of a surface, minus dim F.  A moment inside the polytope
-    lies in the relative interior of one face, its carrier, whose facets
-    are those at the moment (`RationalPolytope.facets_at`: the hull's
-    own contacts for the moments it was built from, slacks for those of
-    another polytope; a moment outside lies on no face); the faces
-    holding it are the carrier and the faces above it along the covers.
-    A weight in the polytope's directions is parallel to a face iff the
-    facets whose conormal it meets with 0 hold every facet that contains
-    the face, read on bitmasks off table, the spec's `read_weights` over poly.
+    zero weight of a surface, minus dim F.  tight holds, per component,
+    the bitmask of the facets at its moment, or None for a moment
+    outside poly.  A moment inside lies in the relative interior of one
+    face, its carrier, whose facets are those at the moment; the faces
+    holding it are the carrier and the faces above it, by the inverse
+    of the lattice's `below`.  A weight in the polytope's directions is
+    parallel to a face iff the facets whose conormal it meets with 0
+    hold every facet that contains the face, read on bitmasks off
+    table, the spec's `read_weights` over poly.
     """
     faces = poly.lattice.faces
     above: list[list[int]] = [[] for _ in faces]
-    for a, b in poly.lattice.covers:
-        above[a].append(b)
+    for b, under in enumerate(poly.lattice.below):
+        for a in under:
+            above[a].append(b)
     carrier = {f.facets: f.id for f in faces}  # the top face by 0
     rows: list[list[FaceReading]] = [[] for _ in faces]
-    tight = poly.facets_at([c.moment for c in spec.components])
     for i, (comp, t) in enumerate(zip(spec.components, tight)):
         if t is None:
             continue
@@ -301,7 +304,9 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     it defaults to the hull of the component moments.  Passing the
     intended polytope lets the vertex-coverage check catch data that
     lost a fixed component (the hull of the surviving moments would
-    otherwise shrink around the defect).
+    otherwise shrink around the defect).  The facets at each moment are
+    then found by `facet_incidence`, which raises ValueError for a
+    polytope whose ambient dimension is not the length of the moments.
 
     Later checks skip whatever earlier failures make undefined (a face
     with no carrier component is V2's finding, not V5's), so a single
@@ -337,8 +342,12 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     poly = spec.polytope if polytope is None else polytope
     lattice = poly.lattice
     d = poly.dim
-    table = spec.weight_table if polytope is None else read_weights(spec, poly)
-    readings = spec.face_readings if polytope is None else read_faces(spec, poly, table)
+    if polytope is None:
+        table, readings = spec.weight_table, spec.face_readings
+    else:
+        table = read_weights(spec, poly)
+        tight = facet_incidence(poly, [c.moment for c in spec.components])
+        readings = read_faces(spec, poly, table, tight)
 
     # V2: every moment lies in the polytope, and every vertex of the
     # polytope carries exactly one component (vertex preimages are
@@ -420,13 +429,20 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     checks.append(CheckResult("V5-face-complexity", not problems, "; ".join(problems)))
 
     # V6: complexity is monotone along face containment.  By transitivity it is enough to
-    # compare a face with its covers, looking through those that V2 or V5 left without one
-    near: dict[int, set[int]] = {}
-    for a, b in lattice.covers:  # sorted, so near[a] is complete here
-        near.setdefault(b, set()).update({a} if a in fc else near.get(a, ()))
+    # compare a face with its facets, looking through those that V2 or V5 left without
+    # one.  reach[a] is (a,) if face a has a complexity, else the nearest faces below it
+    # that do; a facet's id is below its face's, so one pass in id order fills it
+    reach: list = []
+    pairs = []
+    for b, under in enumerate(lattice.below):
+        near = {x for a in under for x in reach[a]}
+        if b in fc:
+            pairs += [(a, b) for a in near if fc[a] > fc[b]]
+            near = (b,)
+        reach.append(near)
     problems = [
         f"face {lattice.face(a).vertex_set} exceeds its superface {lattice.face(b).vertex_set}"
-        for a, b in sorted((a, b) for b in fc for a in near.get(b, ()) if fc[a] > fc[b])
+        for a, b in sorted(pairs)
     ]
     checks.append(CheckResult("V6-monotonicity", not problems, "; ".join(problems)))
 

@@ -17,16 +17,18 @@ and the bitmasks of their contacts in the projected coordinates, the
 vertices as the points where the facets through them meet alone, then
 each facet's ambient conormal lifted from its projected normal by one
 map per hull.  The hull keeps what the contacts tell, as bitmasks: the
-vertices on each facet, on which the face lattice runs, and the facets
-at each point it was built from (bit i for `facets[i]`, as in every set
-of facets here), which the face readings take; `facet_incidence` finds
-them by slacks for any other point.  The cone test `in_cone` reads the
-facets through the origin of one more hull.  Only the vertices and the
-facet offsets are Fractions.  A face is its dimension, its vertex
-indices and the facets containing it; the lattice adds the cover pairs
-and the edge directions at each vertex.  Points
-come in through `exactq.vec`, so an entry that is not an int or a
-Fraction raises ValueError.
+vertices on each facet, on which the face lattice runs, and as
+`contacts` the facets at each point it was handed, in the order given
+and repeats included (bit i for `facets[i]`, as in every set of facets
+here), which the face readings take; `facet_incidence` finds them by
+slacks for the points of any other polytope.  The cone test `in_cone`
+reads the facets through the origin of one more hull.  Only the
+vertices and the facet offsets are Fractions.  A face is its
+dimension, its vertex indices and the facets containing it; the
+lattice adds, as `below`, the ascending ids of the facets of each face
+(each below its face's id, since faces go by dimension) and the edge
+directions at each vertex.  Points come in through `exactq.vec`, so an
+entry that is not an int or a Fraction raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,10 +56,9 @@ class RationalPolytope:
     normals: tuple[tuple[int, ...], ...]
     # per facet, the bitmask of the vertices on it
     facet_vertices: tuple[int, ...]
-    # each distinct point the hull was built from -> its index, and by
-    # that index the bitmask of the facets it lies on; the same polytope
-    # built from other points is equal, so these are left out of equality
-    inputs: dict[Vector, int] = field(compare=False, repr=False)
+    # per point handed to convex_hull, in that order and repeats
+    # included, the bitmask of the facets it lies on; the same polytope
+    # built from other points is equal, so they are left out of equality
     contacts: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
@@ -73,15 +74,6 @@ class RationalPolytope:
         """The first hull normal the vector w meets with nonzero, or
         None when w lies in the polytope's directions."""
         return next((n for n in self.normals if sum(map(mul, n, w))), None)
-
-    def facets_at(self, points) -> list[Optional[int]]:
-        """For each point, the bitmask of the facets it lies on, or None
-        outside the polytope: read off the contacts for the points the
-        hull was built from, by `facet_incidence` for any other."""
-        at = [self.inputs.get(tuple(q)) for q in points]
-        missed = [q for q, i in zip(points, at) if i is None]
-        others = iter(facet_incidence(self, missed) if missed else ())
-        return [next(others) if i is None else self.contacts[i] for i in at]
 
     def facet_signs(self, w) -> tuple[int, int]:
         """The bitmasks of the facets whose conormal the integer vector w
@@ -104,7 +96,7 @@ class Face(NamedTuple):
 
 class FaceLattice(NamedTuple):
     faces: tuple[Face, ...]
-    covers: tuple[tuple[int, int], ...]  # (a, b) when face a is a facet of face b, sorted
+    below: tuple[tuple[int, ...], ...]  # per face, the ascending ids of its facets
     # per vertex, the sorted primitive integer directions of its edges
     edges: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -127,10 +119,9 @@ def convex_hull(points) -> RationalPolytope:
     conormals are primitive integer vectors inside the direction space
     of the affine hull, signed so the polytope lies on the >= side.
     """
-    inputs: dict[Vector, int] = {}
-    for p in points:
-        inputs.setdefault(vec(p), len(inputs))
-    pts = list(inputs)
+    index: dict[Vector, int] = {}  # each distinct point -> its place in pts
+    given = [index.setdefault(vec(p), len(index)) for p in points]
+    pts = list(index)
     if not pts:
         raise ValueError("no points")
     ambient = len(pts[0])
@@ -147,7 +138,7 @@ def convex_hull(points) -> RationalPolytope:
     pivots = [j for j in range(ambient) if j not in free]
     d = len(pivots)
     if d == 0:
-        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), inputs, (0,))
+        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), (0,) * len(given))
     coords = [tuple(q[j] for j in pivots) for q in ints]
 
     # each facet with its contacts, as the double description keeps them,
@@ -175,8 +166,7 @@ def convex_hull(points) -> RationalPolytope:
         tuple((w, offset) for w, offset, _, _ in supports),
         hull_normals,
         tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
-        inputs,
-        tuple(at),
+        tuple(at[i] for i in given),
     )
 
 
@@ -271,12 +261,16 @@ def _facets(coords, d: int) -> list[tuple[tuple[int, ...], int, int]]:
 def facet_incidence(p: RationalPolytope, points) -> list[Optional[int]]:
     """For each point, the bitmask of the facets it lies on, or None
     when the point is outside the polytope: off its affine hull, or
-    beneath one of its facets.
+    beneath one of its facets.  A point whose length is not the
+    polytope's ambient dimension raises ValueError.
 
     The offsets and a vertex ride along as two more vectors, so that
     one scale clears the denominators of the points, the offsets and
     the vertex, and every slack is an integer.
     """
+    for q in points:
+        if len(q) != p.ambient_dim:
+            raise ValueError(f"a point of length {len(q)} for a polytope in dimension {p.ambient_dim}")
     ints, _ = clear_denominators([*points, [o for _, o in p.facets], p.vertices[0]])
     *ints, levels, base = ints
     hull = [sum(map(mul, n, base)) for n in p.normals]
@@ -292,7 +286,7 @@ def facet_incidence(p: RationalPolytope, points) -> list[Optional[int]]:
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
     """Every nonempty face of the polytope, ordered by dimension, the
-    cover relation among them and the edge directions at each vertex.
+    facets of each face and the edge directions at each vertex.
 
     The walk goes down from the polytope on vertex sets as bitmasks
     (Kaibel & Pfetsch, "Computing the face lattice of a polytope from
@@ -342,8 +336,8 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
         faces.append(Face(fid, dim, vs, containing))
 
     ids = {mask: fid for fid, mask in enumerate(order)}
-    covers = tuple(sorted((ids[h], ids[f]) for f, hs in below.items() for h in hs))
-    return FaceLattice(tuple(faces), covers, tuple(tuple(sorted(e)) for e in edges))
+    below_ids = tuple(tuple(sorted(ids[h] for h in below.get(mask, ()))) for mask in order)
+    return FaceLattice(tuple(faces), below_ids, tuple(tuple(sorted(e)) for e in edges))
 
 
 def in_cone(target, generators) -> bool:

@@ -422,24 +422,21 @@ def homology(k: OrderedComplex) -> HomologyProfile:
 def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
     """Triangulate the polytope with the selected faces as a full subcomplex.
 
-    In face-lattice order, each face is the cone from an apex over the
-    already-triangulated facets that miss it, among the faces it covers:
+    In face-lattice order, each face is the cone from an apex over its
+    already-triangulated facets (the lattice's `below`) that miss it:
     a selected face is pulled from its smallest vertex, any other face
     from its smallest unselected vertex, or, when it has none, coned
     from a new vertex, id len(polytope vertices) + face id.  So any
-    downward-closed selection (checked along covers) is a subcomplex,
-    and since no apex of an unselected face is a selected vertex, the
-    selected vertices of every simplex span a selected simplex: the
-    selection is full.  With nothing selected no new vertex is used.
+    downward-closed selection (checked on the facets of each selected
+    face) is a subcomplex, and since no apex of an unselected face is a
+    selected vertex, the selected vertices of every simplex span a
+    selected simplex: the selection is full.  With nothing selected no
+    new vertex is used.
     """
     lattice = sp.lattice
     ids = set(face_ids)
-    sub_of = {f.id: set() for f in lattice.faces}
-    for a, b in lattice.covers:
-        sub_of[b].add(a)
-    for fid in ids:
-        if not sub_of[fid] <= ids:
-            raise ValueError("selected faces are not downward closed")
+    if any(not ids.issuperset(lattice.below[fid]) for fid in ids):
+        raise ValueError("selected faces are not downward closed")
     selected_vertices = {f.vertex_set[0] for f in map(lattice.face, ids) if f.dim == 0}
 
     tri: dict[int, set] = {}
@@ -453,7 +450,7 @@ def boundary_subcomplex_of_polytope(sp: StratifiedPolytope, face_ids):
             free = (v for v in f.vertex_set if v not in selected_vertices)
             apex = min(free, default=len(sp.polytope.vertices) + f.id)
         cells = set()
-        for gid in sub_of[f.id]:
+        for gid in lattice.below[f.id]:
             if apex in lattice.face(gid).vertex_set:
                 continue
             for s in tri[gid]:

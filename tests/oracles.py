@@ -46,6 +46,8 @@ Next to the brute-force hull sits the double description hull as it
 was before it read every incidence off its contacts: one nullspace per
 facet conormal, signed by a point off the facet, and `facet_incidence`
 for the vertices on each facet and the facets at each point.
+The matrix product `matmul` left the package when the Weyl orbits
+stopped composing group elements.
 The invariant factors of an integer matrix come from its determinantal
 divisors, the gcds of its minors, with no elimination of its own, and
 the Smith normal form is kept as it was before it re-picked its pivot
@@ -220,6 +222,20 @@ def minor_invariant_factors(a) -> list[int]:
     return factors
 
 
+def matmul(a, b) -> list[list]:
+    """The matrix product, by which the tests check Smith normal forms;
+    the gallery's Weyl orbits composed group elements with it before
+    they carried the images of the roots."""
+    if not a or not b:
+        return [list(row) for row in a] if not b else []
+    cols_b = len(b[0])
+    inner = len(b)
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols_b)]
+        for row in a
+    ]
+
+
 def identity_matrix(n) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -339,7 +355,7 @@ def nullspace_hull(points) -> NullspaceHull:
                 w, level = tuple(-x for x in w), -level
             facets.append((w, Fraction(level, scale)))
         facets.sort()
-    poly = RationalPolytope(ambient, vertices, tuple(facets), hull_normals, (), {}, ())
+    poly = RationalPolytope(ambient, vertices, tuple(facets), hull_normals, (), ())
     on = facet_incidence(poly, vertices)
     masks = tuple(sum(1 << v for v, at in enumerate(on) if at >> i & 1) for i in range(len(facets)))
     return NullspaceHull(vertices, tuple(facets), masks, facet_incidence(poly, points))
@@ -781,10 +797,7 @@ def pulled_boundary_subcomplex(sp, face_ids):
     covers that miss that vertex.  The selection is seldom full in it."""
     lattice = sp.lattice
     ids = set(face_ids)
-    sub_of = {f.id: set() for f in lattice.faces}
-    for a, b in lattice.covers:
-        sub_of[b].add(a)
-    if any(not sub_of[fid] <= ids for fid in ids):
+    if any(not ids.issuperset(lattice.below[fid]) for fid in ids):
         raise ValueError("selected faces are not downward closed")
     tri = {}
     for f in sorted(lattice.faces, key=lambda f: f.dim):
@@ -794,7 +807,7 @@ def pulled_boundary_subcomplex(sp, face_ids):
         apex = min(f.vertex_set)
         tri[f.id] = {
             tuple(sorted(set(s) | {apex}))
-            for gid in sub_of[f.id]
+            for gid in lattice.below[f.id]
             if apex not in lattice.face(gid).vertex_set
             for s in tri[gid]
         }

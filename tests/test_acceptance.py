@@ -18,13 +18,12 @@ from conftest import (
     with_component,
     without_component,
 )
-from oracles import classify_m4, containment, supporting, vertex_coords
+from oracles import classify_m4, containment, matmul, supporting, vertex_coords
 from oracles import fraction_det as det
 from tquot import gallery
 from tquot.classify import Verdict, classify
 from tquot.exactq import (
     dot,
-    matmul,
     smith_normal_form,
     vec,
 )

@@ -9,8 +9,9 @@ refactor must leave every digest unchanged; the golden file
 `cli_golden.json` shows the text of the gallery runs, and this one
 covers the transformed and mutated specs the harness times.  To record
 new digests after a deliberate change of the output, run
-`PYTHONPATH=src python tests/test_cli_digests.py` and say which runs
-moved and why.
+`PYTHONPATH=src python tests/test_cli_digests.py`, which prints how
+many runs moved and the first of them before it writes, and say which
+runs moved and why.
 
 The generator is loaded by path, as test_spans.py loads spans.py, so
 nothing under perfbench/ is imported as a package.
@@ -72,4 +73,7 @@ def test_cli_outputs_match_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old, new = json.loads(DIGESTS.read_text(encoding="utf-8")), digests()
+    moved = [key for key in sorted(new) if key in old and old[key] != new[key]]
+    print(f"{len(moved)} runs moved, first {moved[:5]}")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -11,8 +11,9 @@ by a non-BMP character; and `verify` of gr2c4 under a negative cap and
 a cap of 0.  A refactor must leave every one of them byte for byte
 unchanged; the test shows a unified diff of the first that moved.  To
 record new outputs after a deliberate change of the output, run
-`PYTHONPATH=src python tests/test_cli_golden.py` and review the diff of
-the data file.
+`PYTHONPATH=src python tests/test_cli_golden.py`, which prints how many
+runs moved, the first of them and the runs added or removed before it
+writes, and review the diff of the data file.
 """
 
 import contextlib
@@ -118,4 +119,8 @@ def test_cli_outputs_match_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old, new = json.loads(GOLDEN.read_text(encoding="utf-8")), outputs()
+    moved = [key for key in sorted(new) if key in old and old[key] != new[key]]
+    print(f"{len(moved)} runs moved, first {moved[:5]}")
+    print(f"added {sorted(new.keys() - old.keys())}, removed {sorted(old.keys() - new.keys())}")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")

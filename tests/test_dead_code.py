@@ -36,9 +36,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 UNCALLED = {
     "exactq.smith_normal_form": "runs on the residue the unit-pivot sweep leaves, which no"
     " gallery model has; perfbench/spans.py wraps it and acceptance C7 pins its U and V",
-    "polytope.facet_incidence": "the facets at a moment that the intended polytope P of"
-    " validate(spec, polytope=P) was not built from, such as one moved outside it; a hull reads"
-    " its own points' facets off its contacts, and the oracles build their masks with it",
+    "polytope.facet_incidence": "the facets at the moments over the intended polytope P of"
+    " validate(spec, polytope=P), which the CLI never passes; a hull keeps its own points'"
+    " facets as its contacts, and the oracles build their masks with it",
     "polytope.in_cone": "perfbench/spans.py wraps it; the cone test of the public API",
     "simplicial.barycentric_pair": "collapse_fibers' branch for a sub that is not full, which"
     " verification never takes; perfbench/spans.py wraps it and acceptance C5 pins the branch",

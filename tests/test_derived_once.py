@@ -221,7 +221,7 @@ def test_incidence_matches_dot_product_membership():
     pairs = 0
     for spec in polytope_specimens():
         poly = spec.polytope
-        readings = read_faces(spec, poly, spec.weight_table)
+        readings = read_faces(spec, poly, spec.weight_table, poly.contacts)
         for face in poly.lattice.faces:
             carriers = tuple(r.index for r in readings[face.id])
             expected = tuple(

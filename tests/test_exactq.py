@@ -7,13 +7,13 @@ import pytest
 from oracles import (
     fraction_coords,
     lattice_membership,
+    matmul,
     minor_invariant_factors,
     promoting_smith_normal_form,
 )
 from oracles import fraction_det as det
 from tquot.exactq import (
     exact,
-    matmul,
     nullspace,
     primitive,
     rank,

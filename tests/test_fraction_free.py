@@ -230,18 +230,15 @@ def test_facet_contacts_match_fraction_dot():
 
 
 def _below(lattice):
-    """The pairs (a, b) with face a below face b along the covers."""
-    under = {}
-    for a, b in lattice.covers:
-        under.setdefault(b, []).append(a)
+    """The pairs (a, b) with face a below face b along the facets of each face."""
     pairs = set()
-    for b, todo in under.items():
-        todo = list(todo)
+    for b, under in enumerate(lattice.below):
+        todo = list(under)
         while todo:
             a = todo.pop()
             if (a, b) not in pairs:
                 pairs.add((a, b))
-                todo.extend(under.get(a, ()))
+                todo.extend(lattice.below[a])
     return pairs
 
 
@@ -258,7 +255,8 @@ def test_face_lattice_matches_closure_oracle():
         assert lattice.faces == oracle.faces, poly.vertices
         assert tuple(supporting(poly, f) for f in lattice.faces) == oracle.supporting
         faces = lattice.faces
-        assert all(faces[a].dim + 1 == faces[b].dim for a, b in lattice.covers)
+        assert all(faces[a].dim + 1 == f.dim for f in faces for a in lattice.below[f.id])
+        assert all(list(under) == sorted(set(under)) for under in lattice.below)
         assert _below(lattice) == set(oracle.containment) == set(containment(lattice))
         for v in range(len(poly.vertices)):
             assert poly.lattice.edges[v] == scanned_tangent_cone(poly, v), (poly.vertices, v)

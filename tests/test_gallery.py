@@ -38,9 +38,11 @@ def test_root_system_b2():
 
 
 def test_weyl_orbit_sizes():
-    assert len(_weyl_orbit(root_system("A", 2), (1, 0, -1))) == 6
-    assert len(_weyl_orbit(root_system("A", 3), (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)))) == 6
-    assert len(_weyl_orbit(root_system("B", 2), (1, 0))) == 4
+    a2, a3, b2 = root_system("A", 2), root_system("A", 3), root_system("B", 2)
+    assert len(_weyl_orbit(a2, (1, 0, -1), a2.positive_roots)) == 6
+    half = Fraction(1, 2)
+    assert len(_weyl_orbit(a3, (half, half, -half, -half), a3.positive_roots)) == 6
+    assert len(_weyl_orbit(b2, (1, 0), b2.positive_roots)) == 4
 
 
 def test_coadjoint_orbit_gr2c4_structure():

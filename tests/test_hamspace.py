@@ -40,6 +40,7 @@ from tquot.hamspace import (
     surface_component,
     validate,
 )
+from tquot.polytope import convex_hull, facet_incidence
 
 
 def toric_cp1():
@@ -347,6 +348,14 @@ def test_validate_moment_outside_given_polytope_fails_v2(moment):
     assert v2.detail == f"component 2: moment ({moment[0]}, {moment[1]}) lies outside the polytope"
 
 
+def test_validate_refuses_a_given_polytope_of_another_dimension():
+    # flag-su3 has moments in R^3; a triangle in R^2 once met them by
+    # their first two coordinates and reported a V4 failure
+    triangle = convex_hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="a point of length 3 for a polytope in dimension 2"):
+        validate(gallery.build("flag-su3"), polytope=triangle)
+
+
 def _v4_detail(spec):
     [v4] = [c for c in validate(spec).checks if c.name == "V4-vertex-cone"]
     assert not v4.passed
@@ -445,7 +454,8 @@ def test_read_faces_matches_fraction_oracle():
     failing_v5 = 0
     for spec in _readings_cases():
         poly = spec.polytope
-        assert read_faces(spec, poly, spec.weight_table) == fraction_readings(spec, poly), spec.name
+        readings = read_faces(spec, poly, spec.weight_table, poly.contacts)
+        assert readings == fraction_readings(spec, poly), spec.name
         failing_v5 += "V5-face-complexity" in {c.name for c in validate(spec).checks if not c.passed}
     assert failing_v5 > 5
 
@@ -475,20 +485,23 @@ def _random_spec(rng):
 
 def test_v6_along_covers_decides_as_along_all_containments():
     # V6 compares each face with the nearest faces below it that V2 and
-    # V5 left a complexity; on a lattice whose covers are all the
-    # containments it compares every pair, as it did before
+    # V5 left a complexity; on a lattice whose facets of each face are
+    # all its proper faces it compares every pair, as it did before
     rng = random.Random(2002)
     failing = 0
     for _ in range(300):
         spec = _random_spec(rng)
         lattice = spec.polytope.lattice
         poly = replace(spec.polytope)
-        # the copy's cached lattice, with every containment as a cover
-        poly.__dict__["lattice"] = lattice._replace(covers=containment(lattice))
-        by_covers, by_pairs = validate(spec).checks, validate(spec, polytope=poly).checks
-        assert [c.passed for c in by_covers] == [c.passed for c in by_pairs], spec
-        assert by_covers[:5] == by_pairs[:5]
-        failing += not by_covers[5].passed
+        # the copy's cached lattice, with every proper face of a face below it
+        under = [[] for _ in lattice.faces]
+        for a, b in containment(lattice):
+            under[b].append(a)
+        poly.__dict__["lattice"] = lattice._replace(below=tuple(map(tuple, under)))
+        by_facets, by_pairs = validate(spec).checks, validate(spec, polytope=poly).checks
+        assert [c.passed for c in by_facets] == [c.passed for c in by_pairs], spec
+        assert by_facets[:5] == by_pairs[:5]
+        failing += not by_facets[5].passed
     assert failing > 50
 
 
@@ -727,7 +740,8 @@ def test_carrier_walk_and_v3_match_the_oracles_that_test_every_pair():
     carriers, v3_details = Counter(), Counter()
     for variant, spec, poly in cases:
         given = spec.polytope if poly is None else poly
-        readings = read_faces(spec, given, read_weights(spec, given))
+        tight = facet_incidence(given, [c.moment for c in spec.components])
+        readings = read_faces(spec, given, read_weights(spec, given), tight)
         assert readings == every_face_readings(spec, given), (variant, spec.name)
         [v3] = [c for c in validate(spec, polytope=poly).checks if c.name == "V3-weight-span"]
         assert v3 == ranked_v3(spec, given), (variant, spec.name)

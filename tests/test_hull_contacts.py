@@ -3,19 +3,20 @@
 `convex_hull` lifts each facet normal of the double description from
 the pivot coordinates to its ambient conormal, keeps the vertices on
 each facet as a bitmask for the face lattice, and keeps the facets at
-each of its points for the face readings.  The oracle
+each point it was given, in order, for the face readings.  The oracle
 (`oracles.nullspace_hull`) finds the same facts as the hull did before:
 a nullspace per facet and the slack test `facet_incidence`.  Both run
 on every specimen, on seeded C8 transforms of the gallery, on the A3
 and A4 regular orbits and on seeded random clouds in every ambient
 dimension and codimension, with duplicates, single points and segments.
-Points the hull was not built from go to `facet_incidence`, mixed in
-with its own.
+`facet_incidence` also runs on points the hull was not built from.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from conftest import polytope_specimens, random_unimodular, transform
 from oracles import nullspace_hull
@@ -41,8 +42,9 @@ def _assert_same_as_oracle(rng, points, label):
     assert hull.vertices == oracle.vertices, label
     assert hull.facets == oracle.facets, label
     assert hull.facet_vertices == oracle.facet_vertices, label
+    assert list(hull.contacts) == oracle.point_facets == facet_incidence(hull, points), label
     others = _others(rng, points)
-    mixed = hull.facets_at([*others, *points])
+    mixed = facet_incidence(hull, [*others, *points])
     assert mixed == [*facet_incidence(hull, others), *oracle.point_facets], label
     return hull
 
@@ -109,12 +111,26 @@ def test_random_clouds_match_the_nullspace_hull():
 
 
 def test_hull_equality_ignores_the_order_and_repeats_of_its_points():
-    # the facets at each point are kept by the point's place among the
-    # inputs, which equality and the hash leave out
+    # the facets at each point are kept in the order the points were
+    # given, which equality and the hash leave out
     for spec in polytope_specimens():
         points = [c.moment for c in spec.components]
         hull = convex_hull(points)
         again = convex_hull([*reversed(points), *points[:2]])
         assert hull == again and hash(hull) == hash(again), spec.name
-        assert hull.facets_at(points) == again.facets_at(points), spec.name
-        assert len(points) == 1 or hull.inputs != again.inputs, spec.name
+        assert again.contacts == (*reversed(hull.contacts), *hull.contacts[:2]), spec.name
+
+
+def test_contacts_keep_each_given_point_repeats_included():
+    p, q = (0, 0), (1, 0)
+    hull = convex_hull([p, q, p])
+    assert len(hull.contacts) == 3 and hull.contacts[0] == hull.contacts[2]
+    assert hull.contacts == tuple(facet_incidence(hull, [p, q, p]))
+
+
+def test_facet_incidence_refuses_points_of_another_length():
+    triangle = convex_hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="a point of length 3 for a polytope in dimension 2"):
+        facet_incidence(triangle, [(0, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="length 1 for a polytope in dimension 2"):
+        facet_incidence(triangle, [(0,)])
