@@ -54,6 +54,9 @@ def vec(values, what: str = "a vector must be integers or Fractions", error=Valu
 
 
 def dot(a, b) -> Fraction:
+    """The dot product of two vectors; ValueError if their lengths differ."""
+    if len(a) != len(b):
+        raise ValueError(f"dot product of vectors of lengths {len(a)} and {len(b)}")
     return sum(map(mul, a, b), Fraction(0))
 
 

@@ -3,6 +3,8 @@
 Coadjoint orbits are produced from first principles: enumerate the Weyl
 orbit of a dominant weight and attach, at each orbit point w(lambda),
 the weights -w(alpha) over the positive roots alpha off the stabilizer.
+A_n and B_2 act by signed permutations, so the orbit only moves and
+negates coordinates.
 The sign convention is not taken on faith; the vertex-cone validation
 check pins it, and the generator tests enforce that.
 
@@ -13,7 +15,6 @@ standard linear-action rules for moments and isotropy weights.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from tquot.exactq import dot, exact, vec
@@ -29,39 +30,36 @@ class GalleryError(ValueError):
 
 
 class RootSystemData(NamedTuple):
+    """The positive roots, and the Weyl group's generators as signed
+    permutations: one (column, sign) per row, so (g v)_i = sign * v[column]."""
+
     positive_roots: tuple[tuple[int, ...], ...]
-    weyl_generators: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def _permutation_matrix(n, i, j):
-    rows = []
-    for r in range(n):
-        src = j if r == i else i if r == j else r
-        rows.append(tuple(1 if c == src else 0 for c in range(n)))
-    return tuple(rows)
+    weyl_generators: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def root_system(type_label: str, rank: int) -> RootSystemData:
-    if type_label == "A":
+    [rank] = exact((rank,), "a rank must be an integer", error=GalleryError)
+    if type_label == "A" and rank >= 1:
         n = rank + 1
         roots = tuple(
             tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
             for i in range(n)
             for j in range(i + 1, n)
         )
-        gens = tuple(_permutation_matrix(n, i, i + 1) for i in range(n - 1))
+        ident = [(r, 1) for r in range(n)]
+        gens = tuple((*ident[:i], ident[i + 1], ident[i], *ident[i + 2:]) for i in range(n - 1))
         return RootSystemData(roots, gens)
     if type_label == "B" and rank == 2:
         roots = ((1, -1), (0, 1), (1, 0), (1, 1))
-        swap = ((0, 1), (1, 0))
-        flip = ((1, 0), (0, -1))
+        swap = ((1, 1), (0, 1))
+        flip = ((0, 1), (1, -1))
         return RootSystemData(roots, (swap, flip))
     raise GalleryError(f"unsupported root system {type_label}{rank}")
 
 
-def _apply(matrix, v):
-    """matrix * v: integers for an integer v, and exact for a rational one."""
-    return tuple(sum(map(mul, row, v)) for row in matrix)
+def _apply(g, v):
+    """g v for a signed permutation g: integers for an integer v, exact for a rational one."""
+    return tuple(v[j] if s > 0 else -v[j] for j, s in g)
 
 
 def _weyl_orbit(rs: RootSystemData, lam, roots):
@@ -88,6 +86,9 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     weights -w(alpha) over the positive roots alpha not fixing lambda.
     """
     lam = vec(lam, "lambda must be integers or Fractions", GalleryError)
+    ambient = len(rs.positive_roots[0])
+    if len(lam) != ambient:
+        raise GalleryError(f"lambda of length {len(lam)} for a root system on {ambient} coordinates")
     for alpha in rs.positive_roots:
         if dot(lam, alpha) < 0:
             raise GalleryError("lambda is not dominant")
@@ -98,13 +99,13 @@ def coadjoint_orbit(rs: RootSystemData, lam, name: str = "coadjoint-orbit") -> H
     for point, images in _weyl_orbit(rs, lam, active):
         weights = tuple(tuple(-x for x in a) for a in images)
         components.append(point_component(point, weights))
-    ambient = len(lam)
     return HamSpec(name, ambient, len(active), tuple(components))
 
 
 def sphere_product(factor_weights, torus_rank: int, name: str = "sphere-product") -> HamSpec:
     """Product of rotating two-spheres; the momentum map adds the
     weighted heights.  Fixed points are the pole combinations."""
+    [torus_rank] = exact((torus_rank,), "a torus rank must be an integer", error=GalleryError)
     what = "factor weights must be integer vectors"
     factors = [exact(w, what, error=GalleryError) for w in factor_weights]
     for w in factors:

@@ -50,7 +50,7 @@ from operator import add
 from typing import Iterable, NamedTuple
 
 from tquot.classify import TopologyReport
-from tquot.exactq import sparse_rank_and_factors
+from tquot.exactq import exact, sparse_rank_and_factors
 from tquot.hamspace import StratifiedPolytope
 
 
@@ -512,8 +512,10 @@ def verify_report(report: TopologyReport, max_simplices: int = MAX_SIMPLICES) ->
     Homology equality is a necessary condition only, and a mismatch
     signals a bug in the models, not a refutation.  A staircase product
     (`product_size`) over max_simplices raises SizeCapExceeded before
-    the fiber or the model is built.
+    the fiber or the model is built; a max_simplices that is not an
+    int, a bool included, raises ValueError (`exact`).
     """
+    [max_simplices] = exact((max_simplices,), "max_simplices must be an integer")
     if report.verdict.type == "stratification-only":
         raise ValueError("nothing to verify: the verdict is stratification-only")
     sp = report.stratification

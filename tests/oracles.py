@@ -46,8 +46,11 @@ Next to the brute-force hull sits the double description hull as it
 was before it read every incidence off its contacts: one nullspace per
 facet conormal, signed by a point off the facet, and `facet_incidence`
 for the vertices on each facet and the facets at each point.
-The matrix product `matmul` left the package when the Weyl orbits
-stopped composing group elements.
+Then the gallery's Weyl orbits as they were built before their
+generators became signed permutations: each generator an n x n matrix
+(`weyl_matrices`), applied by rows (`matvec`) in the same search
+(`matrix_weyl_orbit`).  The matrix product `matmul` left the package
+when the Weyl orbits stopped composing group elements.
 The invariant factors of an integer matrix come from its determinantal
 divisors, the gcds of its minors, with no elimination of its own, and
 the Smith normal form is kept as it was before it re-picked its pivot
@@ -224,8 +227,9 @@ def minor_invariant_factors(a) -> list[int]:
 
 def matmul(a, b) -> list[list]:
     """The matrix product, by which the tests check Smith normal forms;
-    the gallery's Weyl orbits composed group elements with it before
-    they carried the images of the roots."""
+    the gallery's Weyl orbits composed matrix group elements with it
+    before they carried the images of the roots, and before their
+    generators became signed permutations."""
     if not a or not b:
         return [list(row) for row in a] if not b else []
     cols_b = len(b[0])
@@ -234,6 +238,39 @@ def matmul(a, b) -> list[list]:
         [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols_b)]
         for row in a
     ]
+
+
+def weyl_matrices(type_label, rank) -> list[tuple[tuple[int, ...], ...]]:
+    """The Weyl generators of A_rank (the adjacent transposition
+    matrices) or of B_2 (the swap and the sign change of the second
+    coordinate) as integer matrices."""
+    if type_label == "B":
+        return [((0, 1), (1, 0)), ((1, 0), (0, -1))]
+    n = rank + 1
+    gens = []
+    for i in range(n - 1):
+        src = [i + 1 if r == i else i if r == i + 1 else r for r in range(n)]
+        gens.append(tuple(tuple(int(c == src[r]) for c in range(n)) for r in range(n)))
+    return gens
+
+
+def matvec(matrix, v) -> tuple:
+    return tuple(sum(map(mul, row, v)) for row in matrix)
+
+
+def matrix_weyl_orbit(generators, lam, roots) -> list:
+    """Sorted pairs (w(lambda), the images w(alpha) of the roots) over
+    the group the matrices generate, by the search `_weyl_orbit` runs."""
+    seen = {tuple(lam): tuple(roots)}
+    frontier = [tuple(lam)]
+    while frontier:
+        point = frontier.pop()
+        for g in generators:
+            gp = matvec(g, point)
+            if gp not in seen:
+                seen[gp] = tuple(matvec(g, a) for a in seen[point])
+                frontier.append(gp)
+    return sorted(seen.items())
 
 
 def identity_matrix(n) -> list[list[int]]:

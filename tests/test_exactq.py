@@ -13,6 +13,7 @@ from oracles import (
 )
 from oracles import fraction_det as det
 from tquot.exactq import (
+    dot,
     exact,
     nullspace,
     primitive,
@@ -269,6 +270,8 @@ RULE = [
     ("convex_hull", lambda x: convex_hull([[x, 0], [1, 0], [0, 1]]), ValueError, True),
     ("in_cone", lambda x: in_cone((x, 0), [(1, 0)]), ValueError, True),
     ("sphere_product", lambda x: sphere_product([(x,)], 1), GalleryError, False),
+    ("sphere_product torus_rank", lambda x: sphere_product([(1, 1)], x), GalleryError, False),
+    ("root_system", lambda x: root_system("A", x), GalleryError, False),
     ("projective_space", lambda x: projective_space([(x,), (0,), (0,)]), GalleryError, False),
     ("coadjoint_orbit", lambda x: coadjoint_orbit(root_system("A", 2), (x, 0, -1)), GalleryError, True),
     ("smith_normal_form", lambda x: smith_normal_form([[x, 0], [0, 3]]), ValueError, False),
@@ -294,6 +297,13 @@ def test_public_entries_keep_ints_and_allowed_fractions(entry, call, error, rati
     else:
         with pytest.raises(error):
             call(Fraction(1, 2))
+
+
+def test_dot_refuses_vectors_of_two_lengths():
+    assert dot((1, Fraction(1, 2)), (2, 2)) == 3
+    for a, b in [((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0)), ((), (1,))]:
+        with pytest.raises(ValueError, match=f"lengths {len(a)} and {len(b)}"):
+            dot(a, b)
 
 
 def test_exact_coerces_nothing():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import moment_polytope
+from oracles import matrix_weyl_orbit, weyl_matrices
 from tquot import gallery
-from tquot.exactq import dot, vec
+from tquot.exactq import vec
 from tquot.gallery import (
     GalleryError,
     _weyl_orbit,
@@ -18,23 +19,61 @@ from tquot.gallery import (
 from tquot.hamspace import stratify, validate
 
 
-def test_root_system_a3():
-    rs = root_system("A", 3)
-    assert len(rs.positive_roots) == 6
+def _assert_signed_permutations_permuting_the_roots(rs):
+    n = len(rs.positive_roots[0])
+    for g in rs.weyl_generators:
+        assert sorted(j for j, _ in g) == list(range(n))
+        assert {s for _, s in g} <= {1, -1}
     # reflections permute the full root set
     roots = set(rs.positive_roots) | {tuple(-x for x in r) for r in rs.positive_roots}
     for g in rs.weyl_generators:
-        image = {tuple(int(dot(row, r)) for row in g) for r in roots}
-        assert image == roots
+        assert {gallery._apply(g, r) for r in roots} == roots
+
+
+def test_root_system_a3():
+    rs = root_system("A", 3)
+    assert len(rs.positive_roots) == 6
+    _assert_signed_permutations_permuting_the_roots(rs)
 
 
 def test_root_system_b2():
     rs = root_system("B", 2)
     assert len(rs.positive_roots) == 4
-    roots = set(rs.positive_roots) | {tuple(-x for x in r) for r in rs.positive_roots}
-    for g in rs.weyl_generators:
-        image = {tuple(int(dot(row, r)) for row in g) for r in roots}
-        assert image == roots
+    _assert_signed_permutations_permuting_the_roots(rs)
+
+
+def _lambdas(type_label, rank):
+    if type_label == "B":
+        return [(2, 1), (1, 0), (Fraction(3, 2), Fraction(1, 2))]
+    n = rank + 1
+    regular = tuple(range(rank, -1, -1))
+    singular = (1,) + (0,) * rank
+    centred = tuple(Fraction(rank - 2 * k, 2) for k in range(n))
+    return [regular, singular, centred]
+
+
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2)]
+)
+def test_weyl_orbit_matches_the_matrix_oracle(type_label, rank):
+    rs = root_system(type_label, rank)
+    matrices = weyl_matrices(type_label, rank)
+    for lam in _lambdas(type_label, rank):
+        lam = vec(lam)
+        expected = matrix_weyl_orbit(matrices, lam, rs.positive_roots)
+        assert _weyl_orbit(rs, lam, rs.positive_roots) == expected, lam
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (2, 1, 0, -5)])
+def test_coadjoint_orbit_refuses_lambda_of_another_length(lam):
+    with pytest.raises(GalleryError, match=f"length {len(lam)} .* on 3 coordinates"):
+        coadjoint_orbit(root_system("A", 2), lam)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_root_system_refuses_a_rank_below_one(rank):
+    with pytest.raises(GalleryError, match="unsupported root system"):
+        root_system("A", rank)
 
 
 def test_weyl_orbit_sizes():
@@ -96,6 +135,13 @@ def test_sphere_product_rejects_zero_weight():
 def test_sphere_product_refuses_non_integer_weights(weight):
     with pytest.raises(GalleryError, match="integer"):
         sphere_product([(weight,)], 1)
+
+
+@pytest.mark.parametrize("torus_rank", [True, 1.0, Fraction(1)])
+def test_sphere_product_refuses_a_torus_rank_that_is_not_an_int(torus_rank):
+    # each equals the length of the weight, so only the number rule refuses it
+    with pytest.raises(GalleryError, match="torus rank must be an integer"):
+        sphere_product([(1,)], torus_rank)
 
 
 @pytest.mark.parametrize("weight", [1.9, Fraction(2), False])

@@ -160,6 +160,15 @@ def test_cap_at_the_product_size(name):
     assert exc.value.cap == size - 1
 
 
+@pytest.mark.parametrize("cap", [1.5, True, 1e9, "200000"], ids=["float", "bool", "big-float", "string"])
+def test_cap_must_be_an_int(cap):
+    # any small int cap raises SizeCapExceeded, so the number rule is
+    # tested here rather than by a row of test_exactq.RULE
+    with pytest.raises(ValueError, match="max_simplices must be an integer") as refused:
+        verify_report(REPORTS["gr2c4"], max_simplices=cap)
+    assert type(refused.value) is ValueError
+
+
 def test_boundary_matrices_match_heap_elimination(monkeypatch):
     seen = []
 
