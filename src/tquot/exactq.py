@@ -210,7 +210,7 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def sparse_rank_and_factors(entries, nrows, ncols):
+def sparse_rank_and_factors(entries):
     """Rank and invariant factors of a sparse integer matrix.
 
     entries maps (row, col) -> nonzero int.  The rows are swept once, in

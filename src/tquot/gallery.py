@@ -299,8 +299,10 @@ def build(name: str, genus: Optional[int] = None) -> HamSpec:
     if name not in CATALOG:
         raise GalleryError(f"unknown gallery name {name!r}")
     entry = CATALOG[name]
-    if genus is not None and not entry.parametrized:
-        raise GalleryError(f"{name} takes no genus parameter")
-    if isinstance(genus, int) and genus < 0:
-        raise GalleryError(f"{name} needs a genus >= 0, got {genus}")
+    if genus is not None:
+        if not entry.parametrized:
+            raise GalleryError(f"{name} takes no genus parameter")
+        [genus] = exact((genus,), f"{name} needs an integer genus", error=GalleryError)
+        if genus < 0:
+            raise GalleryError(f"{name} needs a genus >= 0, got {genus}")
     return entry.builder(genus)

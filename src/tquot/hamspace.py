@@ -24,7 +24,8 @@ hull keeps per point in the order given (`contacts`), so a classify
 tests no slack.  Each fact is proven once: V4 runs first, and V3 ranks
 the weights and V5 the parallel weights only of what V4 has not
 settled, the components away from a vertex and those whose vertex cone
-V4 refused.
+V4 refused.  V4 reads by the same facet masks which edges at a vertex
+no weight lies along, and computes edge directions only for a witness.
 """
 
 from __future__ import annotations
@@ -139,20 +140,19 @@ class GeneralPositionReport(NamedTuple):
 
 class WeightReading(NamedTuple):
     """A weight against a polytope: the first hull normal it meets with
-    nonzero, the bitmasks of the facets it meets with 0 and with < 0, its
-    primitive ray.  Off the hull, where readers stop, masks 0 and no ray."""
+    nonzero and the bitmasks of the facets it meets with 0 and with < 0.
+    Off the hull, where readers stop, both masks are 0."""
 
     normal: Optional[tuple[int, ...]]
     zero: int
     negative: int
-    ray: Optional[tuple[int, ...]]
 
 
 def read_weights(spec: HamSpec, poly: RationalPolytope) -> dict[tuple[int, ...], WeightReading]:
     """Each distinct weight of the spec -> its reading against poly."""
     return {
-        w: WeightReading(n, 0, 0, None) if (n := poly.off_hull(w)) else
-        WeightReading(None, *poly.facet_signs(w), primitive(w) if any(w) else None)
+        w: WeightReading(n, 0, 0) if (n := poly.off_hull(w)) else
+        WeightReading(None, *poly.facet_signs(w))
         for w in {w for c in spec.components for w in c.weights}
     }
 
@@ -266,17 +266,18 @@ def _parens(v) -> str:
     return f"({', '.join(map(str, v))})"
 
 
-def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table) -> Optional[str]:
+def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table, missed) -> Optional[str]:
     """Why the weights do not generate the tangent cone of poly at
-    vertex v, or None when they do, read off their `read_weights` table.
+    vertex v, or None when they do, read off their `read_weights` table
+    and missed, the edges at v on which they have no nonzero parallel one.
 
     The weights lie in the tangent cone iff each lies in the polytope's
     directions and meets no conormal of a facet at v negatively.
     The tangent cone is pointed and its extreme rays are the edge
-    directions at v, so then the two cones are equal iff every edge
-    direction is the ray of a weight.  An edge direction that is not
-    lies outside the span of the weights when they do not span the
-    polytope's directions, and outside their cone otherwise.
+    directions at v, so then a weight parallel to an edge points along
+    it, and the two cones are equal iff no edge is missed.  A missed
+    edge direction lies outside the span of the weights when they do not
+    span the polytope's directions, and outside their cone otherwise.
     """
     # the dim-0 faces come first in the lattice, in vertex order
     at_v = poly.lattice.faces[v].facets
@@ -286,15 +287,15 @@ def _tangent_cone_witness(poly: RationalPolytope, v: int, weights, table) -> Opt
         if m := table[w].negative & at_v:
             n = poly.facets[(m & -m).bit_length() - 1][0]  # the lowest facet it violates
             return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
-    rays = {table[w].ray for w in weights}
-    missed = [e for e in poly.lattice.edges[v] if e not in rays]
     if not missed:
         return None
+    ends = (poly.vertices[u] for e in missed for u in e.vertex_set if u != v)
+    directions = sorted(primitive([b - a for a, b in zip(poly.vertices[v], u)]) for u in ends)
     span = rank(weights)
     if span < poly.dim:
-        e = next(e for e in missed if rank([*weights, e]) > span)
+        e = next(e for e in directions if rank([*weights, e]) > span)
         return f"edge direction {_parens(e)} is outside the span of the weights"
-    return f"edge direction {_parens(missed[0])} is not in the weight cone"
+    return f"edge direction {_parens(directions[0])} is not in the weight cone"
 
 
 def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> ValidationReport:
@@ -374,9 +375,14 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # positive multiple of each edge direction at its vertex among them,
     # so they span those directions and V3 need not rank them
     problems = []
+    missed: dict[int, list] = {}  # per component at its one vertex, the edges it leaves uncovered
+    for e in lattice.faces:
+        for r in readings[e.id] if e.dim == 1 else ():
+            if r.at_vertex and not any(map(any, r.parallel)):
+                missed.setdefault(r.index, []).append(e)
     coned = set()  # the components at a vertex that pass it
     for idx, v in sorted((r.index, v) for v in range(len(poly.vertices)) for r in readings[v]):
-        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights, table)
+        witness = _tangent_cone_witness(poly, v, spec.components[idx].weights, table, missed.get(idx))
         if witness:
             problems.append(f"component {idx} at vertex {v}: {witness}")
         else:

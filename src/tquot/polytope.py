@@ -26,9 +26,10 @@ reads the facets through the origin of one more hull.  Only the
 vertices and the facet offsets are Fractions.  A face is its
 dimension, its vertex indices and the facets containing it; the
 lattice adds, as `below`, the ascending ids of the facets of each face
-(each below its face's id, since faces go by dimension) and the edge
-directions at each vertex.  Points come in through `exactq.vec`, so an
-entry that is not an int or a Fraction raises ValueError.
+(each below its face's id, since faces go by dimension), and is built
+on bitmasks alone, with no coordinate arithmetic.  Points come in
+through `exactq.vec`, so an entry that is not an int or a Fraction
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional
 
-from tquot.exactq import Vector, clear_denominators, eliminate, nullspace, primitive, vec
+from tquot.exactq import Vector, clear_denominators, eliminate, nullspace, vec
 
 # a facet is (conormal, offset) meaning <conormal, x> >= offset
 Facet = tuple[tuple[int, ...], Fraction]
@@ -97,8 +98,6 @@ class Face(NamedTuple):
 class FaceLattice(NamedTuple):
     faces: tuple[Face, ...]
     below: tuple[tuple[int, ...], ...]  # per face, the ascending ids of its facets
-    # per vertex, the sorted primitive integer directions of its edges
-    edges: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def top(self) -> Face:
@@ -119,11 +118,14 @@ def convex_hull(points) -> RationalPolytope:
     conormals are primitive integer vectors inside the direction space
     of the affine hull, signed so the polytope lies on the >= side.
     """
-    index: dict[Vector, int] = {}  # each distinct point -> its place in pts
+    index: dict[Vector, int] = {}  # each distinct point -> its place in first-seen order
     given = [index.setdefault(vec(p), len(index)) for p in points]
-    pts = list(index)
-    if not pts:
+    if not index:
         raise ValueError("no points")
+    # the distinct points go in lexicographic order, so that the cost does
+    # not depend on the order given, and the vertices come sorted
+    pts, seen = zip(*sorted(index.items()))
+    place = {j: i for i, j in enumerate(seen)}
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed length")
@@ -158,7 +160,7 @@ def convex_hull(points) -> RationalPolytope:
         for i in contact:
             meet[i] &= mask
             at[i] |= 1 << f
-    vertex_idx = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: pts[i])
+    vertex_idx = [i for i, m in enumerate(meet) if m == 1 << i]
     bit = {i: 1 << v for v, i in enumerate(vertex_idx)}
     return RationalPolytope(
         ambient,
@@ -166,7 +168,7 @@ def convex_hull(points) -> RationalPolytope:
         tuple((w, offset) for w, offset, _, _ in supports),
         hull_normals,
         tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
-        tuple(at[i] for i in given),
+        tuple(at[place[j]] for j in given),
     )
 
 
@@ -285,8 +287,8 @@ def facet_incidence(p: RationalPolytope, points) -> list[Optional[int]]:
 
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
-    """Every nonempty face of the polytope, ordered by dimension, the
-    facets of each face and the edge directions at each vertex.
+    """Every nonempty face of the polytope, ordered by dimension, and
+    the facets of each face.
 
     The walk goes down from the polytope on vertex sets as bitmasks
     (Kaibel & Pfetsch, "Computing the face lattice of a polytope from
@@ -323,21 +325,11 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
                         lower.append(h)
         level = lower
 
-    ints, _ = clear_denominators(p.vertices)
     order = sorted(found, key=lambda mask: found[mask][:2])
-    faces = []
-    edges: list[list] = [[] for _ in ints]
-    for fid, mask in enumerate(order):
-        dim, vs, containing = found[mask]
-        if dim == 1:
-            a, b = vs
-            edges[a].append(primitive([y - x for x, y in zip(ints[a], ints[b])]))
-            edges[b].append(tuple(-x for x in edges[a][-1]))
-        faces.append(Face(fid, dim, vs, containing))
-
     ids = {mask: fid for fid, mask in enumerate(order)}
+    faces = tuple(Face(fid, *found[mask]) for fid, mask in enumerate(order))
     below_ids = tuple(tuple(sorted(ids[h] for h in below.get(mask, ()))) for mask in order)
-    return FaceLattice(tuple(faces), below_ids, tuple(tuple(sorted(e)) for e in edges))
+    return FaceLattice(faces, below_ids)
 
 
 def in_cone(target, generators) -> bool:

@@ -408,8 +408,7 @@ def homology(k: OrderedComplex) -> HomologyProfile:
             for f, sign in zip(faces[c], signs)
             if live[f]
         }
-        nrows, ncols = len(survivors[d - 1]), len(survivors[d])
-        ranks[d], factors[d] = sparse_rank_and_factors(entries, nrows, ncols)
+        ranks[d], factors[d] = sparse_rank_and_factors(entries)
 
     betti = [len(survivors[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
     betti[0] += 1  # the seed

@@ -17,7 +17,9 @@ ranking the parallel weights of every reading, and V2 and V4 as they
 were before they read the face readings, each with its own dict keyed
 by the vertices' Fraction coordinates; that V4 tests every weight slot
 at every vertex anew, by hull normals, facet conormals and primitive
-rays, as it did before it read a table of the distinct weights.  Then the face readings as they
+rays against the scanned edge directions, as it did before it read a
+table of the distinct weights and the readings on the edges.  Then the
+face readings as they
 were taken before they walked up from each moment's carrier face, every
 face against every component, and V3 ranking every component, also
 those whose vertex cone V4 accepts.  `vertex_coords` and `supporting`
@@ -548,7 +550,7 @@ def slotwise_tangent_cone_witness(poly: RationalPolytope, v: int, weights):
             if sum(map(mul, n, w)) < 0:
                 return f"weight {_parens(w)} violates the facet with conormal {_parens(n)}"
     rays = {primitive(w) for w in weights if any(w)}
-    missed = [e for e in poly.lattice.edges[v] if e not in rays]
+    missed = [e for e in scanned_tangent_cone(poly, v) if e not in rays]
     if not missed:
         return None
     span = rank(weights)
@@ -947,7 +949,7 @@ def promoting_smith_normal_form(a):
     return u, d, v
 
 
-def heap_rank_and_factors(entries, nrows, ncols):
+def heap_rank_and_factors(entries):
     """Rank and invariant factors of a sparse integer matrix, unit pivots
     taken greedily from a Markowitz heap, the rest by dense Smith form."""
     rows: dict[int, dict[int, int]] = {}
@@ -1039,7 +1041,7 @@ def full_elimination_homology(k: OrderedComplex) -> HomologyProfile:
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 entries[(rows[face], col)] = -1 if i % 2 else 1
-        rk, inv = sparse_rank_and_factors(entries, len(by_dim[d - 1]), len(by_dim[d]))
+        rk, inv = sparse_rank_and_factors(entries)
         ranks[d] = rk
         factors[d] = inv
     ranks[dim + 1] = 0
@@ -1127,8 +1129,7 @@ def coreduced_homology(k: OrderedComplex) -> HomologyProfile:
             for i, f in enumerate(faces[c])
             if live[f]
         }
-        nrows, ncols = len(survivors[d - 1]), len(survivors[d])
-        ranks[d], factors[d] = sparse_rank_and_factors(entries, nrows, ncols)
+        ranks[d], factors[d] = sparse_rank_and_factors(entries)
 
     betti = [len(survivors[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
     betti[0] += 1  # the seed

@@ -15,6 +15,10 @@ fields are the annotated names of its class body, found with `ast`.
 Each must be read as an attribute, `x.field`, somewhere in `src/tquot`
 or `perfbench/`, or be listed in UNREAD with its reason; as with
 UNCALLED, a listed field that is read again or gone fails the test.
+
+Every parameter of every function in `src/tquot`, lambdas included, is
+read as a name in its body, nested functions included, unless its name
+starts with `_`.
 """
 
 import ast
@@ -109,6 +113,9 @@ def run_corpus(tmp: Path) -> None:
     (tmp / "invalid.json").write_text(json.dumps(doc), encoding="utf-8")
     for fmt in ("json", "text"):
         assert _main("classify", str(tmp / "invalid.json"), "--format", fmt) == 1
+    vertex["weights"] = [[1, 0]] * 3  # no weight along the edge (0, 1): V4 names it
+    (tmp / "edge.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert _main("classify", str(tmp / "edge.json")) == 1
 
 
 def test_uncalled_functions_are_the_listed_ones(tmp_path):
@@ -162,3 +169,28 @@ def test_unread_record_fields_are_the_listed_ones():
     unread = {name for name in record_fields() if name.rsplit(".", 1)[1] not in read}
     assert sorted(unread - UNREAD.keys()) == [], "unread, and not in UNREAD"
     assert sorted(UNREAD.keys() - unread) == [], "in UNREAD, but read or gone"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{name}({p.arg})"
+                for p in params
+                if p.arg not in read and not p.arg.startswith("_")
+            ]
+    assert unread == []

@@ -1,7 +1,8 @@
 """The incremental hull and the vertex-cone test at scale.
 
-`convex_hull` builds facets by double description, and V4 reads the
-edge directions as the extreme rays of the tangent cone.  Where the
+`convex_hull` builds facets by double description, and V4 finds the
+edges at a vertex that no weight lies along by the component's face
+readings on them.  Where the
 brute-force hull is out of reach (the A4 regular orbit has C(120, 4) =
 8 214 570 candidates), the face counts are checked against theory.  V4
 is compared with the Caratheodory cone equality it once replaced, and
@@ -21,12 +22,12 @@ from math import comb
 import pytest
 
 from conftest import polytope_specimens
-from oracles import cones_equal, weight_cone_witness
-from tquot import classify, gallery
+from oracles import cones_equal, scanned_tangent_cone, weight_cone_witness
+from tquot import classify, gallery, polytope
 from tquot.classify import Verdict
 from tquot.exactq import clear_denominators, eliminate, vec
-from tquot.hamspace import _tangent_cone_witness, read_weights
-from tquot.polytope import _facets
+from tquot.hamspace import validate
+from tquot.polytope import _facets, convex_hull
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +79,13 @@ def _sign_changes(rng, weights):
 
 
 def _witness(spec, poly, v, weights):
-    """The V4 witness for the weights at vertex v, read off the weight
-    table of the spec with one component that carries them."""
-    one = replace(spec, components=(replace(spec.components[0], weights=weights),))
-    return _tangent_cone_witness(poly, v, weights, read_weights(one, poly))
+    """The V4 witness for the weights at vertex v, or None: V4 of
+    validate over poly on the spec with one component, at v, that
+    carries them."""
+    one = replace(spec.components[0], moment=poly.vertices[v], weights=weights)
+    checks = validate(replace(spec, components=(one,)), polytope=poly).checks
+    [v4] = (c for c in checks if c.name == "V4-vertex-cone")
+    return v4.detail.removeprefix(f"component 0 at vertex {v}: ") or None
 
 
 def test_vertex_cone_matches_cone_equality_oracle():
@@ -93,7 +97,7 @@ def test_vertex_cone_matches_cone_equality_oracle():
             if comp.moment not in poly.vertices:
                 continue
             v = poly.vertices.index(comp.moment)
-            edges = poly.lattice.edges[v]
+            edges = scanned_tangent_cone(poly, v)
             for weights in _sign_changes(rng, comp.weights):
                 ok = _witness(spec, poly, v, weights) is None
                 assert ok == cones_equal(weights, edges), (spec.name, v, weights)
@@ -120,9 +124,9 @@ _WITNESSES = ("affine hull", "violates", "outside the span", "not in the weight 
 
 
 def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
-    # V4 by extreme rays names the same witness as V4 by membership of
-    # the edge directions in the weight cone, on the draws above and on
-    # merges
+    # V4 by the readings on the edges names the same witness as V4 by
+    # membership of the edge directions in the weight cone, on the draws
+    # above and on merges
     rng = random.Random(1996)
     kinds = []
     for spec in [*polytope_specimens(), a4_regular]:
@@ -141,10 +145,10 @@ def test_vertex_cone_witness_matches_weight_cone_oracle(a4_regular):
 
 
 def _projected(points):
-    """The distinct points as convex_hull hands them to _facets: scaled
-    to integers and projected onto the pivot coordinates of their
+    """The distinct points as convex_hull hands them to _facets: sorted,
+    scaled to integers and projected onto the pivot coordinates of their
     directions."""
-    ints, _ = clear_denominators(list(dict.fromkeys(vec(p) for p in points)))
+    ints, _ = clear_denominators(sorted({vec(p) for p in points}))
     pivots, _ = eliminate([[a - b for a, b in zip(q, ints[0])] for q in ints])
     return [tuple(q[j] for j in pivots) for q in ints], len(pivots)
 
@@ -172,3 +176,28 @@ def test_facet_contacts_are_the_points_with_zero_slack(a4_regular):
             assert mask == sum(1 << i for i, s in enumerate(slacks) if s == 0), points
             facets += 1
     assert facets > 10000
+
+
+def test_hull_inserts_the_points_in_lexicographic_order(monkeypatch, a4_regular):
+    # the double description's work follows the order it inserts the
+    # points in, so the hull hands it the distinct points sorted: a
+    # shuffled orbit or sphere product gives it the coordinates of the
+    # given order, and the same hull, with the contacts in the order given
+    handed = []
+
+    def recorded(coords, d):
+        handed.append(list(coords))
+        return _facets(coords, d)
+
+    monkeypatch.setattr(polytope, "_facets", recorded)
+    rng = random.Random(2018)
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for spec in (a4_regular, gallery.sphere_product([*e, (1, 1, 1, 1)], 4)):
+        moments = [c.moment for c in spec.components]
+        shuffled = rng.sample(moments, len(moments))
+        assert shuffled != moments
+        handed.clear()
+        given, hull = convex_hull(moments), convex_hull(shuffled)
+        assert handed[1] == sorted(handed[1]) == handed[0], spec.name
+        assert hull == given, spec.name
+        assert hull.contacts == tuple(given.contacts[moments.index(m)] for m in shuffled)

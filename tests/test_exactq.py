@@ -24,6 +24,7 @@ from tquot.exactq import (
 )
 from tquot.gallery import (
     GalleryError,
+    build,
     coadjoint_orbit,
     projective_space,
     root_system,
@@ -171,10 +172,10 @@ def test_snf_random_contract():
 def test_sparse_factors_without_unit_entries():
     # no +-1 entries: the whole matrix lands in the dense fallback
     entries = {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}
-    rk, factors = sparse_rank_and_factors(entries, 2, 2)
+    rk, factors = sparse_rank_and_factors(entries)
     assert rk == 2
     assert factors == [2, 4]
-    rk, factors = sparse_rank_and_factors({(0, 0): 2, (0, 1): 3}, 2, 2)
+    rk, factors = sparse_rank_and_factors({(0, 0): 2, (0, 1): 3})
     assert rk == 1
     assert factors == [1]
 
@@ -186,7 +187,7 @@ def test_sparse_rank_and_factors_matches_dense():
         nc = rng.randint(1, 6)
         a = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         entries = {(i, j): a[i][j] for i in range(nr) for j in range(nc) if a[i][j]}
-        rk, factors = sparse_rank_and_factors(entries, nr, nc)
+        rk, factors = sparse_rank_and_factors(entries)
         _, d, _ = smith_normal_form(a)
         diag = sorted(d[i][i] for i in range(min(nr, nc)) if d[i][i])
         assert rk == len(diag)
@@ -213,7 +214,7 @@ def check_invariant_factors(a, expected):
     diag = check_snf_contract(a)
     assert [x for x in diag if x] == expected
     entries = {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
-    assert sparse_rank_and_factors(entries, len(a), len(a[0])) == (len(expected), expected)
+    assert sparse_rank_and_factors(entries) == (len(expected), expected)
 
 
 def test_snf_matches_determinantal_divisors():
@@ -272,6 +273,7 @@ RULE = [
     ("sphere_product", lambda x: sphere_product([(x,)], 1), GalleryError, False),
     ("sphere_product torus_rank", lambda x: sphere_product([(1, 1)], x), GalleryError, False),
     ("root_system", lambda x: root_system("A", x), GalleryError, False),
+    ("gallery genus", lambda x: build("sigma-g-x-s2", genus=x), GalleryError, False),
     ("projective_space", lambda x: projective_space([(x,), (0,), (0,)]), GalleryError, False),
     ("coadjoint_orbit", lambda x: coadjoint_orbit(root_system("A", 2), (x, 0, -1)), GalleryError, True),
     ("smith_normal_form", lambda x: smith_normal_form([[x, 0], [0, 3]]), ValueError, False),

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import polytope_specimens, random_point_set
 from oracles import (
+    bits,
     brute_force_hull,
     closure_face_lattice,
     containment,
@@ -259,7 +260,12 @@ def test_face_lattice_matches_closure_oracle():
         assert all(list(under) == sorted(set(under)) for under in lattice.below)
         assert _below(lattice) == set(oracle.containment) == set(containment(lattice))
         for v in range(len(poly.vertices)):
-            assert poly.lattice.edges[v] == scanned_tangent_cone(poly, v), (poly.vertices, v)
+            # the edges at v span the polytope's directions and point into
+            # the half-space of every facet at v
+            edges = scanned_tangent_cone(poly, v)
+            assert fraction_rank(edges) == poly.dim, (poly.vertices, v)
+            at_v = [poly.facets[i][0] for i in bits(faces[v].facets)]
+            assert all(dot(n, e) >= 0 for n in at_v for e in edges), (poly.vertices, v)
     assert sum(len(p.lattice.faces) for p in polytopes) == 1906
 
 

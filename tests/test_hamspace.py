@@ -28,7 +28,7 @@ from oracles import (
 )
 from test_theorem import DRAWS, _draw, _transform
 from tquot import gallery
-from tquot.exactq import dot, primitive, vec
+from tquot.exactq import dot, vec
 from tquot.hamspace import (
     HamSpec,
     SpecError,
@@ -616,8 +616,10 @@ def _weight_cases():
     of test_theorem.py with their transforms: each as given and, against
     its own polytope, with the weights at every vertex component negated,
     one of them moved off the affine hull (where the polytope has a hull
-    normal), one dropped and one doubled.  V4 reads the weights off the
-    spec's table of distinct weights; these change which weights it holds."""
+    normal), one dropped, one doubled and one made zero, which is parallel
+    to every face and still must cover no edge.  V4 reads the weights off
+    the spec's table of distinct weights; these change which weights it
+    holds."""
     specs, draws, rng = _weight_specs(), random.Random(20180417), random.Random(1982)
     for _ in range(DRAWS):
         _, spec = _draw(draws)
@@ -646,6 +648,7 @@ def _weight_cases():
             yield "off-hull", at_vertices(one(lambda w: (tuple(a + b for a, b in zip(w, n)),))), poly
         yield "weight-dropped", at_vertices(one(lambda w: ())), poly
         yield "weight-doubled", at_vertices(one(lambda w: (tuple(2 * x for x in w),))), poly
+        yield "weight-zeroed", at_vertices(one(lambda w: ((0,) * len(w),))), poly
 
 
 @pytest.mark.parametrize("spec", _weight_specs(), ids=lambda s: s.name)
@@ -653,15 +656,14 @@ def test_weight_table_matches_fraction_dot_products(spec):
     poly = spec.polytope
     table = spec.weight_table
     assert set(table) == {w for c in spec.components for w in c.weights}
-    for w, (normal, zero, negative, ray) in table.items():
+    for w, (normal, zero, negative) in table.items():
         assert normal == next((n for n in poly.normals if dot(n, w)), None)
         signs = [dot(n, w) for n, _ in poly.facets]
         if normal is None:
             assert zero == sum(1 << i for i, s in enumerate(signs) if s == 0)
             assert negative == sum(1 << i for i, s in enumerate(signs) if s < 0)
-            assert ray == (primitive(w) if any(w) else None)
         else:
-            assert (zero, negative, ray) == (0, 0, None)
+            assert (zero, negative) == (0, 0)
     assert read_weights(spec, poly) == table
 
 

@@ -172,9 +172,9 @@ def test_cap_must_be_an_int(cap):
 def test_boundary_matrices_match_heap_elimination(monkeypatch):
     seen = []
 
-    def both(entries, nrows, ncols):
-        result = sparse_rank_and_factors(entries, nrows, ncols)
-        assert result == heap_rank_and_factors(entries, nrows, ncols)
+    def both(entries):
+        result = sparse_rank_and_factors(entries)
+        assert result == heap_rank_and_factors(entries)
         seen.append(len(entries))
         return result
 
@@ -200,7 +200,7 @@ def test_random_matrices_match_heap_elimination():
             for j in range(nc):
                 if rng.random() < 0.4:
                     entries[(i, j)] = rng.choice((-3, -2, -1, -1, 1, 1, 2, 3))
-        assert sparse_rank_and_factors(entries, nr, nc) == heap_rank_and_factors(entries, nr, nc)
+        assert sparse_rank_and_factors(entries) == heap_rank_and_factors(entries)
 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -244,21 +244,36 @@ def test_coned_specimens_cover_both_kinds():
     assert empty == {True, False}
 
 
+# the reductions as the modules define them, before any test wraps them
+REDUCTIONS = {"_reduce": simplicial._reduce, "_coreduce": oracles._coreduce}
+
+
 def reduced_by_sweep(monkeypatch, k, oracle=False):
     """Homology of k, with the cells and boundary entries that reach the
-    sweep: survivors of the reductions, counted from the matrix shapes.
-    With oracle, the same for `oracles.coreduced_homology`."""
-    sizes = []
+    sweep: the survivors of the reductions, counted from their `live`
+    flags, and the entries of the matrices among them.  With oracle, the
+    same for `oracles.coreduced_homology`."""
+    sizes, survivors = [], []
 
-    def counted(entries, nrows, ncols):
-        sizes.append((nrows, ncols, len(entries)))
-        return sparse_rank_and_factors(entries, nrows, ncols)
+    def counted(entries):
+        sizes.append(len(entries))
+        return sparse_rank_and_factors(entries)
 
-    module, kernel = (oracles, coreduced_homology) if oracle else (simplicial, homology)
+    module, kernel, name = (
+        (oracles, coreduced_homology, "_coreduce") if oracle else (simplicial, homology, "_reduce")
+    )
+    reduce = REDUCTIONS[name]
+
+    def reduced(*args):
+        out = reduce(*args)
+        survivors.append(sum(out[1] if oracle else out))  # _coreduce returns (faces, live)
+        return out
+
     monkeypatch.setattr(module, "sparse_rank_and_factors", counted)
+    monkeypatch.setattr(module, name, reduced)
     profile = kernel(k)
-    cells = sizes[0][0] + sum(ncols for _, ncols, _ in sizes) if sizes else len(k.simplices)
-    return profile, cells, sum(nnz for _, _, nnz in sizes)
+    cells = survivors[0] if sizes else len(k.simplices)
+    return profile, cells, sum(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REPORTS))
