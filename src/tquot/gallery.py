@@ -128,7 +128,10 @@ def sphere_product(factor_weights, torus_rank: int, name: str = "sphere-product"
 
 def surface_times_sphere(genus: int, name: str = "sigma-g-x-s2") -> HamSpec:
     """Genus-g surface times a rotating sphere: two fixed surfaces at
-    the ends of the momentum interval."""
+    the ends of the momentum interval.  The genus must be an int >= 0."""
+    [genus] = exact((genus,), f"{name} needs an integer genus", error=GalleryError)
+    if genus < 0:
+        raise GalleryError(f"{name} needs a genus >= 0, got {genus}")
     comps = (
         surface_component(genus, (0,), ((1,),)),
         surface_component(genus, (1,), ((-1,),)),
@@ -139,12 +142,8 @@ def surface_times_sphere(genus: int, name: str = "sigma-g-x-s2") -> HamSpec:
 def blowup_example(genus: int, name: str = "blowup-g") -> HamSpec:
     """The same surface bundle blown up at a fixed point: one extra
     isolated fixed point in the interior of the momentum interval."""
-    comps = (
-        surface_component(genus, (0,), ((1,),)),
-        surface_component(genus, (1,), ((-1,),)),
-        point_component((Fraction(1, 2),), ((1,), (-1,))),
-    )
-    return HamSpec(name, 1, 2, comps)
+    ends = surface_times_sphere(genus, name).components
+    return HamSpec(name, 1, 2, (*ends, point_component((Fraction(1, 2),), ((1,), (-1,)))))
 
 
 def projective_space(coord_weights, name: str = "projective-space") -> HamSpec:
@@ -299,10 +298,6 @@ def build(name: str, genus: Optional[int] = None) -> HamSpec:
     if name not in CATALOG:
         raise GalleryError(f"unknown gallery name {name!r}")
     entry = CATALOG[name]
-    if genus is not None:
-        if not entry.parametrized:
-            raise GalleryError(f"{name} takes no genus parameter")
-        [genus] = exact((genus,), f"{name} needs an integer genus", error=GalleryError)
-        if genus < 0:
-            raise GalleryError(f"{name} needs a genus >= 0, got {genus}")
+    if genus is not None and not entry.parametrized:
+        raise GalleryError(f"{name} takes no genus parameter")
     return entry.builder(genus)

@@ -175,25 +175,30 @@ def read_faces(
     table, the spec's `read_weights` over poly.
     """
     faces = poly.lattice.faces
+    masks = [f.facets for f in faces]
+    dims = [f.dim for f in faces]
     above: list[list[int]] = [[] for _ in faces]
     for b, under in enumerate(poly.lattice.below):
         for a in under:
             above[a].append(b)
-    carrier = {f.facets: f.id for f in faces}  # the top face by 0
+    carrier = {m: fid for fid, m in enumerate(masks)}  # the top face by 0
     rows: list[list[FaceReading]] = [[] for _ in faces]
     for i, (comp, t) in enumerate(zip(spec.components, tight)):
         if t is None:
             continue
-        level = [carrier[t]]  # then the faces one dimension up, level by level
-        vertex = faces[level[0]].dim == 0
+        walk = [carrier[t]]  # then every face above it, each once
+        seen = set(walk)
+        for f in walk:
+            for b in above[f]:
+                if b not in seen:
+                    seen.add(b)
+                    walk.append(b)
+        vertex, surface = dims[walk[0]] == 0, comp.is_surface
         own = [(w, table[w].zero) for w in comp.weights if table[w].normal is None]
-        while level:
-            for f in level:
-                m = faces[f].facets
-                parallel = tuple(w for w, z in own if m & z == m)
-                k = len(parallel) + comp.is_surface - faces[f].dim
-                rows[f].append(FaceReading(i, k, parallel, vertex))
-            level = dict.fromkeys(b for f in level for b in above[f])
+        for f in walk:
+            m = masks[f]
+            parallel = tuple([w for w, z in own if m & z == m])
+            rows[f].append(FaceReading(i, len(parallel) + surface - dims[f], parallel, vertex))
     return {f.id: tuple(row) for f, row in zip(faces, rows)}
 
 
@@ -409,9 +414,11 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
     # V5: all components over a face agree on its complexity, and the
     # parallel weights span the face directions.  At a vertex where V4
     # holds they do: each edge of the face there is a positive multiple
-    # of a weight, which is then parallel to the face
+    # of a weight, which is then parallel to the face.  So when V4 holds
+    # at every component, no span is ranked
     problems = []
     fc: dict[int, int] = {}
+    unsettled = len(coned) < len(spec.components)
     for f in lattice.faces:
         over = readings[f.id]
         if not any(r.at_vertex for r in over):
@@ -427,8 +434,7 @@ def validate(spec: HamSpec, polytope: Optional[RationalPolytope] = None) -> Vali
             problems.append(f"face {f.vertex_set}: negative complexity")
             continue
         fc[f.id] = value
-        unsettled = (r for r in over if r.index not in coned)
-        if any(rank(r.parallel) != f.dim for r in unsettled):
+        if unsettled and any(rank(r.parallel) != f.dim for r in over if r.index not in coned):
             problems.append(
                 f"face {f.vertex_set}: parallel weights do not span the face directions"
             )

@@ -10,26 +10,27 @@ that is injective on its affine hull, so momentum images of
 non-effective actions work unchanged.
 
 Denominators are cleared once per routine: `convex_hull` scales all
-points by one common integer, and `facet_incidence` scales its points,
-the facet offsets and a vertex by another.  From there the hull runs on
-integer points: the primitive normals of the affine hull, the facets
-and the bitmasks of their contacts in the projected coordinates, the
-vertices as the points where the facets through them meet alone, then
-each facet's ambient conormal lifted from its projected normal by one
-map per hull.  The hull keeps what the contacts tell, as bitmasks: the
-vertices on each facet, on which the face lattice runs, and as
-`contacts` the facets at each point it was handed, in the order given
-and repeats included (bit i for `facets[i]`, as in every set of facets
-here), which the face readings take; `facet_incidence` finds them by
-slacks for the points of any other polytope.  The cone test `in_cone`
-reads the facets through the origin of one more hull.  Only the
-vertices and the facet offsets are Fractions.  A face is its
-dimension, its vertex indices and the facets containing it; the
-lattice adds, as `below`, the ascending ids of the facets of each face
-(each below its face's id, since faces go by dimension), and is built
-on bitmasks alone, with no coordinate arithmetic.  Points come in
-through `exactq.vec`, so an entry that is not an int or a Fraction
-raises ValueError.
+the given points by one common integer before it drops repeats and
+sorts them, and `facet_incidence` scales its points, the facet offsets
+and a vertex by another.  From there the hull runs on integer points:
+the primitive normals of the affine hull, a nullspace of the affinely
+independent points one elimination finds, the facets and the bitmasks
+of their contacts in the projected coordinates, the vertices as the
+points where the facets through them meet alone, then each facet's
+ambient conormal lifted from its projected normal by one map per hull.  The hull keeps what the
+contacts tell, as bitmasks: the vertices on each facet, on which the
+face lattice runs, and as `contacts` the facets at each point it was
+handed, in the order given and repeats included (bit i for
+`facets[i]`, as in every set of facets here), which the face readings
+take; `facet_incidence` finds them by slacks for the points of any
+other polytope.  The cone test `in_cone` reads the facets through the
+origin of one more hull.  Only the vertices and the facet offsets are
+Fractions.  A face is its dimension, its vertex indices and the facets
+containing it; the lattice adds, as `below`, the ascending ids of the
+facets of each face (each below its face's id, since faces go by
+dimension), and is built level by level on bitmasks alone, with no
+coordinate arithmetic.  Points come in through `exactq.vec`, so an
+entry that is not an int or a Fraction raises ValueError.
 """
 
 from __future__ import annotations
@@ -118,24 +119,28 @@ def convex_hull(points) -> RationalPolytope:
     conormals are primitive integer vectors inside the direction space
     of the affine hull, signed so the polytope lies on the >= side.
     """
-    index: dict[Vector, int] = {}  # each distinct point -> its place in first-seen order
-    given = [index.setdefault(vec(p), len(index)) for p in points]
-    if not index:
+    given = [vec(p) for p in points]
+    if not given:
         raise ValueError("no points")
-    # the distinct points go in lexicographic order, so that the cost does
-    # not depend on the order given, and the vertices come sorted
-    pts, seen = zip(*sorted(index.items()))
-    place = {j: i for i, j in enumerate(seen)}
-    ambient = len(pts[0])
-    if any(len(p) != ambient for p in pts):
+    ambient = len(given[0])
+    if any(len(p) != ambient for p in given):
         raise ValueError("points of mixed length")
-    # the points scaled once to integers by a common factor; the normals
-    # of their affine hull, each last nonzero on a column that is not a
-    # pivot of its directions; and the points projected onto the pivot
-    # coordinates, which is injective on the hull
-    ints, scale = clear_denominators(pts)
-    diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
-    hull_normals = tuple(nullspace(diffs, ambient))
+    # the points scaled once to integers by a common positive factor,
+    # which keeps their order; the distinct ones go in lexicographic
+    # order, so that the cost does not depend on the order given and the
+    # vertices come sorted, each with its Fraction coordinates
+    scaled, scale = clear_denominators(given)
+    point_of = dict(zip(scaled, given))
+    ints = sorted(point_of)
+    pts = [point_of[q] for q in ints]
+    place = {q: i for i, q in enumerate(ints)}
+    # the normals of the affine hull, from the affinely independent
+    # points one elimination finds, each last nonzero on a column that
+    # is not a pivot of its directions; and the points projected onto
+    # the pivot coordinates, which is injective on the hull
+    diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints[1:]]
+    independent, _ = eliminate([list(column) for column in zip(*diffs)])
+    hull_normals = tuple(nullspace([diffs[k] for k in independent], ambient))
     free = {max(j for j, x in enumerate(n) if x) for n in hull_normals}
     pivots = [j for j in range(ambient) if j not in free]
     d = len(pivots)
@@ -168,7 +173,7 @@ def convex_hull(points) -> RationalPolytope:
         tuple((w, offset) for w, offset, _, _ in supports),
         hull_normals,
         tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
-        tuple(at[place[j]] for j in given),
+        tuple(at[place[q]] for q in scaled),
     )
 
 
@@ -287,8 +292,8 @@ def facet_incidence(p: RationalPolytope, points) -> list[Optional[int]]:
 
 
 def face_lattice(p: RationalPolytope) -> FaceLattice:
-    """Every nonempty face of the polytope, ordered by dimension, and
-    the facets of each face.
+    """Every nonempty face of the polytope, ordered by dimension and
+    then by vertex set, and the facets of each face.
 
     The walk goes down from the polytope on vertex sets as bitmasks
     (Kaibel & Pfetsch, "Computing the face lattice of a polytope from
@@ -298,37 +303,42 @@ def face_lattice(p: RationalPolytope) -> FaceLattice:
     """
     nv = len(p.vertices)
     top = (1 << nv) - 1
+    facets = [(1 << i, g) for i, g in enumerate(p.facet_vertices)]
     # vertex mask -> (dim, vertex set, the bitmask of the facets containing the face)
     found = {top: (p.dim, tuple(range(nv)), 0)}
     below: dict[int, list[int]] = {}  # vertex mask -> the masks of its facets
-    level = [top]
+    levels = [[top]]  # the faces by dimension, from the top down
     for dim in range(p.dim - 1, -1, -1):
         lower = []
-        for f in level:
+        for f in levels[-1]:
             _, vs, containing = found[f]
             # each meet, with the facets G that meet F in it; G holds F
             # iff F's vertices lie in G's
             meets: dict[int, int] = {}
-            for i, g in enumerate(p.facet_vertices):
+            for b, g in facets:
                 if (m := f & g) and m != f:
-                    meets[m] = meets.get(m, 0) | 1 << i
-            below[f] = []
+                    meets[m] = meets.get(m, 0) | b
             # a set no larger than the ones kept is maximal iff none of
-            # them holds it.  A facet h of F is held by the facets that
-            # hold F and by those that meet F in h: one that met F in
-            # more would make a meet larger than h
-            for h in sorted(meets, key=int.bit_count, reverse=True):
-                if all(h & k != h for k in below[f]):
-                    below[f].append(h)
+            # them holds it; the meets of an edge are its two vertices.
+            # A facet h of F is held by the facets that hold F and by
+            # those that meet F in h: one that met F in more would make
+            # a meet larger than h
+            kept = below[f] = []
+            for h in sorted(meets, key=int.bit_count, reverse=True) if dim else meets:
+                for k in kept:
+                    if h & k == h:
+                        break
+                else:
+                    kept.append(h)
                     if h not in found:
-                        found[h] = (dim, tuple(v for v in vs if h >> v & 1), containing | meets[h])
+                        found[h] = (dim, tuple([v for v in vs if h >> v & 1]), containing | meets[h])
                         lower.append(h)
-        level = lower
+        levels.append(lower)
 
-    order = sorted(found, key=lambda mask: found[mask][:2])
+    order = [h for level in reversed(levels) for h in sorted(level, key=lambda h: found[h][1])]
     ids = {mask: fid for fid, mask in enumerate(order)}
     faces = tuple(Face(fid, *found[mask]) for fid, mask in enumerate(order))
-    below_ids = tuple(tuple(sorted(ids[h] for h in below.get(mask, ()))) for mask in order)
+    below_ids = tuple(tuple(sorted(map(ids.__getitem__, below.get(mask, ())))) for mask in order)
     return FaceLattice(faces, below_ids)
 
 

@@ -47,7 +47,11 @@ on four-manifolds, an independent decision for the cases it covers.
 Next to the brute-force hull sits the double description hull as it
 was before it read every incidence off its contacts: one nullspace per
 facet conormal, signed by a point off the facet, and `facet_incidence`
-for the vertices on each facet and the facets at each point.
+for the vertices on each facet and the facets at each point; and the
+hull as it was before it cleared denominators over the given points,
+keying and sorting the distinct points as Fraction tuples and taking
+the affine hull's normals from every difference, not only from the
+affinely independent ones.
 Then the gallery's Weyl orbits as they were built before their
 generators became signed permutations: each generator an n x n matrix
 (`weyl_matrices`), applied by rows (`matvec`) in the same search
@@ -91,7 +95,7 @@ from tquot.hamspace import (
     stratify,
     validate,
 )
-from tquot.polytope import Face, RationalPolytope, _facets, facet_incidence
+from tquot.polytope import Face, RationalPolytope, _facets, _lift, facet_incidence
 from tquot.simplicial import (
     _TORUS_TRIANGLES,
     HomologyProfile,
@@ -398,6 +402,54 @@ def nullspace_hull(points) -> NullspaceHull:
     on = facet_incidence(poly, vertices)
     masks = tuple(sum(1 << v for v, at in enumerate(on) if at >> i & 1) for i in range(len(facets)))
     return NullspaceHull(vertices, tuple(facets), masks, facet_incidence(poly, points))
+
+
+def fraction_keyed_hull(points) -> RationalPolytope:
+    """convex_hull as it was before it cleared denominators over the
+    given points: the distinct points keyed and sorted as Fraction
+    tuples, then scaled to integers, and the normals of the affine hull
+    from the nullspace of every point's difference from the first."""
+    index = {}
+    given = [index.setdefault(vec(p), len(index)) for p in points]
+    if not index:
+        raise ValueError("no points")
+    pts, seen = zip(*sorted(index.items()))
+    place = {j: i for i, j in enumerate(seen)}
+    ambient = len(pts[0])
+    if any(len(p) != ambient for p in pts):
+        raise ValueError("points of mixed length")
+    ints, scale = clear_denominators(pts)
+    diffs = [[a - b for a, b in zip(q, ints[0])] for q in ints]
+    hull_normals = tuple(nullspace(diffs, ambient))
+    free = {max(j for j, x in enumerate(n) if x) for n in hull_normals}
+    pivots = [j for j in range(ambient) if j not in free]
+    d = len(pivots)
+    if d == 0:
+        return RationalPolytope(ambient, (pts[0],), (), hull_normals, (), (0,) * len(given))
+    coords = [tuple(q[j] for j in pivots) for q in ints]
+    lift = _lift(hull_normals, pivots, ambient)
+    supports = []
+    for n, _, mask in _facets(coords, d):
+        contact = [i for i in range(len(pts)) if mask >> i & 1]
+        w = lift(n)
+        supports.append((w, Fraction(sum(map(mul, w, ints[contact[0]])), scale), mask, contact))
+    supports.sort()
+    meet = [(1 << len(pts)) - 1] * len(pts)
+    at = [0] * len(pts)
+    for f, (_, _, mask, contact) in enumerate(supports):
+        for i in contact:
+            meet[i] &= mask
+            at[i] |= 1 << f
+    vertex_idx = [i for i, m in enumerate(meet) if m == 1 << i]
+    bit = {i: 1 << v for v, i in enumerate(vertex_idx)}
+    return RationalPolytope(
+        ambient,
+        tuple(pts[i] for i in vertex_idx),
+        tuple((w, offset) for w, offset, _, _ in supports),
+        hull_normals,
+        tuple(sum(bit.get(i, 0) for i in contact) for *_, contact in supports),
+        tuple(at[place[j]] for j in given),
+    )
 
 
 def fraction_in_cone(target, generators) -> bool:

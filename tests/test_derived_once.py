@@ -8,7 +8,8 @@ moment, which V2 shares and the hull reads off its contacts, as the
 face lattice reads the vertices of each facet.  A span is ranked at
 most once: by V3 or V5 only where V4 has not accepted the vertex cone,
 and never in the hull, which lifts its conormals without a nullspace
-per facet.  Verify collapses the model once and reduces
+per facet and takes no nullspace of more rows than the polytope has
+dimensions.  Verify collapses the model once and reduces
 it and the short locus, not the join again when the join is the model.
 The parser leaves the numbers of a spec to the component builders, so
 each passes the one test of the rule, `exactq.exact`, once.  The
@@ -32,8 +33,9 @@ from tquot.exactq import dot
 from tquot.hamspace import read_faces
 
 
-def _counter(monkeypatch, module, fnames):
-    """Count calls to module's functions fnames, wherever they are looked up."""
+def _counter(monkeypatch, module, fnames, calls=None):
+    """Count calls to module's functions fnames, wherever they are looked
+    up; with calls, a list, also append each call's arguments to it."""
     counts = Counter()
     namespaces = [
         mod for name, mod in sorted(sys.modules.items()) if name == "tquot" or name.startswith("tquot.")
@@ -43,6 +45,8 @@ def _counter(monkeypatch, module, fnames):
 
         def counted(*args, _original=original, _name=fname, **kwargs):
             counts[_name] += 1
+            if calls is not None:
+                calls.append(args)
             return _original(*args, **kwargs)
 
         for ns in namespaces:
@@ -131,6 +135,18 @@ def test_classify_lifts_the_conormals_without_a_nullspace_per_facet(monkeypatch)
     assert classify(spec).validation.ok
     assert len(spec.polytope.facets) == 14
     assert calls["nullspace"] == 1 + (spec.polytope.dim + 1) == 5
+
+
+def test_classify_takes_no_nullspace_of_more_rows_than_the_polytope_dimension(monkeypatch):
+    # the affine hull's normals come from the affinely independent
+    # points one elimination finds, not from the 24 points of the orbit
+    half = Fraction(1, 2)
+    spec = gallery.coadjoint_orbit(gallery.root_system("A", 3), (3 * half, half, -half, -3 * half))
+    calls = []
+    _counter(monkeypatch, exactq, ("nullspace",), calls)
+    assert classify(spec).validation.ok
+    assert len(calls) == 5
+    assert max(len(m) for m, _ in calls) == spec.polytope.dim == 3
 
 
 def test_classify_ranks_once_per_component_and_the_hull_never(monkeypatch):

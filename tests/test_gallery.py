@@ -223,3 +223,26 @@ def test_negative_genus_refused(name):
         gallery.build(name, genus=-1)
     # the default genus lives in the builders
     assert {c.genus for c in gallery.build(name).components if c.is_surface} == {1}
+
+
+@pytest.mark.parametrize(
+    "name, builder", [("sigma-g-x-s2", surface_times_sphere), ("blowup-g", blowup_example)]
+)
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        (True, "{name} needs an integer genus, got (True,)"),
+        (1.5, "{name} needs an integer genus, got (1.5,)"),
+        ("2", "{name} needs an integer genus, got ('2',)"),
+        (-1, "{name} needs a genus >= 0, got -1"),
+    ],
+    ids=["bool", "float", "str", "negative"],
+)
+def test_surface_builders_refuse_a_genus_that_is_not_an_int_from_0(name, builder, genus, message):
+    # the builders hold the genus rule, so calling one directly refuses
+    # what the catalog refuses, with the same message
+    for build in (builder, lambda g: gallery.build(name, genus=g)):
+        with pytest.raises(GalleryError) as refused:
+            build(genus)
+        assert str(refused.value) == message.format(name=name)
+    assert {c.genus for c in builder(0).components if c.is_surface} == {0}
